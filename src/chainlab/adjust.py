@@ -25,7 +25,6 @@ from math import comb
 from .core import (
     AlternationWitness,
     ChainFamily,
-    Condition,
     IndexValue,
     InputError,
     SetBits,
@@ -87,9 +86,9 @@ class SunflowerDecomposition:
 
 
 def insert_point(
-    cond: Condition, x: IndexValue, candidate: SetBits
-) -> tuple[Condition, InsertionReceipt]:
-    """Insert index x into the condition, reshaping its candidate set.
+    fam: ChainFamily, x: IndexValue, candidate: SetBits
+) -> tuple[ChainFamily, InsertionReceipt]:
+    """Insert index x into the condition `fam`, reshaping its candidate set.
 
     The produced set is (candidate ∪ A) \\ (candidate \\ C) for the neighbour
     sets A (predecessor, empty at the left boundary) and C (successor, full
@@ -97,7 +96,6 @@ def insert_point(
     agreeing with C, elements outside it with A, so a barely alternating
     condition stays barely alternating.
     """
-    fam = cond.family
     if candidate.ground != fam.ground:
         raise InputError(
             f"candidate ground size {candidate.ground.size} != condition ground "
@@ -121,7 +119,7 @@ def insert_point(
         fam.indices[:pos] + (x,) + fam.indices[pos:],
         fam.sets[:pos] + (produced,) + fam.sets[pos:],
     )
-    return Condition(extended), receipt
+    return extended, receipt
 
 
 def adjust_family(
@@ -145,7 +143,7 @@ def adjust_family(
         order = tuple(order)
         if tuple(sorted(order)) != family.indices:
             raise InputError("order is not a permutation of the family's indices")
-    cond = Condition.empty(family.ground)
+    cond = ChainFamily(family.ground, (), ())
     receipts = []
     for x in order:
         cond, receipt = insert_point(cond, x, family.set_at(x))
@@ -156,29 +154,29 @@ def adjust_family(
         total_cost=sum(costs),
         max_cost=max(costs, default=0),
     )
-    return cond.family, report
+    return cond, report
 
 
-def merge_conditions(c1: Condition, c2: Condition) -> Condition:
+def merge_conditions(c1: ChainFamily, c2: ChainFamily) -> ChainFamily:
     """Union of two conditions; shared indices must carry identical sets."""
     if c1.ground != c2.ground:
         raise InputError(
             f"ground mismatch: size {c1.ground.size} vs {c2.ground.size}"
         )
-    merged = dict(c1.family.pairs())
-    for x, s in c2.family.pairs():
+    merged = dict(c1.pairs())
+    for x, s in c2.pairs():
         if x in merged and merged[x] != s:
             raise InputError(f"conditions disagree at shared index {x}")
         merged[x] = s
-    return Condition(ChainFamily.from_pairs(c1.ground, merged.items()))
+    return ChainFamily.from_pairs(c1.ground, merged.items())
 
 
-def compatibility_witness(c1: Condition, c2: Condition) -> AlternationWitness | None:
+def compatibility_witness(c1: ChainFamily, c2: ChainFamily) -> AlternationWitness | None:
     """Witness that the merged condition alternates too much, else None."""
-    return alternation_witness(merge_conditions(c1, c2).family)
+    return alternation_witness(merge_conditions(c1, c2))
 
 
-def conditions_compatible(c1: Condition, c2: Condition) -> bool:
+def conditions_compatible(c1: ChainFamily, c2: ChainFamily) -> bool:
     return compatibility_witness(c1, c2) is None
 
 

@@ -13,9 +13,8 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import adjust as adj
 from . import core, generators, lineop
@@ -25,24 +24,13 @@ COMMANDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: command, file endpoints, seed and leftover options."""
-
-    command: str
-    inputs: tuple[str, ...]
-    output: str | None
-    seed: int
-    params: Mapping[str, object]
-
-
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise core.InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -83,63 +71,41 @@ def _alternation_verdict(witness: core.AlternationWitness | None) -> str:
 # --- commands ------------------------------------------------------------------
 
 
-def _cmd_generate(config: RunConfig) -> int:
-    params = config.params
-    if params.get("config") is not None:
-        cfg = generators.generator_config_from_text(_read_text(params["config"]))
+# `generate --kind` -> (generator config kind, the flags that config takes).
+_GENERATE_KINDS = {
+    "chain": ("initial-chain", ("ground_size", "count")),
+    "perturbed": ("perturbed", ("ground_size", "count", "flips")),
+    "marciszewski": ("marciszewski", ("depth", "count")),
+    "sign": ("sign-matrix", ("ground_size", "count")),
+}
+
+
+def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.config is not None:
+        cfg = generators.generator_config_from_text(_read_text(args.config))
     else:
-        kind = params["kind"]
-        if kind == "chain":
-            cfg = {
-                "kind": "initial-chain",
-                "seed": config.seed,
-                "ground_size": params["ground_size"],
-                "count": params["count"],
-            }
-        elif kind == "perturbed":
-            cfg = {
-                "kind": "perturbed",
-                "seed": config.seed,
-                "ground_size": params["ground_size"],
-                "count": params["count"],
-                "flips": params["flips"],
-            }
-        elif kind == "marciszewski":
-            cfg = {
-                "kind": "marciszewski",
-                "seed": config.seed,
-                "depth": params["depth"],
-                "count": params["count"],
-            }
-        else:
-            cfg = {
-                "kind": "sign-matrix",
-                "seed": config.seed,
-                "ground_size": params["ground_size"],
-                "count": params["count"],
-            }
+        kind, flags = _GENERATE_KINDS[args.kind]
+        cfg = {"kind": kind, "seed": args.seed, **{f: getattr(args, f) for f in flags}}
     family = generators.family_from_config(cfg)
-    _write_text(config.output, core.family_to_text(family))
+    _write_text(args.output, core.family_to_text(family))
     return 0
 
 
-def _cmd_check(config: RunConfig) -> int:
-    family = _load_family(config.inputs[0])
-    budget = config.params["budget"]
-    report = core.validate_almost_chain(family, budget)
+def _cmd_check(args: argparse.Namespace) -> int:
+    family = _load_family(args.input)
+    report = core.validate_almost_chain(family, args.budget)
     flagged = " ".join(
-        f"({core.format_index(x)},{core.format_index(y)})"
-        f"={len(report.pair_defects[(x, y)])}"
-        for x, y in report.flagged_pairs
+        f"({core.format_index(x)},{core.format_index(y)})={size}"
+        for (x, y), size in report.over_budget.items()
     )
     lines = [
         f"chain: {_chain_verdict(core.chain_witness(family))}",
         f"barely_alternating: {_alternation_verdict(core.alternation_witness(family))}",
         f"max_defect: {report.max_defect_size}",
-        f"budget: {budget}",
+        f"budget: {args.budget}",
         f"over_budget: {flagged or 'none'}",
     ]
-    _write_text(config.output, "\n".join(lines) + "\n")
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -156,29 +122,30 @@ def _resolve_order(
     return tuple(order)
 
 
-def _cmd_adjust(config: RunConfig) -> int:
-    if config.output in (None, "-"):
+def _cmd_adjust(args: argparse.Namespace) -> int:
+    if args.output in (None, "-"):
         raise core.InputError(
             "adjust writes the receipt report to stdout; give the adjusted "
             "family a file --output"
         )
-    text = _read_text(config.inputs[0])
+    text = _read_text(args.input)
     family = core.family_from_text(text)
-    order = _resolve_order(family, text, config.params["order"], config.seed)
+    order = _resolve_order(family, text, args.order, args.seed)
     adjusted, report = adj.adjust_family(family, order)
-    _write_text(config.output, core.family_to_text(adjusted))
+    _write_text(args.output, core.family_to_text(adjusted))
     sys.stdout.write(adj.adjustment_report_to_text(report))
     return 0
 
 
-def _cmd_compat(config: RunConfig) -> int:
-    left = core.Condition(_load_family(config.inputs[0]))
-    right = core.Condition(_load_family(config.inputs[1]))
+def _cmd_compat(args: argparse.Namespace) -> int:
+    if len(args.input) != 2:
+        raise core.InputError("compat needs --input given exactly twice")
+    left, right = (_load_family(path) for path in args.input)
     witness = adj.compatibility_witness(left, right)
     if witness is None:
-        _write_text(config.output, "compatible\n")
+        _write_text(args.output, "compatible\n")
     else:
-        _write_text(config.output, _alternation_verdict(witness) + "\n")
+        _write_text(args.output, _alternation_verdict(witness) + "\n")
     return 0
 
 
@@ -205,10 +172,9 @@ def _parse_gap_instance(
     return tower("ascending"), tower("descending")
 
 
-def _cmd_gap(config: RunConfig) -> int:
-    ascending, descending = _parse_gap_instance(_read_text(config.inputs[0]))
-    budget = config.params["budget"]
-    interpolant = adj.interpolate_gap(ascending, descending, budget)
+def _cmd_gap(args: argparse.Namespace) -> int:
+    ascending, descending = _parse_gap_instance(_read_text(args.input))
+    interpolant = adj.interpolate_gap(ascending, descending, args.budget)
     ground = interpolant.ground
     asc_entries = []
     for n, u in enumerate(ascending):
@@ -243,28 +209,27 @@ def _cmd_gap(config: RunConfig) -> int:
         "ascending_exceptions": asc_entries,
         "descending_exceptions": desc_entries,
     }
-    _write_text(config.output, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.output, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
-def _model_for(family: core.ChainFamily, config: RunConfig) -> lineop.LineModel:
-    path = config.params.get("model")
-    if path is None:
+def _model_for(family: core.ChainFamily, args: argparse.Namespace) -> lineop.LineModel:
+    if args.model is None:
         return lineop.LineModel.from_dense(family.indices)
-    return lineop.model_from_text(_read_text(path))
+    return lineop.model_from_text(_read_text(args.model))
 
 
-def _cmd_triples(config: RunConfig) -> int:
-    family = _load_family(config.inputs[0])
-    model = _model_for(family, config)
+def _cmd_triples(args: argparse.Namespace) -> int:
+    family = _load_family(args.input)
+    model = _model_for(family, args)
     table = lineop.compute_triples(family, model)
-    _write_text(config.output, lineop.triple_table_to_text(table))
+    _write_text(args.output, lineop.triple_table_to_text(table))
     return 0
 
 
-def _cmd_operator(config: RunConfig) -> int:
-    family = _load_family(config.inputs[0])
-    model = _model_for(family, config)
+def _cmd_operator(args: argparse.Namespace) -> int:
+    family = _load_family(args.input)
+    model = _model_for(family, args)
     table = lineop.compute_triples(family, model)
     lines = [f"norm: {lineop.operator_norm(table)}"]
     witness = lineop.norm_witness(table, model.carrier)
@@ -273,9 +238,8 @@ def _cmd_operator(config: RunConfig) -> int:
         achieved = lineop.apply_operator(f_witness, table).on_ground[n]
         lines.append(f"witness_n: {n}")
         lines.append(f"witness_value: {achieved}")
-    f_path = config.params.get("function")
-    if f_path is not None:
-        f = lineop.function_from_text(_read_text(f_path))
+    if args.function is not None:
+        f = lineop.function_from_text(_read_text(args.function))
     else:
         f = lineop.FunctionOnLine({p: p for p in model.carrier})
     schedule = lineop.coincident_schedule(table)
@@ -283,12 +247,12 @@ def _cmd_operator(config: RunConfig) -> int:
     if schedule:
         report = lineop.continuity_harness(family, model, schedule, f)
         lines.append(lineop.harness_report_to_text(report).rstrip("\n"))
-    if f_path is not None:
+    if args.function is not None:
         extended = lineop.apply_operator(f, table)
         lines.append("# n\tEf")
         for n in sorted(extended.on_ground):
             lines.append(f"{n}\t{extended.on_ground[n]}")
-    _write_text(config.output, "\n".join(lines) + "\n")
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -298,51 +262,35 @@ _SWEEP_HEADER = (
 )
 
 
-def _sweep_cell(kind: str, param: int, rep: int, seed: int, cfg: dict) -> str:
-    family = generators.family_from_config(cfg)
+def _sweep_cell(args: argparse.Namespace, param: int, rep: int) -> str:
+    """One grid row: `param` is the flips (perturbed) or depth (marciszewski) value."""
+    seed = args.seed * 1_000_003 + 913 * param + rep
+    if args.kind == "perturbed":
+        shape = {"ground_size": args.ground_size, "count": args.count, "flips": param}
+    else:
+        shape = {"depth": param, "count": min(args.count, (1 << param) - 1)}
+    family = generators.family_from_config({"kind": args.kind, "seed": seed, **shape})
     defects = core.validate_almost_chain(family, 0)
     adjusted, report = adj.adjust_family(family)
     barely = core.is_barely_alternating(adjusted)
     table = lineop.compute_triples(adjusted, lineop.LineModel.from_dense(adjusted.indices))
     norm = lineop.operator_norm(table)
     return (
-        f"{kind}\t{param}\t{rep}\t{seed}\t{family.ground.size}\t{len(family)}"
+        f"{args.kind}\t{param}\t{rep}\t{seed}\t{family.ground.size}\t{len(family)}"
         f"\t{defects.max_defect_size}\t{report.total_cost}\t{report.max_cost}"
         f"\t{norm}\t{'yes' if barely else 'no'}"
     )
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    params = config.params
-    kind = params["kind"]
-    reps = params["reps"]
-    rows = [_SWEEP_HEADER]
-    if kind == "perturbed":
-        for flips in range(params["flips"] + 1):
-            for rep in range(reps):
-                seed = config.seed * 1_000_003 + 913 * flips + rep
-                cfg = {
-                    "kind": "perturbed",
-                    "seed": seed,
-                    "ground_size": params["ground_size"],
-                    "count": params["count"],
-                    "flips": flips,
-                }
-                rows.append(_sweep_cell(kind, flips, rep, seed, cfg))
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.kind == "perturbed":
+        grid = range(args.flips + 1)
+    elif args.depth < 3:
+        raise core.InputError("sweep needs --depth of at least 3")
     else:
-        if params["depth"] < 3:
-            raise core.InputError("sweep needs --depth of at least 3")
-        for depth in range(3, params["depth"] + 1):
-            for rep in range(reps):
-                seed = config.seed * 1_000_003 + 913 * depth + rep
-                cfg = {
-                    "kind": "marciszewski",
-                    "seed": seed,
-                    "depth": depth,
-                    "count": min(params["count"], (1 << depth) - 1),
-                }
-                rows.append(_sweep_cell(kind, depth, rep, seed, cfg))
-    _write_text(config.output, "\n".join(rows) + "\n")
+        grid = range(3, args.depth + 1)
+    rows = [_sweep_cell(args, param, rep) for param in grid for rep in range(args.reps)]
+    _write_text(args.output, "\n".join([_SWEEP_HEADER, *rows]) + "\n")
     return 0
 
 
@@ -366,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a family produced by a named generator")
-    p.add_argument("--kind", choices=("chain", "perturbed", "marciszewski", "sign"),
-                   default="chain")
+    p.add_argument("--kind", choices=tuple(_GENERATE_KINDS), default="chain")
     p.add_argument("--config", help="generator config JSON (overrides the flags)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ground-size", type=int, default=16)
@@ -421,41 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = vars(args).copy()
-    command = values.pop("command")
-    inputs = values.pop("input", None)
-    if inputs is None:
-        inputs = ()
-    elif isinstance(inputs, list):
-        inputs = tuple(inputs)
-    else:
-        inputs = (inputs,)
-    if command == "compat" and len(inputs) != 2:
-        raise core.InputError("compat needs --input given exactly twice")
-    output = values.pop("output", None)
-    seed = values.pop("seed", 0)
-    return RunConfig(command, inputs, output, seed, values)
-
-
-def run(config: RunConfig) -> int:
-    return _HANDLERS[config.command](config)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return _HANDLERS[args.command](args)
     except core.InputError as exc:
         print(f"input-error: {exc}", file=sys.stderr)
         return 1
     except lineop.InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 3
-    except adj.SunflowerNotFoundError as exc:
-        print(f"not-found: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

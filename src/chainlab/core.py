@@ -38,7 +38,7 @@ class GroundSet:
     size: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
+        if type(self.size) is not int or self.size < 1:
             raise InputError(f"ground size must be a positive integer, got {self.size!r}")
 
     @property
@@ -49,7 +49,7 @@ class GroundSet:
         return range(self.size)
 
     def check_element(self, n: int) -> None:
-        if not isinstance(n, int) or not 0 <= n < self.size:
+        if type(n) is not int or not 0 <= n < self.size:
             raise InputError(f"element {n!r} outside ground range [0, {self.size})")
 
 
@@ -179,25 +179,6 @@ class ChainFamily:
         return iter(zip(self.indices, self.sets))
 
 
-@dataclass(frozen=True)
-class Condition:
-    """A finite partial family used as a unit of extension and comparison."""
-
-    family: ChainFamily
-
-    @classmethod
-    def empty(cls, ground: GroundSet) -> Condition:
-        return cls(ChainFamily(ground, (), ()))
-
-    @property
-    def ground(self) -> GroundSet:
-        return self.family.ground
-
-    @property
-    def indices(self) -> tuple[IndexValue, ...]:
-        return self.family.indices
-
-
 class AlternationWitness(NamedTuple):
     """Least (n, x1 < x2 < x3 < x4) with n in A_x1, out of A_x2, in A_x3, out of A_x4."""
 
@@ -287,10 +268,7 @@ def is_barely_alternating(family: ChainFamily) -> bool:
 
 def chain_witness(family: ChainFamily) -> ChainWitness | None:
     """Least witness that the sets are not inclusion-increasing, else None."""
-    full = family.ground.full_mask
-    bad = 0
-    for a, b in zip(family.sets, family.sets[1:]):
-        bad |= a.mask & ~b.mask & full
+    bad = chain_defect_set(family).mask
     if bad == 0:
         return None
     n = _lowest_bit(bad)
@@ -313,18 +291,16 @@ def defect(family: ChainFamily, x: IndexValue, y: IndexValue) -> SetBits:
 
 @dataclass(frozen=True)
 class DefectReport:
-    """All nonempty pairwise defects of a family, judged against a budget."""
+    """The largest pairwise defect of a family and the pairs over a budget."""
 
-    pair_defects: dict[tuple[IndexValue, IndexValue], SetBits] = field(repr=False)
     max_defect_size: int
     budget: int
+    over_budget: dict[tuple[IndexValue, IndexValue], int] = field(repr=False)
 
     @property
     def flagged_pairs(self) -> tuple[tuple[IndexValue, IndexValue], ...]:
         """Ordered pairs whose defect exceeds the budget."""
-        return tuple(
-            pair for pair, d in self.pair_defects.items() if len(d) > self.budget
-        )
+        return tuple(self.over_budget)
 
     @property
     def ok(self) -> bool:
@@ -332,22 +308,25 @@ class DefectReport:
 
 
 def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
-    """Record every nonempty pairwise defect A_x \\ A_y (x < y) against a budget.
+    """Measure every pairwise defect |A_x \\ A_y| (x < y) against a budget.
 
-    Over-budget pairs are reported, not raised; a chain family yields
-    max_defect_size 0.
+    Over-budget pairs are reported with their defect size, in (x, y) order,
+    not raised; a chain family yields max_defect_size 0.
     """
     if budget < 0:
         raise InputError(f"budget must be non-negative, got {budget}")
-    defects: dict[tuple[IndexValue, IndexValue], SetBits] = {}
+    indices = family.indices
+    masks = [s.mask for s in family.sets]
+    over: dict[tuple[IndexValue, IndexValue], int] = {}
     worst = 0
-    for i, x in enumerate(family.indices):
-        for j in range(i + 1, len(family.indices)):
-            d = family.sets[i] - family.sets[j]
-            if d:
-                defects[(x, family.indices[j])] = d
-                worst = max(worst, len(d))
-    return DefectReport(defects, worst, budget)
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            size = (a & ~masks[j]).bit_count()
+            if size > worst:
+                worst = size
+            if size > budget:
+                over[(indices[i], indices[j])] = size
+    return DefectReport(worst, budget, over)
 
 
 def chain_defect_set(family: ChainFamily) -> SetBits:
@@ -371,7 +350,7 @@ def chain_defect_set(family: ChainFamily) -> SetBits:
 # with entries sorted by index and each set listed in increasing order.  The
 # writer is canonical, so write -> parse -> write is byte-identical.
 
-_INDEX_RE = re.compile(r"^-?\d+(/\d+)?$")
+_INDEX_RE = re.compile(r"^-?\d+(/\d*[1-9]\d*)?$")
 
 
 def format_index(x: IndexValue) -> str:

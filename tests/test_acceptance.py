@@ -7,6 +7,7 @@ to see them.
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
@@ -14,13 +15,14 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import chainlab
 from chainlab.adjust import adjust_family, compatibility_witness, conditions_compatible
 from chainlab.core import (
     ChainFamily,
-    Condition,
     GroundSet,
     SetBits,
     alternation_witness,
@@ -182,7 +184,7 @@ def test_c04_density_step_law():
         while calls < 10_000:
             fam = mixed_corpus(rng.randrange(10**6), 1, 6, 16)[0]
             base, _ = adjust_family(fam)
-            cond = Condition(base)
+            cond = base
             size = base.ground.size
             x = F(rng.randrange(1, 1 << 14), 1 << 14)
             if x in base.indices:
@@ -204,7 +206,7 @@ def test_c04_density_step_law():
             for m in range(size):
                 if (m in produced) != (m in below) and (m in produced) != (m in above):
                     violations += 1
-            if not is_barely_alternating(new_cond.family):
+            if not is_barely_alternating(new_cond):
                 violations += 1
         assert calls >= 10_000
         assert violations == 0
@@ -221,8 +223,8 @@ def test_c05_compatibility_kernel():
             done += 1
             split = rng.randrange(1, len(adjusted) - 1)
             pairs = list(adjusted.pairs())
-            left = Condition(ChainFamily.from_pairs(adjusted.ground, pairs[: split + 1]))
-            right = Condition(ChainFamily.from_pairs(adjusted.ground, pairs[split:]))
+            left = ChainFamily.from_pairs(adjusted.ground, pairs[: split + 1])
+            right = ChainFamily.from_pairs(adjusted.ground, pairs[split:])
             if not conditions_compatible(left, right):
                 misclassified += 1
         assert done == 100
@@ -234,11 +236,9 @@ def test_c05_compatibility_kernel():
             )
             elem = SetBits.from_elements(g, [n])
             # merged trace at n reads 1,0,1,0 across lo < a < b < hi
-            c1 = Condition(ChainFamily.from_pairs(g, [(b, elem)]))
-            c2 = Condition(
-                ChainFamily.from_pairs(
-                    g, [(lo, elem), (a, SetBits.empty(g)), (hi, SetBits.empty(g))]
-                )
+            c1 = ChainFamily.from_pairs(g, [(b, elem)])
+            c2 = ChainFamily.from_pairs(
+                g, [(lo, elem), (a, SetBits.empty(g)), (hi, SetBits.empty(g))]
             )
             witness = compatibility_witness(c1, c2)
             if witness is None or witness != (n, lo, a, b, hi):
@@ -381,10 +381,15 @@ def test_c09_triple_soundness():
 
 
 def _run_cli(args, cwd):
+    # the child runs from `cwd`, so a relative PYTHONPATH would not find the package
+    src = str(Path(chainlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chainlab.cli", *args],
         capture_output=True,
         cwd=cwd,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout

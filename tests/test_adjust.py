@@ -22,7 +22,6 @@ from chainlab.adjust import (
 )
 from chainlab.core import (
     ChainFamily,
-    Condition,
     GroundSet,
     InputError,
     SetBits,
@@ -34,13 +33,8 @@ from chainlab.generators import DyadicGround, marciszewski_family, random_bit_in
 from oracles import brute_alternation_witness, brute_sunflower, build_family, mixed_corpus
 
 
-def _condition(traces, indices=None) -> Condition:
-    return Condition(build_family(traces, indices))
-
-
-def _neighbour_sets(cond, receipt):
-    g = cond.ground
-    fam = cond.family
+def _neighbour_sets(fam, receipt):
+    g = fam.ground
     below = fam.set_at(receipt.predecessor) if receipt.predecessor is not None else SetBits.empty(g)
     above = fam.set_at(receipt.successor) if receipt.successor is not None else SetBits.full(g)
     return below, above
@@ -51,7 +45,7 @@ def _neighbour_sets(cond, receipt):
 
 def test_insert_into_empty_condition_keeps_candidate():
     g = GroundSet(5)
-    cond = Condition.empty(g)
+    cond = ChainFamily(g, (), ())
     candidate = SetBits.from_elements(g, [1, 3])
     new_cond, receipt = insert_point(cond, F(1, 2), candidate)
     assert receipt.produced_set == candidate
@@ -62,14 +56,12 @@ def test_insert_into_empty_condition_keeps_candidate():
 
 def test_insert_point_frozen_example():
     g = GroundSet(8)
-    cond = Condition(
-        ChainFamily.from_pairs(
-            g,
-            [
-                (F(1, 4), SetBits.from_elements(g, [0, 1])),
-                (F(3, 4), SetBits.from_elements(g, [1, 3, 4, 5, 7])),
-            ],
-        )
+    cond = ChainFamily.from_pairs(
+        g,
+        [
+            (F(1, 4), SetBits.from_elements(g, [0, 1])),
+            (F(3, 4), SetBits.from_elements(g, [1, 3, 4, 5, 7])),
+        ],
     )
     candidate = SetBits.from_elements(g, [1, 3, 5])
     new_cond, receipt = insert_point(cond, F(1, 2), candidate)
@@ -80,13 +72,13 @@ def test_insert_point_frozen_example():
         assert (m in receipt.produced_set) == (m in below) or (
             (m in receipt.produced_set) == (m in above)
         )
-    assert new_cond.family.set_at(F(1, 2)) == receipt.produced_set
+    assert new_cond.set_at(F(1, 2)) == receipt.produced_set
 
 
 def test_insert_without_predecessor_intersects_with_successor():
     g = GroundSet(6)
     above = SetBits.from_elements(g, [0, 2, 4])
-    cond = Condition(ChainFamily.from_pairs(g, [(F(3, 4), above)]))
+    cond = ChainFamily.from_pairs(g, [(F(3, 4), above)])
     candidate = SetBits.from_elements(g, [0, 1, 2])
     _, receipt = insert_point(cond, F(1, 4), candidate)
     assert receipt.produced_set == candidate & above
@@ -94,7 +86,7 @@ def test_insert_without_predecessor_intersects_with_successor():
 
 def test_insert_point_input_errors():
     g = GroundSet(3)
-    cond = Condition(ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g))]))
+    cond = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g))])
     with pytest.raises(InputError):
         insert_point(cond, F(1, 2), SetBits.empty(g))
     with pytest.raises(InputError):
@@ -106,7 +98,7 @@ def test_insert_point_agreement_and_preservation_fuzz():
     for _ in range(400):
         base = mixed_corpus(rng.randrange(10**6), 1, 6, 10)[0]
         adjusted, _ = adjust_family(base)
-        cond = Condition(adjusted)
+        cond = adjusted
         assert is_barely_alternating(adjusted)
         size = adjusted.ground.size
         x = F(rng.randrange(1, 4096), 4096)
@@ -119,8 +111,8 @@ def test_insert_point_agreement_and_preservation_fuzz():
             agrees_below = (m in receipt.produced_set) == (m in below)
             agrees_above = (m in receipt.produced_set) == (m in above)
             assert agrees_below or agrees_above
-        assert is_barely_alternating(new_cond.family)
-        assert brute_alternation_witness(new_cond.family) is None
+        assert is_barely_alternating(new_cond)
+        assert brute_alternation_witness(new_cond) is None
 
 
 # --- adjust_family --------------------------------------------------------------
@@ -236,23 +228,21 @@ def test_adjustment_report_text_is_stable():
 
 
 def test_condition_is_compatible_with_itself():
-    cond = _condition(["0110", "0011"])
+    cond = build_family(["0110", "0011"])
     assert conditions_compatible(cond, cond)
-    assert merge_conditions(cond, cond).family == cond.family
+    assert merge_conditions(cond, cond) == cond
 
 
 def test_incompatible_merge_returns_least_witness():
     g = GroundSet(1)
-    c1 = Condition(ChainFamily.from_pairs(g, [(F(1, 2), SetBits.full(g))]))
-    c2 = Condition(
-        ChainFamily.from_pairs(
-            g,
-            [
-                (F(1, 8), SetBits.full(g)),
-                (F(1, 4), SetBits.empty(g)),
-                (F(3, 4), SetBits.empty(g)),
-            ],
-        )
+    c1 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.full(g))])
+    c2 = ChainFamily.from_pairs(
+        g,
+        [
+            (F(1, 8), SetBits.full(g)),
+            (F(1, 4), SetBits.empty(g)),
+            (F(3, 4), SetBits.empty(g)),
+        ],
     )
     assert compatibility_witness(c1, c2) == (0, F(1, 8), F(1, 4), F(1, 2), F(3, 4))
     assert not conditions_compatible(c1, c2)
@@ -260,11 +250,11 @@ def test_incompatible_merge_returns_least_witness():
 
 def test_merge_requires_agreement_on_shared_indices():
     g = GroundSet(2)
-    c1 = Condition(ChainFamily.from_pairs(g, [(F(1, 2), SetBits.full(g))]))
-    c2 = Condition(ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g))]))
+    c1 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.full(g))])
+    c2 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g))])
     with pytest.raises(InputError):
         merge_conditions(c1, c2)
-    c3 = Condition(ChainFamily.from_pairs(GroundSet(3), [(F(1, 2), SetBits.empty(GroundSet(3)))]))
+    c3 = ChainFamily.from_pairs(GroundSet(3), [(F(1, 2), SetBits.empty(GroundSet(3)))])
     with pytest.raises(InputError):
         merge_conditions(c1, c3)
 
@@ -288,9 +278,9 @@ def test_block_adjustments_around_a_shared_index_are_compatible():
         left, _ = adjust_family(lower, lower_order)
         right, _ = adjust_family(upper, upper_order)
         assert left.set_at(shared) == right.set_at(shared) == fam.set_at(shared)
-        assert conditions_compatible(Condition(left), Condition(right))
-        merged = merge_conditions(Condition(left), Condition(right))
-        assert brute_alternation_witness(merged.family) is None
+        assert conditions_compatible(left, right)
+        merged = merge_conditions(left, right)
+        assert brute_alternation_witness(merged) is None
 
 
 def test_split_conditions_stay_compatible():
@@ -301,14 +291,10 @@ def test_split_conditions_stay_compatible():
             continue
         adjusted, _ = adjust_family(fam)
         split = rng.randrange(1, len(fam) - 1)
-        left = Condition(
-            ChainFamily.from_pairs(fam.ground, list(adjusted.pairs())[: split + 1])
-        )
-        right = Condition(
-            ChainFamily.from_pairs(fam.ground, list(adjusted.pairs())[split:])
-        )
+        left = ChainFamily.from_pairs(fam.ground, list(adjusted.pairs())[: split + 1])
+        right = ChainFamily.from_pairs(fam.ground, list(adjusted.pairs())[split:])
         assert conditions_compatible(left, right)
-        assert merge_conditions(left, right).family == adjusted
+        assert merge_conditions(left, right) == adjusted
 
 
 # --- sunflower extraction -------------------------------------------------------

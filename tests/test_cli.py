@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from chainlab.cli import main
 
 
@@ -272,3 +274,23 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "--input", "-")
     assert code == 0
     assert "chain: ok" in out
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"ground_size": 2, "entries": [{"index": "1/0", "set": [0]}]}',
+        b'\xff\xfe{"ground_size": 2, "entries": []}',
+        b'{"ground_size": true, "entries": []}',
+        b'{"ground_size": 2, "entries": [{"index": "1/2", "set": [false, true]}]}',
+    ],
+    ids=["zero-denominator", "not-utf8", "bool-ground-size", "bool-elements"],
+)
+def test_malformed_input_is_one_input_error_line(tmp_path, capsys, raw):
+    fam = tmp_path / "bad.json"
+    fam.write_bytes(raw)
+    code, out, err = run_cli(capsys, "check", "--input", str(fam))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input-error:")
+    assert err.count("\n") == 1

@@ -199,6 +199,16 @@ def test_validate_almost_chain():
         validate_almost_chain(fam, -1)
 
 
+def test_defect_scan_matches_pairwise_defects():
+    for fam in mixed_corpus(4242, 300, 9, 12):
+        sizes = {(x, y): len(defect(fam, x, y)) for x, y in combinations(fam.indices, 2)}
+        for budget in (0, 1, 2):
+            report = validate_almost_chain(fam, budget)
+            assert report.max_defect_size == max(sizes.values(), default=0)
+            assert report.over_budget == {p: d for p, d in sizes.items() if d > budget}
+            assert report.flagged_pairs == tuple(p for p, d in sizes.items() if d > budget)
+
+
 def test_chain_defect_set_examples():
     chain = build_family(["0011", "0111"])
     assert not chain_defect_set(chain)
