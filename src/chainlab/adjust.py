@@ -29,6 +29,7 @@ from .core import (
     InputError,
     SetBits,
     alternation_witness,
+    iter_bits,
 )
 
 # Exhaustive sunflower search is attempted only below this many candidate
@@ -102,8 +103,10 @@ def insert_point(
             f"size {fam.ground.size}"
         )
     pos = bisect_left(fam.indices, x)
-    if pos < len(fam.indices) and fam.indices[pos] == x:
-        raise InputError(f"index {x} already present")
+    if pos < len(fam.indices) and not x < fam.indices[pos]:
+        if fam.indices[pos] == x:
+            raise InputError(f"index {x} already present")
+        raise InputError(f"indices not strictly increasing at {x} >= {fam.indices[pos]}")
     below = fam.sets[pos - 1] if pos > 0 else SetBits.empty(fam.ground)
     above = fam.sets[pos] if pos < len(fam.sets) else SetBits.full(fam.ground)
     produced = (candidate | below) - (candidate - above)
@@ -114,7 +117,7 @@ def insert_point(
         successor=fam.indices[pos] if pos < len(fam.indices) else None,
         delta_from_input=produced ^ candidate,
     )
-    extended = ChainFamily(
+    extended = ChainFamily._trusted(
         fam.ground,
         fam.indices[:pos] + (x,) + fam.indices[pos:],
         fam.sets[:pos] + (produced,) + fam.sets[pos:],
@@ -294,7 +297,7 @@ def adjustment_report_to_text(report: AdjustmentReport) -> str:
     """One line per receipt: index, cost, changed elements ('-' when none)."""
     lines = ["# index\tcost\tdelta"]
     for r in report.receipts:
-        elems = " ".join(str(n) for n in r.delta_from_input.elements()) or "-"
+        elems = " ".join(map(str, iter_bits(r.delta_from_input.mask))) or "-"
         lines.append(
             f"{r.inserted_index.numerator}/{r.inserted_index.denominator}"
             f"\t{r.cost}\t{elems}"

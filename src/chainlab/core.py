@@ -20,6 +20,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple
 
 # Exact rational index of a set in a family.  Fraction already guarantees the
@@ -29,6 +30,26 @@ IndexValue = Fraction
 
 class InputError(ValueError):
     """A precondition on caller-supplied data does not hold."""
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a non-negative mask, in increasing order.
+
+    One C-level pass over the binary digits, with no per-bit shifts.
+    """
+    return compress(count(), bin(mask)[:1:-1].encode("ascii").translate(_BIT_FLAGS))
+
+
+def _mask_of(size: int, elements: Iterable[int]) -> int:
+    """Mask of elements already known to lie in [0, size), via a digit string."""
+    digits = bytearray(b"0") * size
+    top = size - 1
+    for n in elements:
+        digits[top - n] = 49  # ord("1"); bit n is digit size-1-n
+    return int(digits, 2)
 
 
 @dataclass(frozen=True)
@@ -74,11 +95,10 @@ class SetBits:
 
     @classmethod
     def from_elements(cls, ground: GroundSet, elements: Iterable[int]) -> SetBits:
-        mask = 0
-        for n in elements:
+        elems = list(elements)
+        for n in elems:
             ground.check_element(n)
-            mask |= 1 << n
-        return cls(ground, mask)
+        return cls(ground, _mask_of(ground.size, elems))
 
     def _check_same_ground(self, other: SetBits) -> None:
         if self.ground != other.ground:
@@ -97,7 +117,7 @@ class SetBits:
         return self.mask != 0
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.elements())
+        return iter_bits(self.mask)
 
     def __or__(self, other: SetBits) -> SetBits:
         self._check_same_ground(other)
@@ -120,7 +140,7 @@ class SetBits:
         return self.mask & ~other.mask == 0
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(n for n in self.ground.elements() if self.mask >> n & 1)
+        return tuple(iter_bits(self.mask))
 
     def __repr__(self) -> str:
         return f"SetBits({set(self.elements()) or '{}'} / {self.ground.size})"
@@ -150,6 +170,17 @@ class ChainFamily:
         for s in self.sets:
             if s.ground != self.ground:
                 raise InputError("family set over a different ground")
+
+    @classmethod
+    def _trusted(
+        cls, ground: GroundSet, indices: tuple[IndexValue, ...], sets: tuple[SetBits, ...]
+    ) -> ChainFamily:
+        """Build without the shape checks; the caller guarantees them."""
+        family = object.__new__(cls)
+        object.__setattr__(family, "ground", ground)
+        object.__setattr__(family, "indices", indices)
+        object.__setattr__(family, "sets", sets)
+        return family
 
     @classmethod
     def from_pairs(
@@ -363,10 +394,34 @@ def parse_index(text: str) -> IndexValue:
     return Fraction(text)
 
 
-def family_entries_from_text(
-    text: str,
-) -> tuple[int, list[tuple[IndexValue, tuple[int, ...]]]]:
-    """Parse the family document, preserving the file order of entries."""
+def _stray_element(elems: list, size: int) -> object:
+    """First element that is not an exact int in [0, size), or None.
+
+    Raises for a non-integer or a non-increasing list.  Exact ints increasing
+    from 0 are settled in one pass, with the range check on the last one.
+    """
+    prev = -1
+    for n in elems:
+        if type(n) is not int or n <= prev:
+            break
+        prev = n
+    else:
+        return None if prev < size else elems[bisect_left(elems, size)]
+    if any(not isinstance(n, int) for n in elems):
+        raise InputError(f"set must be a list of integers: {elems!r}")
+    if any(not a < b for a, b in zip(elems, elems[1:])):
+        raise InputError(f"set elements must be strictly increasing: {elems!r}")
+    return next(n for n in elems if type(n) is not int or not 0 <= n < size)
+
+
+def _family_document(text: str) -> tuple[int, list[tuple[IndexValue, list]], object]:
+    """Parse the family document in file order, checking all but the ground range.
+
+    Returns the declared ground size, the entries as (index, element list)
+    and the first element, in file order, outside [0, size) (None if none).
+    Range errors are left to the caller so that they are reported after
+    every shape error and after the ground size check.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -378,33 +433,53 @@ def family_entries_from_text(
         raise InputError(f"bad ground_size {size!r}")
     if not isinstance(doc["entries"], list):
         raise InputError("entries must be a list")
-    entries: list[tuple[IndexValue, tuple[int, ...]]] = []
+    entries: list[tuple[IndexValue, list]] = []
+    stray = None
     for entry in doc["entries"]:
         if not isinstance(entry, dict) or set(entry) != {"index", "set"}:
             raise InputError(f"entry must have exactly index and set: {entry!r}")
         elems = entry["set"]
-        if not isinstance(elems, list) or any(not isinstance(n, int) for n in elems):
+        if not isinstance(elems, list):
             raise InputError(f"set must be a list of integers: {elems!r}")
-        if any(not a < b for a, b in zip(elems, elems[1:])):
-            raise InputError(f"set elements must be strictly increasing: {elems!r}")
-        entries.append((parse_index(entry["index"]), tuple(elems)))
-    return size, entries
+        bad = _stray_element(elems, size)
+        entries.append((parse_index(entry["index"]), elems))
+        if stray is None:
+            stray = bad
+    return size, entries, stray
+
+
+def family_entries_from_text(
+    text: str,
+) -> tuple[int, list[tuple[IndexValue, tuple[int, ...]]]]:
+    """Parse the family document, preserving the file order of entries."""
+    size, entries, _ = _family_document(text)
+    return size, [(x, tuple(elems)) for x, elems in entries]
 
 
 def family_from_text(text: str) -> ChainFamily:
-    size, entries = family_entries_from_text(text)
+    size, entries, stray = _family_document(text)
     ground = GroundSet(size)
+    if stray is not None:
+        ground.check_element(stray)
     return ChainFamily.from_pairs(
-        ground, ((x, SetBits.from_elements(ground, elems)) for x, elems in entries)
+        ground, ((x, SetBits(ground, _mask_of(size, elems))) for x, elems in entries)
     )
 
 
 def family_to_text(family: ChainFamily) -> str:
-    doc = {
-        "ground_size": family.ground.size,
-        "entries": [
-            {"index": format_index(x), "set": list(s.elements())}
-            for x, s in family.pairs()
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The canonical document, byte for byte `json.dumps(doc, indent=2) + "\n"`.
+
+    Written directly: indices and elements are digits, '-' and '/', so
+    nothing needs escaping.  Each element's line is formatted once and
+    shared by every set that holds it.
+    """
+    lines = [f"\n        {n}" for n in range(family.ground.size)]
+    entries = []
+    for x, s in family.pairs():
+        elems = ",".join(map(lines.__getitem__, iter_bits(s.mask)))
+        body = f"[{elems}\n      ]" if elems else "[]"
+        entries.append(
+            f'\n    {{\n      "index": "{format_index(x)}",\n      "set": {body}\n    }}'
+        )
+    listing = f"[{','.join(entries)}\n  ]" if entries else "[]"
+    return f'{{\n  "ground_size": {family.ground.size},\n  "entries": {listing}\n}}\n'

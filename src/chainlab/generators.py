@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -94,7 +95,12 @@ def excluded_dyadics(x: BitIndex, depth: int) -> tuple[IndexValue, ...]:
 def initial_segment_chain(
     points: Sequence[IndexValue], cut_indices: Sequence[IndexValue]
 ) -> ChainFamily:
-    """Family A_x = {n : p_n < x} over ground positions p_n; always a chain."""
+    """Family A_x = {n : p_n < x} over ground positions p_n; always a chain.
+
+    The positions are sorted once; each cut's set is the previous cut's set
+    plus the elements whose positions fall between the two cuts, found by
+    bisection, so the work is one sort plus one bit per element.
+    """
     positions = tuple(points)
     ground = GroundSet(len(positions))
     xs = tuple(cut_indices)
@@ -102,16 +108,19 @@ def initial_segment_chain(
         if not a < b:
             raise InputError(f"cut indices not strictly increasing at {a} >= {b}")
     taken = set(positions)
-    pairs = []
+    ranked = sorted(range(len(positions)), key=positions.__getitem__)
+    ranked_points = [positions[n] for n in ranked]
+    sets = []
+    mask = below = 0
     for x in xs:
         if x in taken:
             raise InputError(f"cut index {x} coincides with a ground position")
-        mask = 0
-        for n, p in enumerate(positions):
-            if p < x:
-                mask |= 1 << n
-        pairs.append((x, SetBits(ground, mask)))
-    return ChainFamily(ground, xs, tuple(s for _, s in pairs))
+        stop = bisect_left(ranked_points, x, below)
+        for n in ranked[below:stop]:
+            mask |= 1 << n
+        below = stop
+        sets.append(SetBits(ground, mask))
+    return ChainFamily(ground, xs, tuple(sets))
 
 
 def marciszewski_family(xs: Sequence[BitIndex], ground: DyadicGround) -> ChainFamily:
@@ -257,6 +266,18 @@ def _index_list(values) -> tuple[IndexValue, ...]:
     return tuple(parse_index(v) for v in values)
 
 
+def _matrix_rows(rows) -> list[tuple[IndexValue | int, ...]]:
+    """Matrix rows from a config: lists of exact ints or 'p/q' strings."""
+    if not isinstance(rows, list):
+        raise InputError(f"'rows' must be a list of lists, got {rows!r}")
+    out = []
+    for row in rows:
+        if not isinstance(row, list):
+            raise InputError(f"matrix row must be a list of values, got {row!r}")
+        out.append(tuple(v if type(v) is int else parse_index(v) for v in row))
+    return out
+
+
 def generator_config_from_text(text: str) -> dict:
     try:
         cfg = json.loads(text)
@@ -308,11 +329,7 @@ def family_from_config(cfg: dict) -> ChainFamily:
     if kind == "sign-matrix":
         if "rows" in cfg or "Y" in cfg:
             _check_keys(cfg, {"kind", "Y", "rows"}, {"kind", "Y", "rows"})
-            rows = [
-                tuple(v if isinstance(v, int) else parse_index(v) for v in row)
-                for row in cfg["rows"]
-            ]
-            return from_sign_matrix(_index_list(cfg["Y"]), rows)
+            return from_sign_matrix(_index_list(cfg["Y"]), _matrix_rows(cfg["rows"]))
         _check_keys(cfg, {"kind", "seed", "ground_size", "count"}, {"kind", "ground_size", "count"})
         size = _int_field(cfg, "ground_size")
         rng = random.Random(_int_field(cfg, "seed", 0))

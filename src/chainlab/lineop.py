@@ -28,6 +28,7 @@ from .core import (
     InputError,
     alternation_witness,
     format_index,
+    iter_bits,
     parse_index,
 )
 
@@ -126,28 +127,29 @@ def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
     witness = alternation_witness(family)
     if witness is not None:
         raise InputError(f"family is not barely alternating: witness {witness}")
-    top = model.max_point
-    ys = family.indices
-    triples = []
-    for n in family.ground.elements():
-        member = [s.mask >> n & 1 for s in family.sets]
-        first_in = next((i for i, m in enumerate(member) if m), None)
-        if first_in is None:
-            triples.append((top, top, top))
-            continue
-        x0 = ys[first_in]
-        first_out = next(
-            (i for i in range(first_in + 1, len(ys)) if not member[i]), None
-        )
-        if first_out is None:
-            triples.append((x0, top, top))
-            continue
-        x1 = ys[first_out]
-        back_in = next(
-            (i for i in range(first_out + 1, len(ys)) if member[i]), None
-        )
-        triples.append((x0, x1, ys[back_in] if back_in is not None else top))
-    return TripleTable(tuple(triples))
+    # One sweep over the sets, bit-parallel across the ground: seen_in,
+    # seen_out and seen_back hold the elements whose first entry, first exit
+    # and re-entry have happened; each step records its position for the
+    # bits that are new.  Position k stands for max(K).
+    k = len(family)
+    points = family.indices + (model.max_point,)
+    size = family.ground.size
+    first_in, first_out, back_in = [k] * size, [k] * size, [k] * size
+    seen_in = seen_out = seen_back = 0
+    for i, s in enumerate(family.sets):
+        m = s.mask
+        new_in = m & ~seen_in
+        new_out = seen_in & ~m & ~seen_out
+        new_back = seen_out & m & ~seen_back
+        for new, where in ((new_in, first_in), (new_out, first_out), (new_back, back_in)):
+            if new:
+                for n in iter_bits(new):
+                    where[n] = i
+        seen_in |= new_in
+        seen_out |= new_out
+        seen_back |= new_back
+    at = points.__getitem__
+    return TripleTable(tuple(zip(map(at, first_in), map(at, first_out), map(at, back_in))))
 
 
 def apply_operator(f: FunctionOnLine, triples: TripleTable) -> ExtendedFunction:

@@ -49,6 +49,31 @@ def brute_alternation_witness(family: ChainFamily):
     return None
 
 
+def brute_triples(family: ChainFamily, top):
+    """Per element: first entry, first exit after it, re-entry after that.
+
+    A plain scan of each element's membership list; every point that does
+    not exist falls back to `top`, the largest carrier point.
+    """
+    ys = family.indices
+    triples = []
+    for n in family.ground.elements():
+        member = [s.mask >> n & 1 for s in family.sets]
+        first_in = next((i for i, m in enumerate(member) if m), None)
+        if first_in is None:
+            triples.append((top, top, top))
+            continue
+        first_out = next((i for i in range(first_in + 1, len(ys)) if not member[i]), None)
+        if first_out is None:
+            triples.append((ys[first_in], top, top))
+            continue
+        back_in = next((i for i in range(first_out + 1, len(ys)) if member[i]), None)
+        triples.append(
+            (ys[first_in], ys[first_out], ys[back_in] if back_in is not None else top)
+        )
+    return tuple(triples)
+
+
 def brute_chain_witness(family: ChainFamily):
     """Least (n, x, y) with x < y and n in A_x but not A_y, by full pair scan."""
     k = len(family.indices)

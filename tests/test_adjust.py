@@ -91,6 +91,8 @@ def test_insert_point_input_errors():
         insert_point(cond, F(1, 2), SetBits.empty(g))
     with pytest.raises(InputError):
         insert_point(cond, F(1, 4), SetBits.empty(GroundSet(4)))
+    with pytest.raises(InputError, match="not strictly increasing at nan >= 1/2"):
+        insert_point(cond, float("nan"), SetBits.empty(g))
 
 
 def test_insert_point_agreement_and_preservation_fuzz():

@@ -294,3 +294,75 @@ def test_malformed_input_is_one_input_error_line(tmp_path, capsys, raw):
     assert out == ""
     assert err.startswith("input-error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "sign-matrix", "Y": ["1/3", "2/3"], "rows": [3, 4]},
+        {"kind": "sign-matrix", "Y": ["1/3", "2/3"], "rows": [[True, -1], [False, "-1/2"]]},
+    ],
+    ids=["rows-not-lists", "bool-values"],
+)
+def test_malformed_sign_matrix_rows_are_one_input_error_line(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "generate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input-error:")
+    assert err.count("\n") == 1
+
+
+def _family_doc(size, *sets, indices=None):
+    indices = indices or [f"{i + 1}/{len(sets) + 1}" for i in range(len(sets))]
+    return {"ground_size": size,
+            "entries": [{"index": x, "set": s} for x, s in zip(indices, sets)]}
+
+
+# Each message was recorded from the element-by-element parser this one
+# replaced: range errors name the first offender in file order, and come
+# after every shape error and after the ground size check.
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_family_doc(2048, [1, 5000, 6000]), "element 5000 outside ground range [0, 2048)"),
+        (_family_doc(2048, [0, 1], [3, 9000, 9001], [4096]),
+         "element 9000 outside ground range [0, 2048)"),
+        (_family_doc(4, [-1, 0]), "element -1 outside ground range [0, 4)"),
+        (_family_doc(4, [True]), "element True outside ground range [0, 4)"),
+        (_family_doc(4, [0, True]), "element True outside ground range [0, 4)"),
+        (_family_doc(4, [2, 1]), "set elements must be strictly increasing: [2, 1]"),
+        (_family_doc(4, [1, 1]), "set elements must be strictly increasing: [1, 1]"),
+        (_family_doc(4, [2, 1, 1.5]), "set must be a list of integers: [2, 1, 1.5]"),
+        (_family_doc(4, [3, True]), "set elements must be strictly increasing: [3, True]"),
+        (_family_doc(4, [7], [2, 1]), "set elements must be strictly increasing: [2, 1]"),
+        (_family_doc(4, [7], [1], indices=["1/2", "x"]), "malformed index 'x', expected 'p/q'"),
+        (_family_doc(True, [3]), "ground size must be a positive integer, got True"),
+        (_family_doc(4, [0], [9], indices=["1/2", "2/4"]),
+         "element 9 outside ground range [0, 4)"),
+        (_family_doc(4, [0], [1], indices=["1/2", "2/4"]), "duplicate index 1/2"),
+    ],
+    ids=["first-offender-not-max", "later-entry", "negative", "bool", "bool-after-int",
+         "decreasing", "repeated", "non-int-before-order", "bool-out-of-order",
+         "shape-before-range", "index-before-range", "ground-size-before-range",
+         "range-before-duplicate", "duplicate-index"],
+)
+def test_family_parse_error_messages(tmp_path, capsys, doc, message):
+    fam = tmp_path / "bad.json"
+    fam.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check", "--input", str(fam))
+    assert (code, out, err) == (1, "", f"input-error: {message}\n")
+
+
+def test_gap_tower_rows_may_be_unsorted_but_not_out_of_range(tmp_path, capsys):
+    inst = tmp_path / "gap.json"
+    inst.write_text(json.dumps(
+        {"ground_size": 4, "ascending": [[2, 1, 2]], "descending": [[3, 2, 1]]}))
+    code, out, _ = run_cli(capsys, "gap", "--input", str(inst), "--budget", "3")
+    assert code == 0
+    assert json.loads(out)["interpolant"] == [1, 2]
+    inst.write_text(json.dumps(
+        {"ground_size": 4, "ascending": [[2, 9, 1]], "descending": [[1]]}))
+    code, out, err = run_cli(capsys, "gap", "--input", str(inst), "--budget", "3")
+    assert (code, out, err) == (1, "", "input-error: element 9 outside ground range [0, 4)\n")

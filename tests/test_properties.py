@@ -1,0 +1,154 @@
+"""Property tests: the linear-time stages against their definitions.
+
+Each property compares a production routine with a direct recomputation
+(`tests/oracles.py`, `json.dumps`, or a plain scan) on Hypothesis-drawn
+inputs.  Runs are derandomized, so every run draws the same examples.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainlab.adjust import adjust_family
+from chainlab.core import (
+    ChainFamily,
+    GroundSet,
+    InputError,
+    SetBits,
+    family_from_text,
+    family_to_text,
+    format_index,
+    iter_bits,
+)
+from chainlab.generators import initial_segment_chain
+from chainlab.lineop import LineModel, compute_triples
+
+from oracles import brute_triples
+
+
+CHECK = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def families(draw, max_ground=12, max_indices=10):
+    """Unconstrained family: distinct indices on a fine grid, arbitrary sets."""
+    size = draw(st.integers(1, max_ground))
+    ground = GroundSet(size)
+    grid = draw(st.sets(st.integers(-64, 64), max_size=max_indices))
+    indices = tuple(F(v, 16) for v in sorted(grid))
+    masks = draw(st.lists(st.integers(0, ground.full_mask),
+                          min_size=len(indices), max_size=len(indices)))
+    return ChainFamily(ground, indices, tuple(SetBits(ground, m) for m in masks))
+
+
+@st.composite
+def barely_alternating_families(draw, max_ground=12, max_indices=10):
+    """Every trace has the shape 0..0 1..1 0..0 1..1, so no 1,0,1,0 occurs."""
+    size = draw(st.integers(1, max_ground))
+    k = draw(st.integers(0, max_indices))
+    masks = [0] * k
+    for n in range(size):
+        cuts = sorted(draw(st.lists(st.integers(0, k), min_size=3, max_size=3)))
+        for i in [*range(cuts[0], cuts[1]), *range(cuts[2], k)]:
+            masks[i] |= 1 << n
+    ground = GroundSet(size)
+    indices = tuple(F(2 * i + 1, 2 * k + 2) for i in range(k))
+    return ChainFamily(ground, indices, tuple(SetBits(ground, m) for m in masks))
+
+
+def _model(draw, dense):
+    """Carrier = dense points plus extra points, some above every dense point."""
+    extra = draw(st.sets(st.integers(-40, 40).map(lambda v: F(v, 7)), max_size=4))
+    carrier = tuple(sorted(set(dense) | extra))
+    if not carrier:
+        carrier = (F(1),)
+    return LineModel(carrier, dense)
+
+
+@CHECK
+@given(st.data(), barely_alternating_families())
+def test_triples_match_brute_force_on_barely_alternating(data, fam):
+    model = _model(data.draw, fam.indices)
+    table = compute_triples(fam, model)
+    assert table.triples == brute_triples(fam, model.max_point)
+
+
+@CHECK
+@given(st.data(), families())
+def test_triples_match_brute_force_on_adjusted_families(data, fam):
+    order = tuple(data.draw(st.permutations(fam.indices)))
+    adjusted, _ = adjust_family(fam, order)
+    model = _model(data.draw, adjusted.indices)
+    table = compute_triples(adjusted, model)
+    assert table.triples == brute_triples(adjusted, model.max_point)
+
+
+@CHECK
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=24),
+    st.sets(st.integers(-2, 42), max_size=12),
+)
+def test_initial_segment_chain_matches_definition(position_grid, cut_grid):
+    # positions v/4 (unsorted, repeats allowed); cuts (2c+1)/8 never hit them
+    positions = [F(v, 4) for v in position_grid]
+    cuts = [F(2 * c + 1, 8) for c in sorted(cut_grid)]
+    fam = initial_segment_chain(positions, cuts)
+    assert fam.indices == tuple(cuts)
+    for x, s in fam.pairs():
+        assert s.mask == sum(1 << n for n, p in enumerate(positions) if p < x)
+
+
+@CHECK
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=12), st.sets(st.integers(0, 12)))
+def test_initial_segment_chain_rejects_cut_on_a_position(position_grid, cut_grid):
+    positions = [F(v, 4) for v in position_grid]
+    cuts = [F(c, 4) for c in sorted(cut_grid)]
+    hits = [x for x in cuts if x in set(positions)]
+    if hits:
+        with pytest.raises(InputError, match=f"cut index {hits[0]} coincides"):
+            initial_segment_chain(positions, cuts)
+    else:
+        initial_segment_chain(positions, cuts)
+
+
+@CHECK
+@given(families(max_ground=70))
+def test_family_text_is_the_indent_2_json_dump(fam):
+    doc = {
+        "ground_size": fam.ground.size,
+        "entries": [
+            {"index": format_index(x),
+             "set": [n for n in range(fam.ground.size) if s.mask >> n & 1]}
+            for x, s in fam.pairs()
+        ],
+    }
+    text = family_to_text(fam)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert family_from_text(text) == fam
+
+
+def test_family_text_of_empty_family_and_empty_sets():
+    g = GroundSet(3)
+    for fam in (ChainFamily(g, (), ()),
+                ChainFamily(g, (F(-1, 2), F(1, 3)), (SetBits(g, 0), SetBits(g, 0)))):
+        doc = {"ground_size": 3,
+               "entries": [{"index": format_index(x), "set": []} for x in fam.indices]}
+        assert family_to_text(fam) == json.dumps(doc, indent=2) + "\n"
+
+
+@CHECK
+@given(st.integers(1, 300).flatmap(
+    lambda size: st.tuples(st.just(size), st.integers(0, (1 << size) - 1))))
+def test_set_bits_round_trip_through_elements(size_and_mask):
+    size, mask = size_and_mask
+    g = GroundSet(size)
+    s = SetBits(g, mask)
+    assert s.elements() == tuple(n for n in range(size) if mask >> n & 1)
+    assert tuple(iter_bits(mask)) == s.elements()
+    assert SetBits.from_elements(g, s.elements()) == s
+    assert SetBits.from_elements(g, reversed(s.elements() * 2)) == s
