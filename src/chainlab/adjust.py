@@ -19,8 +19,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_, sub
 
 from .core import (
     AlternationWitness,
@@ -254,10 +256,10 @@ def delta_system_extract(
     )
 
 
-def interpolate_gap(
+def gap_exceptions(
     ascending: list[SetBits], descending: list[SetBits], defect_budget: int
-) -> SetBits:
-    """Thread one set between an ascending and a descending tower.
+) -> tuple[SetBits, list[SetBits], list[SetBits]]:
+    """Thread one set W between an ascending and a descending tower.
 
     Requires |U_n \\ V_m| <= defect_budget for every pair (validated).  The
     result W = ⋃_n (U_n \\ ⋃_{m<=n} (U_n \\ V_m)) satisfies, for all valid
@@ -266,7 +268,9 @@ def interpolate_gap(
         U_n \\ W  ⊆  ⋃_{m<=n} (U_n \\ V_m)
         W \\ V_m  ⊆  ⋃_{n<m}  (U_n \\ V_m)
 
-    so every exception is covered by recorded defect sets.
+    so every exception is covered by recorded defect sets.  Returns W and
+    these bounds, per ascending n and per descending m, read from one table
+    of the pairwise defects U_n \\ V_m.
     """
     if defect_budget < 0:
         raise InputError(f"defect_budget must be non-negative, got {defect_budget}")
@@ -277,20 +281,27 @@ def interpolate_gap(
     for s in towers:
         if s.ground != ground:
             raise InputError("tower sets have mismatched grounds")
-    for n, u in enumerate(ascending):
-        for m, v in enumerate(descending):
-            excess = len(u - v)
-            if excess > defect_budget:
+    defects = [[u - v for v in descending] for u in ascending]
+    for n, row in enumerate(defects):
+        for m, d in enumerate(row):
+            if len(d) > defect_budget:
                 raise InputError(
-                    f"|U_{n} \\ V_{m}| = {excess} exceeds budget {defect_budget}"
+                    f"|U_{n} \\ V_{m}| = {len(d)} exceeds budget {defect_budget}"
                 )
-    result = SetBits.empty(ground)
-    for n, u in enumerate(ascending):
-        excluded = SetBits.empty(ground)
-        for m in range(min(n + 1, len(descending))):
-            excluded |= u - descending[m]
-        result |= u - excluded
-    return result
+    empty = SetBits.empty(ground)
+    ascending_bounds = [reduce(or_, row[: n + 1], empty) for n, row in enumerate(defects)]
+    descending_bounds = [
+        reduce(or_, (row[m] for row in defects[:m]), empty) for m in range(len(descending))
+    ]
+    result = reduce(or_, map(sub, ascending, ascending_bounds), empty)
+    return result, ascending_bounds, descending_bounds
+
+
+def interpolate_gap(
+    ascending: list[SetBits], descending: list[SetBits], defect_budget: int
+) -> SetBits:
+    """The set W that `gap_exceptions` threads between the two towers."""
+    return gap_exceptions(ascending, descending, defect_budget)[0]
 
 
 def adjustment_report_to_text(report: AdjustmentReport) -> str:

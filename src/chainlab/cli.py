@@ -19,11 +19,6 @@ from typing import Sequence
 from . import adjust as adj
 from . import core, generators, lineop
 
-COMMANDS = (
-    "generate", "check", "adjust", "compat", "gap", "triples", "operator", "sweep",
-)
-
-
 def _read_text(path: str) -> str:
     try:
         if path == "-":
@@ -152,10 +147,7 @@ def _cmd_compat(args: argparse.Namespace) -> int:
 def _parse_gap_instance(
     text: str,
 ) -> tuple[list[core.SetBits], list[core.SetBits]]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise core.InputError(f"gap instance is not valid JSON: {exc}") from exc
+    doc = core.parse_json(text, "gap instance")
     expected = {"ground_size", "ascending", "descending"}
     if not isinstance(doc, dict) or set(doc) != expected:
         raise core.InputError(
@@ -172,42 +164,31 @@ def _parse_gap_instance(
     return tower("ascending"), tower("descending")
 
 
+def _exception_entries(
+    key: str, exceptions: list[core.SetBits], bounds: list[core.SetBits]
+) -> list[dict]:
+    return [
+        {
+            "position": i,
+            key: list(exception.elements()),
+            "bound": list(bound.elements()),
+            "covered": exception.is_subset(bound),
+        }
+        for i, (exception, bound) in enumerate(zip(exceptions, bounds))
+    ]
+
+
 def _cmd_gap(args: argparse.Namespace) -> int:
     ascending, descending = _parse_gap_instance(_read_text(args.input))
-    interpolant = adj.interpolate_gap(ascending, descending, args.budget)
-    ground = interpolant.ground
-    asc_entries = []
-    for n, u in enumerate(ascending):
-        bound = core.SetBits.empty(ground)
-        for m in range(min(n + 1, len(descending))):
-            bound |= u - descending[m]
-        escaped = u - interpolant
-        asc_entries.append(
-            {
-                "position": n,
-                "escaped": list(escaped.elements()),
-                "bound": list(bound.elements()),
-                "covered": escaped.is_subset(bound),
-            }
-        )
-    desc_entries = []
-    for m, v in enumerate(descending):
-        bound = core.SetBits.empty(ground)
-        for n in range(min(m, len(ascending))):
-            bound |= ascending[n] - v
-        excess = interpolant - v
-        desc_entries.append(
-            {
-                "position": m,
-                "excess": list(excess.elements()),
-                "bound": list(bound.elements()),
-                "covered": excess.is_subset(bound),
-            }
-        )
+    interpolant, asc_bounds, desc_bounds = adj.gap_exceptions(
+        ascending, descending, args.budget
+    )
+    escaped = [u - interpolant for u in ascending]
+    excess = [interpolant - v for v in descending]
     doc = {
         "interpolant": list(interpolant.elements()),
-        "ascending_exceptions": asc_entries,
-        "descending_exceptions": desc_entries,
+        "ascending_exceptions": _exception_entries("escaped", escaped, asc_bounds),
+        "descending_exceptions": _exception_entries("excess", excess, desc_bounds),
     }
     _write_text(args.output, json.dumps(doc, indent=2) + "\n")
     return 0
@@ -270,7 +251,8 @@ def _sweep_cell(args: argparse.Namespace, param: int, rep: int) -> str:
     else:
         shape = {"depth": param, "count": min(args.count, (1 << param) - 1)}
     family = generators.family_from_config({"kind": args.kind, "seed": seed, **shape})
-    defects = core.validate_almost_chain(family, 0)
+    # Only the maximum is read: a budget no defect can exceed keeps no pairs.
+    defects = core.validate_almost_chain(family, family.ground.size)
     adjusted, report = adj.adjust_family(family)
     barely = core.is_barely_alternating(adjusted)
     table = lineop.compute_triples(adjusted, lineop.LineModel.from_dense(adjusted.indices))
@@ -283,11 +265,14 @@ def _sweep_cell(args: argparse.Namespace, param: int, rep: int) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # The ground cap is checked before any grid cell is built.
     if args.kind == "perturbed":
+        core.GroundSet(args.ground_size)
         grid = range(args.flips + 1)
     elif args.depth < 3:
         raise core.InputError("sweep needs --depth of at least 3")
     else:
+        generators.DyadicGround(args.depth)
         grid = range(3, args.depth + 1)
     rows = [_sweep_cell(args, param, rep) for param in grid for rep in range(args.reps)]
     _write_text(args.output, "\n".join([_SWEEP_HEADER, *rows]) + "\n")

@@ -20,7 +20,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import compress, count
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 # Exact rational index of a set in a family.  Fraction already guarantees the
@@ -31,6 +33,9 @@ IndexValue = Fraction
 class InputError(ValueError):
     """A precondition on caller-supplied data does not hold."""
 
+
+# Largest accepted ground size: every set is a mask of this many bits.
+MAX_GROUND_SIZE = 1 << 20
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -61,6 +66,8 @@ class GroundSet:
     def __post_init__(self) -> None:
         if type(self.size) is not int or self.size < 1:
             raise InputError(f"ground size must be a positive integer, got {self.size!r}")
+        if self.size > MAX_GROUND_SIZE:
+            raise InputError(f"ground size {self.size} exceeds the cap {MAX_GROUND_SIZE}")
 
     @property
     def full_mask(self) -> int:
@@ -240,41 +247,45 @@ def flip_count(family: ChainFamily, n: int) -> int:
     return sum(1 for a, b in zip(trace, trace[1:]) if a != b)
 
 
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def membership_steps(family: ChainFamily) -> list[tuple[int, int, int, int]]:
+    """Per sorted index, the (entry, exit, re-entry, second exit) masks.
 
-
-def _greedy_1010_positions(trace: str) -> tuple[int, int, int, int]:
-    """Leftmost positions realizing 1,0,1,0 as a subsequence of the trace.
-
-    Taking the earliest feasible position for each pattern character yields
-    the lexicographically least such quadruple.
+    Mask e at index i holds the elements whose e-th event happens there: the
+    events are the leftmost 1, 0, 1, 0 of an element's membership trace, each
+    after the previous one, so a second exit is a 1,0,1,0 pattern.  The
+    seen_* masks hold the elements whose event has already happened.
     """
-    positions = []
-    start = 0
-    for wanted in "1010":
-        p = trace.find(wanted, start)
-        if p < 0:
-            raise AssertionError("trace has no 1,0,1,0 subsequence")
-        positions.append(p)
-        start = p + 1
-    return tuple(positions)  # type: ignore[return-value]
-
-
-def _alternating_elements_mask(family: ChainFamily) -> int:
-    # Automaton over the sorted indices, run bit-parallel across all ground
-    # elements: state s1/s10/s101 holds the elements whose trace so far
-    # contains 1 / 1,0 / 1,0,1 as a subsequence.
-    full = family.ground.full_mask
-    s1 = s10 = s101 = hit = 0
+    seen_in = seen_out = seen_back = seen_gone = 0
+    steps = []
     for s in family.sets:
         m = s.mask
-        not_m = full & ~m
-        hit |= s101 & not_m
-        s101 |= s10 & m
-        s10 |= s1 & not_m
-        s1 |= m
-    return hit
+        entry = m & ~seen_in
+        exit_ = seen_in & ~m & ~seen_out
+        reentry = seen_out & m & ~seen_back
+        second_exit = seen_back & ~m & ~seen_gone
+        seen_in |= entry
+        seen_out |= exit_
+        seen_back |= reentry
+        seen_gone |= second_exit
+        steps.append((entry, exit_, reentry, second_exit))
+    return steps
+
+
+def _least_witness(family: ChainFamily, witness: type) -> tuple | None:
+    """Least `witness` (j indices): the least element with j events, at their indices."""
+    events = len(witness._fields) - 1
+    steps = membership_steps(family)
+    hits = reduce(or_, (step[events - 1] for step in steps), 0)
+    if hits == 0:
+        return None
+    n = (hits & -hits).bit_length() - 1
+    xs = []
+    i = 0
+    for event in range(events):
+        while not steps[i][event] >> n & 1:
+            i += 1
+        xs.append(family.indices[i])
+    return witness(n, *xs)
 
 
 def alternation_witness(family: ChainFamily) -> AlternationWitness | None:
@@ -284,29 +295,16 @@ def alternation_witness(family: ChainFamily) -> AlternationWitness | None:
     x1 < x2 < x3 < x4 with n in A_x1 \\ A_x2 and n in A_x3 \\ A_x4, i.e. the
     trace of n contains 1,0,1,0 as a subsequence.
     """
-    hit = _alternating_elements_mask(family)
-    if hit == 0:
-        return None
-    n = _lowest_bit(hit)
-    quad = _greedy_1010_positions(membership_trace(family, n))
-    x1, x2, x3, x4 = (family.indices[p] for p in quad)
-    return AlternationWitness(n, x1, x2, x3, x4)
+    return _least_witness(family, AlternationWitness)
 
 
 def is_barely_alternating(family: ChainFamily) -> bool:
-    return _alternating_elements_mask(family) == 0
+    return not any(second_exit for *_, second_exit in membership_steps(family))
 
 
 def chain_witness(family: ChainFamily) -> ChainWitness | None:
     """Least witness that the sets are not inclusion-increasing, else None."""
-    bad = chain_defect_set(family).mask
-    if bad == 0:
-        return None
-    n = _lowest_bit(bad)
-    trace = membership_trace(family, n)
-    i = trace.find("1")
-    j = trace.find("0", i + 1)
-    return ChainWitness(n, family.indices[i], family.indices[j])
+    return _least_witness(family, ChainWitness)
 
 
 def is_chain(family: ChainFamily) -> bool:
@@ -364,14 +362,11 @@ def chain_defect_set(family: ChainFamily) -> SetBits:
     """Least set D whose removal from every member makes the family a chain.
 
     Equals the union of A_x \\ A_y over all index pairs x < y; an element
-    belongs to D exactly when its trace ever goes from 1 to 0, so consecutive
-    pairs already cover the whole union.
+    belongs to D exactly when its trace ever goes from 1 to 0, that is, when
+    it has a first exit.
     """
-    full = family.ground.full_mask
-    mask = 0
-    for a, b in zip(family.sets, family.sets[1:]):
-        mask |= a.mask & ~b.mask & full
-    return SetBits(family.ground, mask)
+    exits = reduce(or_, (exit_ for _, exit_, _, _ in membership_steps(family)), 0)
+    return SetBits(family.ground, exits)
 
 
 # --- textual family format ---------------------------------------------------
@@ -392,6 +387,14 @@ def parse_index(text: str) -> IndexValue:
     if not isinstance(text, str) or not _INDEX_RE.match(text):
         raise InputError(f"malformed index {text!r}, expected 'p/q'")
     return Fraction(text)
+
+
+def parse_json(text: str, what: str) -> object:
+    """The JSON value in `text`, or InputError naming the document."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _stray_element(elems: list, size: int) -> object:
@@ -422,10 +425,7 @@ def _family_document(text: str) -> tuple[int, list[tuple[IndexValue, list]], obj
     Range errors are left to the caller so that they are reported after
     every shape error and after the ground size check.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"family document is not valid JSON: {exc}") from exc
+    doc = parse_json(text, "family document")
     if not isinstance(doc, dict) or set(doc) != {"ground_size", "entries"}:
         raise InputError("family document must have exactly ground_size and entries")
     size = doc["ground_size"]

@@ -11,7 +11,6 @@ and the adjuster.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -19,12 +18,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    MAX_GROUND_SIZE,
     ChainFamily,
     GroundSet,
     IndexValue,
     InputError,
     SetBits,
     parse_index,
+    parse_json,
 )
 
 
@@ -37,6 +38,8 @@ class DyadicGround:
     def __post_init__(self) -> None:
         if not isinstance(self.depth, int) or self.depth < 1:
             raise InputError(f"depth must be a positive integer, got {self.depth!r}")
+        if self.depth >= (MAX_GROUND_SIZE + 1).bit_length():
+            raise InputError(f"depth {self.depth} puts the ground above the cap {MAX_GROUND_SIZE}")
 
     @property
     def ground(self) -> GroundSet:
@@ -279,10 +282,7 @@ def _matrix_rows(rows) -> list[tuple[IndexValue | int, ...]]:
 
 
 def generator_config_from_text(text: str) -> dict:
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"generator config is not valid JSON: {exc}") from exc
+    cfg = parse_json(text, "generator config")
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise InputError("generator config must be an object with a 'kind' key")
     if cfg["kind"] not in GENERATOR_KINDS:
@@ -298,7 +298,7 @@ def family_from_config(cfg: dict) -> ChainFamily:
             _check_keys(cfg, {"kind", "points", "X"}, {"kind", "points", "X"})
             return initial_segment_chain(_index_list(cfg["points"]), _index_list(cfg["X"]))
         _check_keys(cfg, {"kind", "seed", "ground_size", "count"}, {"kind", "ground_size", "count"})
-        size = _int_field(cfg, "ground_size")
+        size = GroundSet(_int_field(cfg, "ground_size")).size
         rng = random.Random(_int_field(cfg, "seed", 0))
         xs = sample_cut_indices(rng, size, _int_field(cfg, "count"))
         return initial_segment_chain(uniform_positions(size), xs)
@@ -309,15 +309,17 @@ def family_from_config(cfg: dict) -> ChainFamily:
             if not isinstance(words, list):
                 raise InputError(f"'xs' must be a list of bit words, got {words!r}")
             xs = tuple(BitIndex.from_string(w) for w in words)
+            ground = DyadicGround(_int_field(cfg, "depth"))
         else:
             _check_keys(cfg, {"kind", "depth", "seed", "count"}, {"kind", "depth", "count"})
+            ground = DyadicGround(_int_field(cfg, "depth"))
             rng = random.Random(_int_field(cfg, "seed", 0))
-            xs = random_bit_indices(rng, _int_field(cfg, "depth"), _int_field(cfg, "count"))
-        return marciszewski_family(xs, DyadicGround(_int_field(cfg, "depth")))
+            xs = random_bit_indices(rng, ground.depth, _int_field(cfg, "count"))
+        return marciszewski_family(xs, ground)
     if kind == "perturbed":
         allowed = {"kind", "seed", "ground_size", "flips", "X", "count"}
         _check_keys(cfg, allowed, {"kind", "ground_size", "flips"})
-        size = _int_field(cfg, "ground_size")
+        size = GroundSet(_int_field(cfg, "ground_size")).size
         seed = _int_field(cfg, "seed", 0)
         if "X" in cfg:
             xs = _index_list(cfg["X"])
@@ -331,7 +333,7 @@ def family_from_config(cfg: dict) -> ChainFamily:
             _check_keys(cfg, {"kind", "Y", "rows"}, {"kind", "Y", "rows"})
             return from_sign_matrix(_index_list(cfg["Y"]), _matrix_rows(cfg["rows"]))
         _check_keys(cfg, {"kind", "seed", "ground_size", "count"}, {"kind", "ground_size", "count"})
-        size = _int_field(cfg, "ground_size")
+        size = GroundSet(_int_field(cfg, "ground_size")).size
         rng = random.Random(_int_field(cfg, "seed", 0))
         ys = sample_cut_indices(rng, size, _int_field(cfg, "count"))
         rows = [

@@ -18,6 +18,7 @@ an upstream violation.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
@@ -29,7 +30,9 @@ from .core import (
     alternation_witness,
     format_index,
     iter_bits,
+    membership_steps,
     parse_index,
+    parse_json,
 )
 
 
@@ -124,30 +127,21 @@ def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
     """
     if family.indices != model.dense_points:
         raise InputError("family indices differ from the model's dense points")
-    witness = alternation_witness(family)
-    if witness is not None:
-        raise InputError(f"family is not barely alternating: witness {witness}")
-    # One sweep over the sets, bit-parallel across the ground: seen_in,
-    # seen_out and seen_back hold the elements whose first entry, first exit
-    # and re-entry have happened; each step records its position for the
-    # bits that are new.  Position k stands for max(K).
+    steps = membership_steps(family)
+    if any(second_exit for *_, second_exit in steps):
+        raise InputError(
+            f"family is not barely alternating: witness {alternation_witness(family)}"
+        )
+    # Each element's entry, exit and re-entry positions, from the steps that
+    # hold it; position k stands for max(K).
     k = len(family)
     points = family.indices + (model.max_point,)
     size = family.ground.size
     first_in, first_out, back_in = [k] * size, [k] * size, [k] * size
-    seen_in = seen_out = seen_back = 0
-    for i, s in enumerate(family.sets):
-        m = s.mask
-        new_in = m & ~seen_in
-        new_out = seen_in & ~m & ~seen_out
-        new_back = seen_out & m & ~seen_back
-        for new, where in ((new_in, first_in), (new_out, first_out), (new_back, back_in)):
-            if new:
-                for n in iter_bits(new):
-                    where[n] = i
-        seen_in |= new_in
-        seen_out |= new_out
-        seen_back |= new_back
+    for i, step in enumerate(steps):
+        for new, where in zip(step, (first_in, first_out, back_in)):
+            for n in iter_bits(new):
+                where[n] = i
     at = points.__getitem__
     return TripleTable(tuple(zip(map(at, first_in), map(at, first_out), map(at, back_in))))
 
@@ -200,16 +194,29 @@ def norm_witness(
 def fourth_flip_witness(
     family: ChainFamily, triples: TripleTable
 ) -> FourthFlipWitness | None:
-    """Least (n, y) with y beyond x2_n but n missing from the set at y, else None."""
+    """Least (n, y) with y beyond x2_n but n missing from the set at y, else None.
+
+    n fails when its last absence, from one backward sweep over the sets,
+    is at or after the first index past x2_n, found by bisection.
+    """
     if len(triples) != family.ground.size:
         raise InputError(
             f"triple table covers {len(triples)} elements, ground has {family.ground.size}"
         )
-    for n in family.ground.elements():
-        x2 = triples.triples[n][2]
-        for i, y in enumerate(family.indices):
-            if y > x2 and not family.sets[i].mask >> n & 1:
-                return FourthFlipWitness(n, y)
+    full = family.ground.full_mask
+    last_absent = [-1] * family.ground.size
+    absent = 0
+    for i in reversed(range(len(family))):
+        new = full & ~(family.sets[i].mask | absent)
+        for n in iter_bits(new):
+            last_absent[n] = i
+        absent |= new
+    for n, (_, _, x2) in enumerate(triples.triples):
+        i = bisect_right(family.indices, x2)
+        if i <= last_absent[n]:
+            while family.sets[i].mask >> n & 1:
+                i += 1
+            return FourthFlipWitness(n, family.indices[i])
     return None
 
 
@@ -228,8 +235,6 @@ def limit_eval_point(
     """
     if not x0 <= x1 <= x2:
         raise InputError(f"triple not ordered: {x0}, {x1}, {x2}")
-    if x0 == x1 == x2:
-        return x0
     if x1 == x2:
         return x0
     if x0 == x1:
@@ -375,10 +380,7 @@ def function_to_text(f: FunctionOnLine) -> str:
 
 
 def function_from_text(text: str) -> FunctionOnLine:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"function document is not valid JSON: {exc}") from exc
+    doc = parse_json(text, "function document")
     if not isinstance(doc, dict) or set(doc) != {"values"} or not isinstance(doc["values"], dict):
         raise InputError("function document must have exactly a 'values' object")
     return FunctionOnLine(
@@ -395,10 +397,7 @@ def model_to_text(model: LineModel) -> str:
 
 
 def model_from_text(text: str) -> LineModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"model document is not valid JSON: {exc}") from exc
+    doc = parse_json(text, "model document")
     if not isinstance(doc, dict) or set(doc) != {"carrier", "dense"}:
         raise InputError("model document must have exactly carrier and dense")
     return LineModel(

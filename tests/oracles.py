@@ -74,6 +74,16 @@ def brute_triples(family: ChainFamily, top):
     return tuple(triples)
 
 
+def brute_fourth_flip_witness(family: ChainFamily, triples):
+    """Least (n, y) with y > x2_n and n outside the set at y, by full scan."""
+    for n in family.ground.elements():
+        x2 = triples.triples[n][2]
+        for i, y in enumerate(family.indices):
+            if y > x2 and not family.sets[i].mask >> n & 1:
+                return (n, y)
+    return None
+
+
 def brute_chain_witness(family: ChainFamily):
     """Least (n, x, y) with x < y and n in A_x but not A_y, by full pair scan."""
     k = len(family.indices)

@@ -17,6 +17,7 @@ from chainlab.adjust import (
     conditions_compatible,
     delta_system_extract,
     insert_point,
+    gap_exceptions,
     interpolate_gap,
     merge_conditions,
 )
@@ -440,3 +441,29 @@ def test_gap_rejects_mixed_grounds_and_empty_instance():
         interpolate_gap([SetBits.empty(g)], [SetBits.empty(h)], 0)
     with pytest.raises(InputError):
         interpolate_gap([], [], 0)
+
+
+def test_gap_exceptions_bounds_are_the_defect_unions():
+    rng = random.Random(4242)
+    for _ in range(60):
+        size = rng.randint(1, 16)
+        g = GroundSet(size)
+        ascending = _tower_sets(g, [rng.getrandbits(size) for _ in range(rng.randint(0, 4))])
+        descending = _tower_sets(g, [rng.getrandbits(size) for _ in range(rng.randint(0, 4))])
+        if not ascending and not descending:
+            continue
+        w, asc_bounds, desc_bounds = gap_exceptions(ascending, descending, size)
+        assert w == interpolate_gap(ascending, descending, size)
+        assert len(asc_bounds) == len(ascending) and len(desc_bounds) == len(descending)
+        for n, u in enumerate(ascending):
+            expected = 0
+            for v in descending[: n + 1]:
+                expected |= u.mask & ~v.mask
+            assert asc_bounds[n].mask == expected
+            assert (u - w).is_subset(asc_bounds[n])
+        for m, v in enumerate(descending):
+            expected = 0
+            for u in ascending[:m]:
+                expected |= u.mask & ~v.mask
+            assert desc_bounds[m].mask == expected
+            assert (w - v).is_subset(desc_bounds[m])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -311,6 +312,37 @@ def test_malformed_sign_matrix_rows_are_one_input_error_line(tmp_path, capsys, c
     assert code == 1
     assert out == ""
     assert err.startswith("input-error:")
+    assert err.count("\n") == 1
+
+
+# Each case asks for a ground far above core.MAX_GROUND_SIZE (2^20 elements)
+# and must be refused before anything of that size is built.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--kind", "marciszewski", "--depth", "40"),
+        ("check", "--input", "{big}"),
+        ("generate", "--ground-size", "1000000000"),
+        ("generate", "--kind", "perturbed", "--ground-size", "1000000000"),
+        ("generate", "--kind", "sign", "--ground-size", "1000000000"),
+        ("sweep", "--kind", "marciszewski", "--depth", "40"),
+        ("sweep", "--ground-size", "1000000000"),
+        ("gap", "--input", "{gap}"),
+    ],
+    ids=["marciszewski-depth", "family-document", "chain", "perturbed", "sign",
+         "sweep-depth", "sweep-ground-size", "gap-instance"],
+)
+def test_ground_size_cap_is_one_input_error_line(tmp_path, capsys, argv):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"ground_size": 10**9, "entries": []}))
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps({"ground_size": 10**9, "ascending": [[0]], "descending": []}))
+    argv = [a.format(big=big, gap=gap) for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("input-error:") and "cap 1048576" in err
     assert err.count("\n") == 1
 
 

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from chainlab.core import (
+    MAX_GROUND_SIZE,
     ChainFamily,
     GroundSet,
     InputError,
@@ -345,3 +346,12 @@ def test_serialization_round_trip_is_bit_exact():
 def test_malformed_family_documents_are_rejected(text):
     with pytest.raises(InputError):
         family_from_text(text)
+
+
+def test_ground_size_cap():
+    assert GroundSet(MAX_GROUND_SIZE).full_mask == (1 << MAX_GROUND_SIZE) - 1
+    with pytest.raises(InputError, match=f"ground size {MAX_GROUND_SIZE + 1} exceeds the cap"):
+        GroundSet(MAX_GROUND_SIZE + 1)
+    assert DyadicGround(20).ground.size == MAX_GROUND_SIZE - 1
+    with pytest.raises(InputError, match="depth 21 puts the ground above the cap"):
+        DyadicGround(21)

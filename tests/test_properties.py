@@ -1,4 +1,4 @@
-"""Property tests: the linear-time stages against their definitions.
+"""Property tests: the linear-time stages and the shared sweep against their definitions.
 
 Each property compares a production routine with a direct recomputation
 (`tests/oracles.py`, `json.dumps`, or a plain scan) on Hypothesis-drawn
@@ -11,7 +11,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainlab.adjust import adjust_family
@@ -20,15 +20,25 @@ from chainlab.core import (
     GroundSet,
     InputError,
     SetBits,
+    alternation_witness,
+    chain_witness,
     family_from_text,
     family_to_text,
     format_index,
+    is_barely_alternating,
     iter_bits,
+    membership_steps,
+    membership_trace,
 )
 from chainlab.generators import initial_segment_chain
-from chainlab.lineop import LineModel, compute_triples
+from chainlab.lineop import LineModel, TripleTable, compute_triples, fourth_flip_witness
 
-from oracles import brute_triples
+from oracles import (
+    brute_alternation_witness,
+    brute_chain_witness,
+    brute_fourth_flip_witness,
+    brute_triples,
+)
 
 
 CHECK = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -152,3 +162,91 @@ def test_set_bits_round_trip_through_elements(size_and_mask):
     assert tuple(iter_bits(mask)) == s.elements()
     assert SetBits.from_elements(g, s.elements()) == s
     assert SetBits.from_elements(g, reversed(s.elements() * 2)) == s
+
+
+def _family(size, masks):
+    ground = GroundSet(size)
+    indices = tuple(F(i + 1, len(masks) + 1) for i in range(len(masks)))
+    return ChainFamily(ground, indices, tuple(SetBits(ground, m) for m in masks))
+
+
+# Edge shapes: no indices, fewer than four indices, a one-element ground.
+EDGE_FAMILIES = (
+    _family(1, []),
+    _family(3, []),
+    _family(1, [1, 0, 1]),
+    _family(2, [3, 0, 2]),
+    _family(1, [1, 0, 1, 0]),
+    _family(1, [0, 1, 0, 1]),
+)
+
+
+def _with_edges(test):
+    for fam in EDGE_FAMILIES:
+        test = example(fam)(test)
+    return test
+
+
+@CHECK
+@_with_edges
+@given(families())
+def test_chain_witness_matches_brute_force(fam):
+    witness = chain_witness(fam)
+    assert (None if witness is None else tuple(witness)) == brute_chain_witness(fam)
+
+
+@CHECK
+@_with_edges
+@given(families())
+def test_alternation_witness_matches_brute_force(fam):
+    witness = alternation_witness(fam)
+    assert (None if witness is None else tuple(witness)) == brute_alternation_witness(fam)
+
+
+@CHECK
+@_with_edges
+@given(families())
+def test_barely_alternating_matches_brute_force(fam):
+    assert is_barely_alternating(fam) == (brute_alternation_witness(fam) is None)
+
+
+@CHECK
+@_with_edges
+@given(families())
+def test_membership_steps_hold_the_leftmost_1010_positions(fam):
+    steps = membership_steps(fam)
+    assert len(steps) == len(fam)
+    for n in range(fam.ground.size):
+        trace = membership_trace(fam, n)
+        expected = []
+        start = 0
+        for wanted in "1010":
+            p = trace.find(wanted, start)
+            if p < 0:
+                break
+            expected.append(p)
+            start = p + 1
+        # each event happens at exactly one step, and only once it is due
+        for event in range(4):
+            at = [i for i, step in enumerate(steps) if step[event] >> n & 1]
+            assert at == expected[event:event + 1]
+
+
+@st.composite
+def ordered_tables(draw, fam):
+    """Ordered triples on, between and beyond the family's indices."""
+    points = {F(v, 32) for v in range(-40, 41, 2)} | set(fam.indices)
+    table = []
+    for _ in range(fam.ground.size):
+        triple = sorted(draw(st.lists(st.sampled_from(sorted(points)), min_size=3, max_size=3)))
+        table.append(tuple(triple))
+    return TripleTable(tuple(table))
+
+
+@CHECK
+@given(st.data(), families())
+def test_fourth_flip_witness_matches_brute_force(data, fam):
+    table = data.draw(ordered_tables(fam))
+    witness = fourth_flip_witness(fam, table)
+    assert (None if witness is None else tuple(witness)) == brute_fourth_flip_witness(fam, table)
+
