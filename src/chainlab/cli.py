@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from . import adjust as adj
@@ -89,9 +88,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     family = _load_family(args.input)
     report = core.validate_almost_chain(family, args.budget)
+    names = list(map(core.format_index, family.indices))
     flagged = " ".join(
-        f"({core.format_index(x)},{core.format_index(y)})={size}"
-        for (x, y), size in report.over_budget.items()
+        f"({names[i]},{names[j]})={size}"
+        for i, js, sizes in report.flagged_rows
+        for j, size in zip(js, sizes)
     )
     lines = [
         f"chain: {_chain_verdict(core.chain_witness(family))}",
@@ -104,19 +105,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_order(
-    family: core.ChainFamily, text: str, mode: str, seed: int
-) -> tuple[Fraction, ...] | None:
-    if mode == "sorted":
-        return None
-    if mode == "given":
-        _, entries = core.family_entries_from_text(text)
-        return tuple(x for x, _ in entries)
-    order = list(family.indices)
-    random.Random(seed).shuffle(order)
-    return tuple(order)
-
-
 def _cmd_adjust(args: argparse.Namespace) -> int:
     if args.output in (None, "-"):
         raise core.InputError(
@@ -124,8 +112,13 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
             "family a file --output"
         )
     text = _read_text(args.input)
-    family = core.family_from_text(text)
-    order = _resolve_order(family, text, args.order, args.seed)
+    if args.order == "given":
+        family, order = core.family_with_file_order(text)
+    else:
+        family, order = core.family_from_text(text), None
+    if args.order == "random":
+        order = list(family.indices)
+        random.Random(args.seed).shuffle(order)
     adjusted, report = adj.adjust_family(family, order)
     _write_text(args.output, core.family_to_text(adjusted))
     sys.stdout.write(adj.adjustment_report_to_text(report))
@@ -254,18 +247,18 @@ def _sweep_cell(args: argparse.Namespace, param: int, rep: int) -> str:
     # Only the maximum is read: a budget no defect can exceed keeps no pairs.
     defects = core.validate_almost_chain(family, family.ground.size)
     adjusted, report = adj.adjust_family(family)
-    barely = core.is_barely_alternating(adjusted)
+    # compute_triples refuses a family that is not barely alternating: rows read "yes".
     table = lineop.compute_triples(adjusted, lineop.LineModel.from_dense(adjusted.indices))
     norm = lineop.operator_norm(table)
     return (
         f"{args.kind}\t{param}\t{rep}\t{seed}\t{family.ground.size}\t{len(family)}"
         f"\t{defects.max_defect_size}\t{report.total_cost}\t{report.max_cost}"
-        f"\t{norm}\t{'yes' if barely else 'no'}"
+        f"\t{norm}\tyes"
     )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # The ground cap is checked before any grid cell is built.
+    # The ground and count caps are checked before any grid cell is built.
     if args.kind == "perturbed":
         core.GroundSet(args.ground_size)
         grid = range(args.flips + 1)
@@ -274,6 +267,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         generators.DyadicGround(args.depth)
         grid = range(3, args.depth + 1)
+    generators.check_count(args.count)
     rows = [_sweep_cell(args, param, rep) for param in grid for rep in range(args.reps)]
     _write_text(args.output, "\n".join([_SWEEP_HEADER, *rows]) + "\n")
     return 0

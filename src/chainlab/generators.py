@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    MAX_FAMILY_SIZE,
     MAX_GROUND_SIZE,
     ChainFamily,
     GroundSet,
@@ -161,14 +162,21 @@ def uniform_positions(size: int) -> tuple[IndexValue, ...]:
     return tuple(Fraction(n + 1, size + 1) for n in range(size))
 
 
+def check_count(count: int) -> None:
+    """Refuse a count of indices below 0 or above MAX_FAMILY_SIZE."""
+    if count < 0:
+        raise InputError(f"count must be non-negative, got {count}")
+    if count > MAX_FAMILY_SIZE:
+        raise InputError(f"count {count} exceeds the cap {MAX_FAMILY_SIZE}")
+
+
 def sample_cut_indices(rng: random.Random, size: int, count: int) -> tuple[IndexValue, ...]:
     """Draw `count` distinct cut indices that avoid the uniform positions.
 
     Values come from an odd-numerator grid (2r+1)/(2T(size+1)), so they can
     never equal any (n+1)/(size+1).
     """
-    if count < 0:
-        raise InputError(f"count must be non-negative, got {count}")
+    check_count(count)
     repeats = max(1, -(-count // (size + 1)))  # ceil
     slots = repeats * (size + 1)
     draws = rng.sample(range(slots), count)
@@ -182,6 +190,7 @@ def random_bit_indices(
 
     The forced tail bit keeps every value off the depth-`depth` dyadic grid.
     """
+    check_count(count)
     if extra_bits < 1:
         raise InputError(f"extra_bits must be positive, got {extra_bits}")
     length = depth + extra_bits

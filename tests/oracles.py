@@ -95,6 +95,25 @@ def brute_chain_witness(family: ChainFamily):
     return None
 
 
+def brute_defect_report(family: ChainFamily, budget: int):
+    """Largest |A_x \\ A_y| over x < y, and the pairs over `budget`, by a per-pair loop.
+
+    Returns (maximum, {(x, y): size}) with the pairs in (x, y) order.
+    """
+    indices = family.indices
+    masks = [s.mask for s in family.sets]
+    over = {}
+    worst = 0
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            size = (a & ~masks[j]).bit_count()
+            if size > worst:
+                worst = size
+            if size > budget:
+                over[(indices[i], indices[j])] = size
+    return worst, over
+
+
 def removal_makes_chain(family: ChainFamily, removed: SetBits) -> bool:
     """Does deleting `removed` from every member leave an inclusion chain?"""
     stripped = ChainFamily(

@@ -346,6 +346,32 @@ def test_ground_size_cap_is_one_input_error_line(tmp_path, capsys, argv):
     assert err.count("\n") == 1
 
 
+# Each case asks for a count of indices below 0 or far above
+# core.MAX_FAMILY_SIZE (2^16) and must be refused before anything is sampled.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--kind", "marciszewski", "--count", "-1"),
+        ("sweep", "--kind", "marciszewski", "--count", "-5"),
+        ("generate", "--count", "1000000000"),
+        ("generate", "--kind", "perturbed", "--count", "1000000000"),
+        ("generate", "--kind", "sign", "--count", "1000000000"),
+        ("generate", "--kind", "marciszewski", "--depth", "20", "--count", "1000000000"),
+        ("sweep", "--count", "1000000000"),
+        ("sweep", "--kind", "marciszewski", "--count", "1000000000"),
+    ],
+    ids=["marciszewski-negative", "sweep-marciszewski-negative", "chain", "perturbed",
+         "sign", "marciszewski", "sweep-perturbed", "sweep-marciszewski"],
+)
+def test_count_out_of_range_is_one_input_error_line(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("input-error: count ")
+    assert err.count("\n") == 1
+
+
 def _family_doc(size, *sets, indices=None):
     indices = indices or [f"{i + 1}/{len(sets) + 1}" for i in range(len(sets))]
     return {"ground_size": size,

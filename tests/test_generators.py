@@ -8,10 +8,11 @@ from itertools import combinations
 
 import pytest
 
-from chainlab.core import InputError, defect, is_chain, validate_almost_chain
+from chainlab.core import MAX_FAMILY_SIZE, InputError, defect, is_chain, validate_almost_chain
 from chainlab.generators import (
     BitIndex,
     DyadicGround,
+    check_count,
     excluded_dyadics,
     family_from_config,
     from_sign_matrix,
@@ -251,6 +252,19 @@ def test_sample_cut_indices_avoid_uniform_positions():
         assert len(cuts) == count == len(set(cuts))
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
         assert not set(cuts) & set(uniform_positions(size))
+
+
+def test_count_cap():
+    check_count(0)
+    check_count(MAX_FAMILY_SIZE)
+    # depth 9 words have 9 + 8 bits, so exactly 2^16 distinct ones exist
+    assert len(random_bit_indices(random.Random(3), 9, MAX_FAMILY_SIZE)) == MAX_FAMILY_SIZE
+    over = f"count {MAX_FAMILY_SIZE + 1} exceeds the cap {MAX_FAMILY_SIZE}"
+    for draw in (sample_cut_indices, random_bit_indices):
+        with pytest.raises(InputError, match=over):
+            draw(random.Random(3), 9, MAX_FAMILY_SIZE + 1)
+        with pytest.raises(InputError, match="count must be non-negative, got -1"):
+            draw(random.Random(3), 9, -1)
 
 
 def test_random_bit_indices_are_usable():

@@ -29,6 +29,7 @@ from chainlab.core import (
     iter_bits,
     membership_steps,
     membership_trace,
+    validate_almost_chain,
 )
 from chainlab.generators import initial_segment_chain
 from chainlab.lineop import LineModel, TripleTable, compute_triples, fourth_flip_witness
@@ -36,6 +37,7 @@ from chainlab.lineop import LineModel, TripleTable, compute_triples, fourth_flip
 from oracles import (
     brute_alternation_witness,
     brute_chain_witness,
+    brute_defect_report,
     brute_fourth_flip_witness,
     brute_triples,
 )
@@ -230,6 +232,24 @@ def test_membership_steps_hold_the_leftmost_1010_positions(fam):
         for event in range(4):
             at = [i for i, step in enumerate(steps) if step[event] >> n & 1]
             assert at == expected[event:event + 1]
+
+
+# Budgets 0, 1 and 2 flag some pairs of a row and not others; a budget of
+# N (the ground size) flags none.
+@pytest.mark.parametrize("budget_of", [lambda n: 0, lambda n: 1, lambda n: 2, lambda n: n],
+                         ids=["0", "1", "2", "N"])
+@CHECK
+@_with_edges
+@example(_family(2, [3]))
+@given(families())
+def test_defect_scan_matches_brute_force(budget_of, fam):
+    budget = budget_of(fam.ground.size)
+    worst, over = brute_defect_report(fam, budget)
+    report = validate_almost_chain(fam, budget)
+    assert report.max_defect_size == worst
+    assert list(report.over_budget.items()) == list(over.items())
+    assert report.flagged_pairs == tuple(over)
+    assert report.ok == (not over)
 
 
 @st.composite
