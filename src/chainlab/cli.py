@@ -206,12 +206,11 @@ def _cmd_operator(args: argparse.Namespace) -> int:
     model = _model_for(family, args)
     table = lineop.compute_triples(family, model)
     lines = [f"norm: {lineop.operator_norm(table)}"]
-    witness = lineop.norm_witness(table, model.carrier)
+    witness = lineop.norm_witness(table)
     if witness is not None:
         n, f_witness = witness
-        achieved = lineop.apply_operator(f_witness, table).on_ground[n]
         lines.append(f"witness_n: {n}")
-        lines.append(f"witness_value: {achieved}")
+        lines.append(f"witness_value: {table.signed_sum(f_witness, n)}")
     if args.function is not None:
         f = lineop.function_from_text(_read_text(args.function))
     else:

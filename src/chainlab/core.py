@@ -404,6 +404,12 @@ def parse_index(text: str) -> IndexValue:
     return Fraction(text)
 
 
+def parse_index_list(values: object) -> tuple[IndexValue, ...]:
+    if not isinstance(values, list):
+        raise InputError(f"expected a list of 'p/q' strings, got {values!r}")
+    return tuple(parse_index(v) for v in values)
+
+
 def parse_json(text: str, what: str) -> object:
     """The JSON value in `text`, or InputError naming the document."""
     try:

@@ -26,6 +26,7 @@ from .core import (
     InputError,
     SetBits,
     parse_index,
+    parse_index_list,
     parse_json,
 )
 
@@ -70,7 +71,7 @@ class BitIndex:
 
     @classmethod
     def from_string(cls, word: str) -> BitIndex:
-        if not word or set(word) - {"0", "1"}:
+        if not isinstance(word, str) or not word or set(word) - {"0", "1"}:
             raise InputError(f"bit word must be nonempty over 0/1, got {word!r}")
         return cls(tuple(int(c) for c in word))
 
@@ -180,7 +181,7 @@ def sample_cut_indices(rng: random.Random, size: int, count: int) -> tuple[Index
     repeats = max(1, -(-count // (size + 1)))  # ceil
     slots = repeats * (size + 1)
     draws = rng.sample(range(slots), count)
-    return tuple(sorted(Fraction(2 * r + 1, 2 * slots) for r in draws))
+    return tuple(Fraction(2 * r + 1, 2 * slots) for r in sorted(draws))
 
 
 def random_bit_indices(
@@ -272,12 +273,6 @@ def _int_field(cfg: dict, key: str, default: int | None = None) -> int:
     return value
 
 
-def _index_list(values) -> tuple[IndexValue, ...]:
-    if not isinstance(values, list):
-        raise InputError(f"expected a list of 'p/q' strings, got {values!r}")
-    return tuple(parse_index(v) for v in values)
-
-
 def _matrix_rows(rows) -> list[tuple[IndexValue | int, ...]]:
     """Matrix rows from a config: lists of exact ints or 'p/q' strings."""
     if not isinstance(rows, list):
@@ -305,7 +300,7 @@ def family_from_config(cfg: dict) -> ChainFamily:
     if kind == "initial-chain":
         if "points" in cfg or "X" in cfg:
             _check_keys(cfg, {"kind", "points", "X"}, {"kind", "points", "X"})
-            return initial_segment_chain(_index_list(cfg["points"]), _index_list(cfg["X"]))
+            return initial_segment_chain(parse_index_list(cfg["points"]), parse_index_list(cfg["X"]))
         _check_keys(cfg, {"kind", "seed", "ground_size", "count"}, {"kind", "ground_size", "count"})
         size = GroundSet(_int_field(cfg, "ground_size")).size
         rng = random.Random(_int_field(cfg, "seed", 0))
@@ -331,7 +326,7 @@ def family_from_config(cfg: dict) -> ChainFamily:
         size = GroundSet(_int_field(cfg, "ground_size")).size
         seed = _int_field(cfg, "seed", 0)
         if "X" in cfg:
-            xs = _index_list(cfg["X"])
+            xs = parse_index_list(cfg["X"])
         elif "count" in cfg:
             xs = sample_cut_indices(random.Random(seed ^ 0x5EED), size, _int_field(cfg, "count"))
         else:
@@ -340,7 +335,7 @@ def family_from_config(cfg: dict) -> ChainFamily:
     if kind == "sign-matrix":
         if "rows" in cfg or "Y" in cfg:
             _check_keys(cfg, {"kind", "Y", "rows"}, {"kind", "Y", "rows"})
-            return from_sign_matrix(_index_list(cfg["Y"]), _matrix_rows(cfg["rows"]))
+            return from_sign_matrix(parse_index_list(cfg["Y"]), _matrix_rows(cfg["rows"]))
         _check_keys(cfg, {"kind", "seed", "ground_size", "count"}, {"kind", "ground_size", "count"})
         size = GroundSet(_int_field(cfg, "ground_size")).size
         rng = random.Random(_int_field(cfg, "seed", 0))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -32,6 +32,7 @@ from .core import (
     iter_bits,
     membership_steps,
     parse_index,
+    parse_index_list,
     parse_json,
 )
 
@@ -53,6 +54,7 @@ class LineModel:
 
     carrier: tuple[IndexValue, ...]
     dense_points: tuple[IndexValue, ...]
+    dense_ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.carrier:
@@ -60,13 +62,15 @@ class LineModel:
         for a, b in zip(self.carrier, self.carrier[1:]):
             if not a < b:
                 raise InputError(f"carrier not strictly increasing at {a} >= {b}")
-        carrier = set(self.carrier)
+        rank = {p: r for r, p in enumerate(self.carrier)}
         for a, b in zip(self.dense_points, self.dense_points[1:]):
             if not a < b:
                 raise InputError(f"dense points not strictly increasing at {a} >= {b}")
-        missing = [y for y in self.dense_points if y not in carrier]
+        ranks = tuple(rank.get(y, -1) for y in self.dense_points)
+        missing = [y for y, r in zip(self.dense_points, ranks) if r < 0]
         if missing:
             raise InputError(f"dense points {missing} not in the carrier")
+        object.__setattr__(self, "dense_ranks", ranks)
 
     @classmethod
     def from_dense(cls, dense_points: Sequence[IndexValue]) -> LineModel:
@@ -81,17 +85,31 @@ class LineModel:
 
 @dataclass(frozen=True)
 class TripleTable:
-    """Per ground element n, the ordered points (x0_n, x1_n, x2_n)."""
+    """Per ground element n, the ranks of x0_n <= x1_n <= x2_n in the carrier `points`."""
 
-    triples: tuple[tuple[IndexValue, IndexValue, IndexValue], ...]
+    points: tuple[IndexValue, ...]
+    ranks: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        for n, (x0, x1, x2) in enumerate(self.triples):
-            if not x0 <= x1 <= x2:
-                raise InputError(f"triple at n={n} not ordered: {x0}, {x1}, {x2}")
+        size = len(self.points)
+        for n, t in enumerate(self.ranks):
+            if not 0 <= t[0] <= t[1] <= t[2] < size:
+                xs = ", ".join(str(self.points[r]) if 0 <= r < size else "off carrier" for r in t)
+                raise InputError(f"triple at n={n} not ordered: {xs}")
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.ranks)
+
+    @property
+    def triples(self) -> tuple[tuple[IndexValue, IndexValue, IndexValue], ...]:
+        """The same triples as carrier points."""
+        at = self.points.__getitem__
+        return tuple(tuple(map(at, r)) for r in self.ranks)
+
+    def signed_sum(self, f: FunctionOnLine, n: int) -> Fraction:
+        """Ef(n) = f(x0_n) - f(x1_n) + f(x2_n)."""
+        x0, x1, x2 = (self.points[r] for r in self.ranks[n])
+        return f.value_at(x0) - f.value_at(x1) + f.value_at(x2)
 
 
 @dataclass(frozen=True)
@@ -133,25 +151,22 @@ def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
             f"family is not barely alternating: witness {alternation_witness(family)}"
         )
     # Each element's entry, exit and re-entry positions, from the steps that
-    # hold it; position k stands for max(K).
+    # hold it; position k stands for max(K), the last carrier rank.
     k = len(family)
-    points = family.indices + (model.max_point,)
     size = family.ground.size
     first_in, first_out, back_in = [k] * size, [k] * size, [k] * size
     for i, step in enumerate(steps):
         for new, where in zip(step, (first_in, first_out, back_in)):
             for n in iter_bits(new):
                 where[n] = i
-    at = points.__getitem__
-    return TripleTable(tuple(zip(map(at, first_in), map(at, first_out), map(at, back_in))))
+    at = (model.dense_ranks + (len(model.carrier) - 1,)).__getitem__
+    ranks = zip(map(at, first_in), map(at, first_out), map(at, back_in))
+    return TripleTable(model.carrier, tuple(ranks))
 
 
 def apply_operator(f: FunctionOnLine, triples: TripleTable) -> ExtendedFunction:
     """Extend f to the ground by the signed sum over each element's triple."""
-    on_ground = {
-        n: f.value_at(x0) - f.value_at(x1) + f.value_at(x2)
-        for n, (x0, x1, x2) in enumerate(triples.triples)
-    }
+    on_ground = {n: triples.signed_sum(f, n) for n in range(len(triples))}
     return ExtendedFunction(on_carrier=f, on_ground=on_ground)
 
 
@@ -173,20 +188,18 @@ def operator_norm(triples: TripleTable) -> Fraction:
     A strict triple admits a sup-norm-1 function scoring 1 - (-1) + 1 = 3;
     any coincidence collapses the signed sum to a single evaluation.
     """
-    strict = any(t[0] < t[1] < t[2] for t in triples.triples)
+    strict = any(t[0] < t[1] < t[2] for t in triples.ranks)
     return Fraction(3) if strict else Fraction(1)
 
 
-def norm_witness(
-    triples: TripleTable, carrier: Sequence[IndexValue]
-) -> tuple[int, FunctionOnLine] | None:
-    """Sup-norm-1 function achieving value 3 at the first strict triple, if any."""
-    for n, (x0, x1, x2) in enumerate(triples.triples):
-        if x0 < x1 < x2:
-            values = {p: Fraction(0) for p in carrier}
-            values[x0] = Fraction(1)
-            values[x1] = Fraction(-1)
-            values[x2] = Fraction(1)
+def norm_witness(triples: TripleTable) -> tuple[int, FunctionOnLine] | None:
+    """Sup-norm-1 function on the carrier scoring 3 at the first strict triple, if any."""
+    for n, (r0, r1, r2) in enumerate(triples.ranks):
+        if r0 < r1 < r2:
+            values = dict.fromkeys(triples.points, Fraction(0))
+            values[triples.points[r0]] = Fraction(1)
+            values[triples.points[r1]] = Fraction(-1)
+            values[triples.points[r2]] = Fraction(1)
             return n, FunctionOnLine(values)
     return None
 
@@ -211,8 +224,9 @@ def fourth_flip_witness(
         for n in iter_bits(new):
             last_absent[n] = i
         absent |= new
-    for n, (_, _, x2) in enumerate(triples.triples):
-        i = bisect_right(family.indices, x2)
+    first_past = [bisect_right(family.indices, p) for p in triples.points]
+    for n, (_, _, r2) in enumerate(triples.ranks):
+        i = first_past[r2]
         if i <= last_absent[n]:
             while family.sets[i].mask >> n & 1:
                 i += 1
@@ -264,12 +278,6 @@ class HarnessReport:
     identity_holds: bool
 
 
-def _monotone(values: Sequence[IndexValue]) -> bool:
-    return all(a <= b for a, b in zip(values, values[1:])) or all(
-        a >= b for a, b in zip(values, values[1:])
-    )
-
-
 def continuity_harness(
     family: ChainFamily,
     model: LineModel,
@@ -287,33 +295,29 @@ def continuity_harness(
     if not schedule:
         raise InputError("schedule must list at least one ground element")
     table = compute_triples(family, model)
-    seq = []
-    for n, stage in schedule:
+    for n, _ in schedule:
         family.ground.check_element(n)
-        seq.append((n, stage, table.triples[n]))
+    ranks = [table.ranks[n] for n, _ in schedule]
     for coord in range(3):
-        if not _monotone([t[coord] for _, _, t in seq]):
+        seq = [t[coord] for t in ranks]
+        if seq != sorted(seq) and seq != sorted(seq, reverse=True):
             raise InputError(f"schedule triples not monotone in coordinate {coord}")
+    at = table.points.__getitem__
     steps = tuple(
-        HarnessStep(
-            stage=stage,
-            ground_element=n,
-            triple=t,
-            operator_value=f.value_at(t[0]) - f.value_at(t[1]) + f.value_at(t[2]),
-        )
-        for n, stage, t in seq
+        HarnessStep(stage, n, tuple(map(at, t)), table.signed_sum(f, n))
+        for (n, stage), t in zip(schedule, ranks)
     )
-    final = seq[-1][2]
-    z = limit_eval_point(*final)
+    final = steps[-1]
+    # Points, not ranks, so that a strict final triple is named by its points.
+    z = limit_eval_point(*final.triple)
     limit_value = f.value_at(z)
-    final_value = steps[-1].operator_value
     return HarnessReport(
         steps=steps,
-        final_triple=final,
+        final_triple=final.triple,
         limit_point=z,
         limit_value=limit_value,
-        final_operator_value=final_value,
-        identity_holds=final_value == limit_value,
+        final_operator_value=final.operator_value,
+        identity_holds=final.operator_value == limit_value,
     )
 
 
@@ -327,7 +331,7 @@ def coincident_schedule(table: TripleTable) -> tuple[tuple[int, int], ...]:
     """
     candidates = sorted(
         (t, n)
-        for n, t in enumerate(table.triples)
+        for n, t in enumerate(table.ranks)
         if triple_pattern(t) != "x0<x1<x2"
     )
     schedule = []
@@ -344,12 +348,10 @@ def coincident_schedule(table: TripleTable) -> tuple[tuple[int, int], ...]:
 
 def triple_table_to_text(table: TripleTable) -> str:
     """Tab-separated rows: ground element, the three points, coincidence tag."""
+    names = [format_index(p) for p in table.points]
     lines = ["# n\tx0\tx1\tx2\tpattern"]
-    for n, t in enumerate(table.triples):
-        lines.append(
-            f"{n}\t{format_index(t[0])}\t{format_index(t[1])}\t{format_index(t[2])}"
-            f"\t{triple_pattern(t)}"
-        )
+    for n, t in enumerate(table.ranks):
+        lines.append(f"{n}\t{names[t[0]]}\t{names[t[1]]}\t{names[t[2]]}\t{triple_pattern(t)}")
     return "\n".join(lines) + "\n"
 
 
@@ -357,11 +359,11 @@ def harness_report_to_text(report: HarnessReport) -> str:
     """Tab-separated trajectory rows followed by the limit verdict rows."""
     lines = ["# stage\tn\tx0\tx1\tx2\tpattern\tEf"]
     for step in report.steps:
-        x0, x1, x2 = step.triple
+        # Names are equal exactly when points are, so the tag reads the names.
+        t = [format_index(p) for p in step.triple]
         lines.append(
-            f"{step.stage}\t{step.ground_element}\t{format_index(x0)}"
-            f"\t{format_index(x1)}\t{format_index(x2)}"
-            f"\t{triple_pattern(step.triple)}\t{step.operator_value}"
+            f"{step.stage}\t{step.ground_element}\t{t[0]}\t{t[1]}\t{t[2]}"
+            f"\t{triple_pattern(t)}\t{step.operator_value}"
         )
     lines.append(f"# z\t{format_index(report.limit_point)}")
     lines.append(f"# f(z)\t{report.limit_value}")
@@ -400,7 +402,4 @@ def model_from_text(text: str) -> LineModel:
     doc = parse_json(text, "model document")
     if not isinstance(doc, dict) or set(doc) != {"carrier", "dense"}:
         raise InputError("model document must have exactly carrier and dense")
-    return LineModel(
-        carrier=tuple(parse_index(p) for p in doc["carrier"]),
-        dense_points=tuple(parse_index(p) for p in doc["dense"]),
-    )
+    return LineModel(parse_index_list(doc["carrier"]), parse_index_list(doc["dense"]))

@@ -74,6 +74,66 @@ def brute_triples(family: ChainFamily, top):
     return tuple(triples)
 
 
+def brute_coincident_schedule(triples):
+    """Sort the non-strict point triples, keep a componentwise non-decreasing chain."""
+    candidates = sorted((t, n) for n, t in enumerate(triples) if not t[0] < t[1] < t[2])
+    schedule = []
+    last = None
+    for t, n in candidates:
+        if last is None or all(t[i] >= last[i] for i in range(3)):
+            schedule.append((n, len(schedule)))
+            last = t
+    return tuple(schedule)
+
+
+def brute_norm_witness(triples, carrier):
+    """(n, values) scoring 3 at the first strict point triple, or None."""
+    for n, (x0, x1, x2) in enumerate(triples):
+        if x0 < x1 < x2:
+            values = {p: Fraction(0) for p in carrier}
+            values[x0] = Fraction(1)
+            values[x1] = Fraction(-1)
+            values[x2] = Fraction(1)
+            return n, values
+    return None
+
+
+def _pattern(x0, x1, x2) -> str:
+    if x0 == x1 == x2:
+        return "x0=x1=x2"
+    if x0 == x1:
+        return "x0=x1<x2"
+    if x1 == x2:
+        return "x0<x1=x2"
+    return "x0<x1<x2"
+
+
+def _name(x) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def brute_triple_table_text(triples) -> str:
+    """The triples command's table, written straight from the point triples."""
+    rows = [f"{n}\t{_name(x0)}\t{_name(x1)}\t{_name(x2)}\t{_pattern(x0, x1, x2)}"
+            for n, (x0, x1, x2) in enumerate(triples)]
+    return "\n".join(["# n\tx0\tx1\tx2\tpattern", *rows]) + "\n"
+
+
+def brute_harness_text(triples, schedule, values) -> str:
+    """The limit harness's report along a coincident schedule, from the point triples."""
+    lines = ["# stage\tn\tx0\tx1\tx2\tpattern\tEf"]
+    for n, stage in schedule:
+        x0, x1, x2 = triples[n]
+        ef = values[x0] - values[x1] + values[x2]
+        lines.append(f"{stage}\t{n}\t{_name(x0)}\t{_name(x1)}\t{_name(x2)}"
+                     f"\t{_pattern(x0, x1, x2)}\t{ef}")
+    x0, x1, x2 = triples[schedule[-1][0]]
+    z = x0 if x1 == x2 else x2
+    lines += [f"# z\t{_name(z)}", f"# f(z)\t{values[z]}",
+              f"# identity\t{'ok' if ef == values[z] else 'FAIL'}"]
+    return "\n".join(lines) + "\n"
+
+
 def brute_fourth_flip_witness(family: ChainFamily, triples):
     """Least (n, y) with y > x2_n and n outside the set at y, by full scan."""
     for n in family.ground.elements():

@@ -304,7 +304,7 @@ def test_c07_operator_norm():
             table = compute_triples(fam, model)
             norm = operator_norm(table)
             assert norm <= 3
-            witness = norm_witness(table, model.carrier)
+            witness = norm_witness(table)
             if witness is None:
                 assert norm == 1
                 continue

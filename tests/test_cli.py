@@ -315,6 +315,46 @@ def test_malformed_sign_matrix_rows_are_one_input_error_line(tmp_path, capsys, c
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "marciszewski", "depth": 3, "xs": [5]},
+        {"kind": "marciszewski", "depth": 3, "xs": [["0", "1", "1", "0", "1"]]},
+    ],
+    ids=["word-not-string", "word-as-list"],
+)
+def test_malformed_bit_words_are_one_input_error_line(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "generate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input-error:")
+    assert err.count("\n") == 1
+
+
+# A string carrier is not iterated character by character: "12" is not (1, 2).
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"carrier": 5, "dense": ["1/1"]},
+        {"carrier": ["1/1"], "dense": 5},
+        {"carrier": "12", "dense": ["1/1"]},
+    ],
+    ids=["int-carrier", "int-dense", "string-carrier"],
+)
+def test_malformed_model_is_one_input_error_line(tmp_path, capsys, model):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"ground_size": 1, "entries": [{"index": "1/1", "set": [0]}]}))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "operator", "--input", str(fam), "--model", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input-error:")
+    assert err.count("\n") == 1
+
+
 # Each case asks for a ground far above core.MAX_GROUND_SIZE (2^20 elements)
 # and must be refused before anything of that size is built.
 @pytest.mark.parametrize(

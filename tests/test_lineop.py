@@ -79,7 +79,13 @@ def test_triples_are_always_ordered():
 
 def test_triple_table_rejects_unordered_rows():
     with pytest.raises(InputError):
-        TripleTable(((F(2), F(1), F(3)),))
+        TripleTable((F(1), F(2), F(3)), ((1, 0, 2),))
+
+
+def test_triple_table_rejects_ranks_off_the_carrier():
+    for ranks in ((0, 1, 3), (-1, 0, 0)):
+        with pytest.raises(InputError, match="not ordered: .*off carrier"):
+            TripleTable((F(1), F(2), F(3)), (ranks,))
 
 
 def test_model_shape_is_validated():
@@ -101,14 +107,14 @@ def test_operator_constant_function_stays_constant():
 
 
 def test_operator_cancellation_when_first_two_coincide():
-    table = TripleTable(((F(1, 2), F(1, 2), F(3, 4)),))
+    table = TripleTable((F(1, 2), F(3, 4)), ((0, 0, 1),))
     f = FunctionOnLine({F(1, 2): F(5), F(3, 4): F(-2)})
     assert apply_operator(f, table).on_ground[0] == F(-2)
 
 
 def test_operator_step_function_substitution():
     # step that is 1 up to 1/2 and 0 beyond: Ef = f(1/2) - f(3/4) + f(1)
-    table = TripleTable(((F(1, 2), F(3, 4), F(1)),))
+    table = TripleTable((F(1, 2), F(3, 4), F(1)), ((0, 1, 2),))
     f = FunctionOnLine(
         {p: (F(1) if p <= F(1, 2) else F(0)) for p in MODEL3.carrier}
     )
@@ -116,7 +122,7 @@ def test_operator_step_function_substitution():
 
 
 def test_operator_requires_values_at_triple_points():
-    table = TripleTable(((F(1, 2), F(3, 4), F(1)),))
+    table = TripleTable((F(1, 2), F(3, 4), F(1)), ((0, 1, 2),))
     with pytest.raises(InputError):
         apply_operator(FunctionOnLine({F(1, 2): F(1)}), table)
 
@@ -140,14 +146,14 @@ def test_operator_is_linear():
 
 
 def test_norm_is_one_without_a_strict_triple():
-    assert operator_norm(TripleTable(((F(1), F(1), F(1)),))) == 1
-    assert operator_norm(TripleTable(((F(1), F(1), F(2)), (F(1), F(2), F(2))))) == 1
+    assert operator_norm(TripleTable((F(1),), ((0, 0, 0),))) == 1
+    assert operator_norm(TripleTable((F(1), F(2)), ((0, 0, 1), (0, 1, 1)))) == 1
 
 
 def test_norm_is_three_with_a_strict_triple():
-    mixed = TripleTable(((F(1), F(1), F(1)), (F(1), F(2), F(3))))
+    mixed = TripleTable((F(1), F(2), F(3)), ((0, 0, 0), (0, 1, 2)))
     assert operator_norm(mixed) == 3
-    n, f = norm_witness(mixed, (F(1), F(2), F(3)))
+    n, f = norm_witness(mixed)
     assert n == 1
     assert f.sup_norm() == 1
     assert apply_operator(f, mixed).on_ground[1] == 3
@@ -198,14 +204,12 @@ def test_fourth_flip_check():
     table = compute_triples(fam, MODEL3)
     assert no_fourth_flip_check(fam, table)
     pattern = build_family(["1010"])
-    handmade = TripleTable(
-        ((pattern.indices[0], pattern.indices[1], pattern.indices[2]),)
-    )
+    handmade = TripleTable(pattern.indices, ((0, 1, 2),))
     assert fourth_flip_witness(pattern, handmade) == (0, pattern.indices[3])
     absent = _family3("000")
     assert no_fourth_flip_check(absent, compute_triples(absent, MODEL3))
     with pytest.raises(InputError):
-        fourth_flip_witness(fam, TripleTable(()))
+        fourth_flip_witness(fam, TripleTable((), ()))
 
 
 def test_fourth_flip_holds_for_all_adjusted_families():
@@ -320,7 +324,7 @@ def test_harness_report_text_is_stable():
 
 
 def test_text_formats_round_trip():
-    table = TripleTable(((F(1, 2), F(3, 4), F(1)), (F(1), F(1), F(1))))
+    table = TripleTable((F(1, 2), F(3, 4), F(1)), ((0, 1, 2), (2, 2, 2)))
     assert triple_table_to_text(table) == (
         "# n\tx0\tx1\tx2\tpattern\n"
         "0\t1/2\t3/4\t1/1\tx0<x1<x2\n"

@@ -32,13 +32,29 @@ from chainlab.core import (
     validate_almost_chain,
 )
 from chainlab.generators import initial_segment_chain
-from chainlab.lineop import LineModel, TripleTable, compute_triples, fourth_flip_witness
+from chainlab.lineop import (
+    FunctionOnLine,
+    LineModel,
+    TripleTable,
+    coincident_schedule,
+    compute_triples,
+    continuity_harness,
+    fourth_flip_witness,
+    harness_report_to_text,
+    norm_witness,
+    operator_norm,
+    triple_table_to_text,
+)
 
 from oracles import (
     brute_alternation_witness,
     brute_chain_witness,
+    brute_coincident_schedule,
     brute_defect_report,
     brute_fourth_flip_witness,
+    brute_harness_text,
+    brute_norm_witness,
+    brute_triple_table_text,
     brute_triples,
 )
 
@@ -98,6 +114,29 @@ def test_triples_match_brute_force_on_adjusted_families(data, fam):
     model = _model(data.draw, adjusted.indices)
     table = compute_triples(adjusted, model)
     assert table.triples == brute_triples(adjusted, model.max_point)
+
+
+@CHECK
+@given(st.data(), barely_alternating_families())
+def test_rank_path_matches_point_triples(data, fam):
+    # Carriers with no extra point above the dense set make max(K) the last
+    # dense point, so an absent element's fallback must collapse onto it.
+    model = _model(data.draw, fam.indices)
+    table = compute_triples(fam, model)
+    triples = brute_triples(fam, model.max_point)
+    schedule = coincident_schedule(table)
+    assert schedule == brute_coincident_schedule(triples)
+    witness = brute_norm_witness(triples, model.carrier)
+    assert operator_norm(table) == (1 if witness is None else 3)
+    found = norm_witness(table)
+    assert (None if found is None else (found[0], found[1].values)) == witness
+    assert triple_table_to_text(table) == brute_triple_table_text(triples)
+    if schedule:
+        ints = data.draw(st.lists(st.integers(-3, 3), min_size=len(model.carrier),
+                                  max_size=len(model.carrier)))
+        values = {p: F(v) for p, v in zip(model.carrier, ints)}
+        report = continuity_harness(fam, model, schedule, FunctionOnLine(values))
+        assert harness_report_to_text(report) == brute_harness_text(triples, schedule, values)
 
 
 @CHECK
@@ -255,12 +294,12 @@ def test_defect_scan_matches_brute_force(budget_of, fam):
 @st.composite
 def ordered_tables(draw, fam):
     """Ordered triples on, between and beyond the family's indices."""
-    points = {F(v, 32) for v in range(-40, 41, 2)} | set(fam.indices)
+    points = tuple(sorted({F(v, 32) for v in range(-40, 41, 2)} | set(fam.indices)))
     table = []
     for _ in range(fam.ground.size):
-        triple = sorted(draw(st.lists(st.sampled_from(sorted(points)), min_size=3, max_size=3)))
+        triple = sorted(draw(st.lists(st.sampled_from(range(len(points))), min_size=3, max_size=3)))
         table.append(tuple(triple))
-    return TripleTable(tuple(table))
+    return TripleTable(points, tuple(table))
 
 
 @CHECK
