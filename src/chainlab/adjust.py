@@ -109,20 +109,21 @@ def insert_point(
         if fam.indices[pos] == x:
             raise InputError(f"index {x} already present")
         raise InputError(f"indices not strictly increasing at {x} >= {fam.indices[pos]}")
-    below = fam.sets[pos - 1] if pos > 0 else SetBits.empty(fam.ground)
-    above = fam.sets[pos] if pos < len(fam.sets) else SetBits.full(fam.ground)
-    produced = (candidate | below) - (candidate - above)
+    masks, c = fam.masks, candidate.mask
+    below = masks[pos - 1] if pos > 0 else 0
+    above = masks[pos] if pos < len(masks) else fam.ground.full_mask
+    produced = (c | below) & ~(c & ~above)
     receipt = InsertionReceipt(
         inserted_index=x,
-        produced_set=produced,
+        produced_set=SetBits(fam.ground, produced),
         predecessor=fam.indices[pos - 1] if pos > 0 else None,
         successor=fam.indices[pos] if pos < len(fam.indices) else None,
-        delta_from_input=produced ^ candidate,
+        delta_from_input=SetBits(fam.ground, produced ^ c),
     )
     extended = ChainFamily._trusted(
         fam.ground,
         fam.indices[:pos] + (x,) + fam.indices[pos:],
-        fam.sets[:pos] + (produced,) + fam.sets[pos:],
+        masks[:pos] + (produced,) + masks[pos:],
     )
     return extended, receipt
 
@@ -142,16 +143,15 @@ def adjust_family(
     family that is already a chain is returned unchanged at zero cost,
     whatever the order.
     """
-    if order is None:
-        order = family.indices
-    else:
-        order = tuple(order)
-        if tuple(sorted(order)) != family.indices:
-            raise InputError("order is not a permutation of the family's indices")
-    cond = ChainFamily(family.ground, (), ())
+    position = {x: i for i, x in enumerate(family.indices)}
+    order = family.indices if order is None else tuple(order)
+    if len(order) != len(position) or position.keys() != set(order):
+        raise InputError("order is not a permutation of the family's indices")
+    ground, masks = family.ground, family.masks
+    cond = ChainFamily(ground, (), ())
     receipts = []
     for x in order:
-        cond, receipt = insert_point(cond, x, family.set_at(x))
+        cond, receipt = insert_point(cond, x, SetBits(ground, masks[position[x]]))
         receipts.append(receipt)
     costs = [r.cost for r in receipts]
     report = AdjustmentReport(
@@ -165,14 +165,11 @@ def adjust_family(
 def merge_conditions(c1: ChainFamily, c2: ChainFamily) -> ChainFamily:
     """Union of two conditions; shared indices must carry identical sets."""
     if c1.ground != c2.ground:
-        raise InputError(
-            f"ground mismatch: size {c1.ground.size} vs {c2.ground.size}"
-        )
-    merged = dict(c1.pairs())
-    for x, s in c2.pairs():
-        if x in merged and merged[x] != s:
+        raise InputError(f"ground mismatch: size {c1.ground.size} vs {c2.ground.size}")
+    merged = dict(zip(c1.indices, c1.masks))
+    for x, m in zip(c2.indices, c2.masks):
+        if merged.setdefault(x, m) != m:
             raise InputError(f"conditions disagree at shared index {x}")
-        merged[x] = s
     return ChainFamily.from_pairs(c1.ground, merged.items())
 
 

@@ -8,7 +8,10 @@ leaves again along the sorted indices), and the defect calculus that measures
 how far a family is from being a chain.
 
 All values are immutable after construction and all arithmetic is exact:
-indices are `fractions.Fraction`, sets are bit masks.  Witnesses returned by
+indices are `fractions.Fraction`, sets are int bit masks (bit n = element n).
+`ChainFamily(ground, indices, masks)` holds one mask per index; its `sets`,
+`set_at` and `pairs()` build `SetBits` views of them for library callers,
+and `SetBits` is the value type of the set-valued API.  Witnesses returned by
 the checkers are lexicographically least (least ground element first, then
 least index tuple), so every verdict is reproducible byte for byte.
 """
@@ -38,6 +41,9 @@ class InputError(ValueError):
 MAX_GROUND_SIZE = 1 << 20
 # Largest number of indices a generator is asked to draw for one family.
 MAX_FAMILY_SIZE = 1 << 16
+# Most digits in the numerator or denominator of a parsed index or value: a
+# signed sum of three such values prints within Python's 4300-digit limit.
+MAX_INDEX_DIGITS = 1000
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -157,50 +163,49 @@ class SetBits:
 
 @dataclass(frozen=True)
 class ChainFamily:
-    """A finite family of sets, one per strictly increasing rational index.
+    """A finite family of sets, one mask per strictly increasing rational index.
 
-    The type enforces only shape (sorted distinct indices, matching ground);
-    whether the family is a chain or barely alternating is decided by the
-    explicit checkers below, never assumed.
+    The type enforces only shape (sorted distinct indices, masks within the
+    ground); whether the family is a chain or barely alternating is decided
+    by the explicit checkers below, never assumed.
     """
 
     ground: GroundSet
     indices: tuple[IndexValue, ...]
-    sets: tuple[SetBits, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.indices) != len(self.sets):
-            raise InputError(
-                f"{len(self.indices)} indices but {len(self.sets)} sets"
-            )
+        if len(self.indices) != len(self.masks):
+            raise InputError(f"{len(self.indices)} indices but {len(self.masks)} masks")
         for a, b in zip(self.indices, self.indices[1:]):
             if not a < b:
                 raise InputError(f"indices not strictly increasing at {a} >= {b}")
-        for s in self.sets:
-            if s.ground != self.ground:
-                raise InputError("family set over a different ground")
+        full = self.ground.full_mask
+        for i, m in enumerate(self.masks):
+            if type(m) is not int or not 0 <= m <= full:
+                raise InputError(f"mask {i} is not an int mask over ground size {self.ground.size}")
 
     @classmethod
     def _trusted(
-        cls, ground: GroundSet, indices: tuple[IndexValue, ...], sets: tuple[SetBits, ...]
+        cls, ground: GroundSet, indices: tuple[IndexValue, ...], masks: tuple[int, ...]
     ) -> ChainFamily:
         """Build without the shape checks; the caller guarantees them."""
         family = object.__new__(cls)
         object.__setattr__(family, "ground", ground)
         object.__setattr__(family, "indices", indices)
-        object.__setattr__(family, "sets", sets)
+        object.__setattr__(family, "masks", masks)
         return family
 
     @classmethod
     def from_pairs(
-        cls, ground: GroundSet, pairs: Iterable[tuple[IndexValue, SetBits]]
+        cls, ground: GroundSet, pairs: Iterable[tuple[IndexValue, int]]
     ) -> ChainFamily:
-        """Build a family from (index, set) pairs, sorting by index."""
+        """Build a family from (index, mask) pairs, sorting by index."""
         items = sorted(pairs, key=lambda p: p[0])
         for (a, _), (b, _) in zip(items, items[1:]):
             if a == b:
                 raise InputError(f"duplicate index {a}")
-        return cls(ground, tuple(x for x, _ in items), tuple(s for _, s in items))
+        return cls(ground, tuple(x for x, _ in items), tuple(m for _, m in items))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -212,11 +217,16 @@ class ChainFamily:
             raise InputError(f"index {x} not in family")
         return i
 
+    @property
+    def sets(self) -> tuple[SetBits, ...]:
+        """The members as SetBits values, built on each access."""
+        return tuple(SetBits(self.ground, m) for m in self.masks)
+
     def set_at(self, x: IndexValue) -> SetBits:
-        return self.sets[self.position(x)]
+        return SetBits(self.ground, self.masks[self.position(x)])
 
     def pairs(self) -> Iterator[tuple[IndexValue, SetBits]]:
-        return iter(zip(self.indices, self.sets))
+        return zip(self.indices, self.sets)
 
 
 class AlternationWitness(NamedTuple):
@@ -238,9 +248,9 @@ class ChainWitness(NamedTuple):
 
 
 def membership_trace(family: ChainFamily, n: int) -> str:
-    """Bit string over the sorted indices: character i is 1 iff n is in sets[i]."""
+    """Bit string over the sorted indices: character i is 1 iff n is in masks[i]."""
     family.ground.check_element(n)
-    return "".join("1" if s.mask >> n & 1 else "0" for s in family.sets)
+    return "".join("1" if m >> n & 1 else "0" for m in family.masks)
 
 
 def flip_count(family: ChainFamily, n: int) -> int:
@@ -259,8 +269,7 @@ def membership_steps(family: ChainFamily) -> list[tuple[int, int, int, int]]:
     """
     seen_in = seen_out = seen_back = seen_gone = 0
     steps = []
-    for s in family.sets:
-        m = s.mask
+    for m in family.masks:
         entry = m & ~seen_in
         exit_ = seen_in & ~m & ~seen_out
         reentry = seen_out & m & ~seen_back
@@ -359,7 +368,7 @@ def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
     if budget < 0:
         raise InputError(f"budget must be non-negative, got {budget}")
     full = family.ground.full_mask
-    masks = [s.mask for s in family.sets]
+    masks = family.masks
     outside = [full ^ m for m in masks]
     worst = 0
     rows = []
@@ -401,6 +410,8 @@ def format_index(x: IndexValue) -> str:
 def parse_index(text: str) -> IndexValue:
     if not isinstance(text, str) or not _INDEX_RE.match(text):
         raise InputError(f"malformed index {text!r}, expected 'p/q'")
+    if any(len(part) > MAX_INDEX_DIGITS for part in text.lstrip("-").split("/")):
+        raise InputError(f"index numerator or denominator exceeds {MAX_INDEX_DIGITS} digits")
     return Fraction(text)
 
 
@@ -411,11 +422,17 @@ def parse_index_list(values: object) -> tuple[IndexValue, ...]:
 
 
 def parse_json(text: str, what: str) -> object:
-    """The JSON value in `text`, or InputError naming the document."""
+    """The JSON value in `text`, or InputError naming the document.
+
+    Beyond syntax errors, this refuses an integer over Python's digit limit
+    for text conversion (a ValueError) and nesting past the recursion limit.
+    """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{what} cannot be parsed: {exc}") from exc
 
 
 def _stray_element(elems: list, size: int) -> object:
@@ -475,9 +492,7 @@ def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ..
     ground = GroundSet(size)
     if stray is not None:
         ground.check_element(stray)
-    family = ChainFamily.from_pairs(
-        ground, ((x, SetBits(ground, _mask_of(size, elems))) for x, elems in entries)
-    )
+    family = ChainFamily.from_pairs(ground, ((x, _mask_of(size, elems)) for x, elems in entries))
     return family, tuple(x for x, _ in entries)
 
 
@@ -494,8 +509,8 @@ def family_to_text(family: ChainFamily) -> str:
     """
     lines = [f"\n        {n}" for n in range(family.ground.size)]
     entries = []
-    for x, s in family.pairs():
-        elems = ",".join(map(lines.__getitem__, iter_bits(s.mask)))
+    for x, m in zip(family.indices, family.masks):
+        elems = ",".join(map(lines.__getitem__, iter_bits(m)))
         body = f"[{elems}\n      ]" if elems else "[]"
         entries.append(
             f'\n    {{\n      "index": "{format_index(x)}",\n      "set": {body}\n    }}'

@@ -20,11 +20,11 @@ from typing import Sequence
 from .core import (
     MAX_FAMILY_SIZE,
     MAX_GROUND_SIZE,
+    MAX_INDEX_DIGITS,
     ChainFamily,
     GroundSet,
     IndexValue,
     InputError,
-    SetBits,
     parse_index,
     parse_index_list,
     parse_json,
@@ -68,6 +68,8 @@ class BitIndex:
     def __post_init__(self) -> None:
         if not self.bits or any(b not in (0, 1) for b in self.bits):
             raise InputError(f"bits must be a nonempty 0/1 word, got {self.bits!r}")
+        if len(self.bits) > MAX_INDEX_DIGITS:
+            raise InputError(f"bit word of {len(self.bits)} bits exceeds the cap {MAX_INDEX_DIGITS}")
 
     @classmethod
     def from_string(cls, word: str) -> BitIndex:
@@ -115,7 +117,7 @@ def initial_segment_chain(
     taken = set(positions)
     ranked = sorted(range(len(positions)), key=positions.__getitem__)
     ranked_points = [positions[n] for n in ranked]
-    sets = []
+    masks = []
     mask = below = 0
     for x in xs:
         if x in taken:
@@ -124,8 +126,8 @@ def initial_segment_chain(
         for n in ranked[below:stop]:
             mask |= 1 << n
         below = stop
-        sets.append(SetBits(ground, mask))
-    return ChainFamily(ground, xs, tuple(sets))
+        masks.append(mask)
+    return ChainFamily(ground, xs, tuple(masks))
 
 
 def marciszewski_family(xs: Sequence[BitIndex], ground: DyadicGround) -> ChainFamily:
@@ -137,7 +139,7 @@ def marciszewski_family(xs: Sequence[BitIndex], ground: DyadicGround) -> ChainFa
     d = ground.depth
     gset = ground.ground
     scale = 1 << d
-    pairs: list[tuple[IndexValue, SetBits]] = []
+    pairs: list[tuple[IndexValue, int]] = []
     seen: set[IndexValue] = set()
     for x in xs:
         if len(x.bits) < d:
@@ -154,7 +156,7 @@ def marciszewski_family(xs: Sequence[BitIndex], ground: DyadicGround) -> ChainFa
         mask = (1 << below) - 1
         for t in excluded_dyadics(x, d):
             mask &= ~(1 << ground.index_of(t))
-        pairs.append((v, SetBits(gset, mask)))
+        pairs.append((v, mask))
     return ChainFamily.from_pairs(gset, pairs)
 
 
@@ -219,11 +221,10 @@ def perturbed_chain(
     base = initial_segment_chain(uniform_positions(size), cut_indices)
     rng = random.Random(seed)
     flipped = []
-    for s in base.sets:
-        mask = s.mask
+    for mask in base.masks:
         for n in rng.sample(range(size), flips_per_set):
             mask ^= 1 << n
-        flipped.append(SetBits(base.ground, mask))
+        flipped.append(mask)
     return ChainFamily(base.ground, base.indices, tuple(flipped))
 
 
@@ -243,7 +244,7 @@ def from_sign_matrix(
         for n, value in enumerate(row):
             if value < 0:
                 mask |= 1 << n
-        pairs.append((y, SetBits(ground, mask)))
+        pairs.append((y, mask))
     return ChainFamily.from_pairs(ground, pairs)
 
 

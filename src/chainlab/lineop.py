@@ -220,7 +220,7 @@ def fourth_flip_witness(
     last_absent = [-1] * family.ground.size
     absent = 0
     for i in reversed(range(len(family))):
-        new = full & ~(family.sets[i].mask | absent)
+        new = full & ~(family.masks[i] | absent)
         for n in iter_bits(new):
             last_absent[n] = i
         absent |= new
@@ -228,7 +228,7 @@ def fourth_flip_witness(
     for n, (_, _, r2) in enumerate(triples.ranks):
         i = first_past[r2]
         if i <= last_absent[n]:
-            while family.sets[i].mask >> n & 1:
+            while family.masks[i] >> n & 1:
                 i += 1
             return FourthFlipWitness(n, family.indices[i])
     return None

@@ -28,7 +28,7 @@ def build_family(traces: list[str], indices=None) -> ChainFamily:
         for n, trace in enumerate(traces):
             if trace[i] == "1":
                 mask |= 1 << n
-        sets.append(SetBits(ground, mask))
+        sets.append(mask)
     return ChainFamily(ground, tuple(indices), tuple(sets))
 
 
@@ -139,7 +139,7 @@ def brute_fourth_flip_witness(family: ChainFamily, triples):
     for n in family.ground.elements():
         x2 = triples.triples[n][2]
         for i, y in enumerate(family.indices):
-            if y > x2 and not family.sets[i].mask >> n & 1:
+            if y > x2 and not family.masks[i] >> n & 1:
                 return (n, y)
     return None
 
@@ -177,7 +177,7 @@ def brute_defect_report(family: ChainFamily, budget: int):
 def removal_makes_chain(family: ChainFamily, removed: SetBits) -> bool:
     """Does deleting `removed` from every member leave an inclusion chain?"""
     stripped = ChainFamily(
-        family.ground, family.indices, tuple(s - removed for s in family.sets)
+        family.ground, family.indices, tuple((s - removed).mask for s in family.sets)
     )
     return brute_chain_witness(stripped) is None
 
@@ -212,6 +212,27 @@ def min_chain_edit_distance(family: ChainFamily) -> int:
             sum(a != b for a, b in zip(trace, m)) for m in monotone
         )
     return total
+
+
+def brute_insert_point(family: ChainFamily, x, candidate: SetBits):
+    """One-point insertion by the set formula (candidate | A) - (candidate - C).
+
+    A and C are the sets at the nearest indices below and above x, found by
+    a full scan, with the empty set and the full ground at the boundaries.
+    Returns the extended family, the produced set, its difference from the
+    candidate, and the predecessor and successor indices (None when absent).
+    """
+    g = family.ground
+    members = list(family.pairs())
+    below = [(y, s) for y, s in members if y < x]
+    above = [(y, s) for y, s in members if y > x]
+    predecessor, a = below[-1] if below else (None, SetBits.empty(g))
+    successor, c = above[0] if above else (None, SetBits.full(g))
+    produced = (candidate | a) - (candidate - c)
+    extended = ChainFamily.from_pairs(
+        g, [(y, s.mask) for y, s in below + [(x, produced)] + above]
+    )
+    return extended, produced, produced ^ candidate, predecessor, successor
 
 
 def receipts_respect_bound(family, adjusted, report) -> bool:
@@ -250,7 +271,7 @@ def random_family(
     ground = GroundSet(size)
     indices = random_indices(rng, count)
     sets = tuple(
-        SetBits(ground, rng.getrandbits(size)) for _ in range(count)
+        rng.getrandbits(size) for _ in range(count)
     )
     return ChainFamily(ground, indices, sets)
 
@@ -272,7 +293,7 @@ def random_chainlike_family(
     for mask in sets:
         for _ in range(rng.randint(0, noise_flips)):
             mask ^= 1 << rng.randrange(size)
-        noisy.append(SetBits(ground, mask))
+        noisy.append(mask)
     return ChainFamily(ground, indices, tuple(noisy))
 
 

@@ -222,7 +222,7 @@ def test_c05_compatibility_kernel():
                 continue
             done += 1
             split = rng.randrange(1, len(adjusted) - 1)
-            pairs = list(adjusted.pairs())
+            pairs = list(zip(adjusted.indices, adjusted.masks))
             left = ChainFamily.from_pairs(adjusted.ground, pairs[: split + 1])
             right = ChainFamily.from_pairs(adjusted.ground, pairs[split:])
             if not conditions_compatible(left, right):
@@ -236,9 +236,9 @@ def test_c05_compatibility_kernel():
             )
             elem = SetBits.from_elements(g, [n])
             # merged trace at n reads 1,0,1,0 across lo < a < b < hi
-            c1 = ChainFamily.from_pairs(g, [(b, elem)])
+            c1 = ChainFamily.from_pairs(g, [(b, elem.mask)])
             c2 = ChainFamily.from_pairs(
-                g, [(lo, elem), (a, SetBits.empty(g)), (hi, SetBits.empty(g))]
+                g, [(lo, elem.mask), (a, SetBits.empty(g).mask), (hi, SetBits.empty(g).mask)]
             )
             witness = compatibility_witness(c1, c2)
             if witness is None or witness != (n, lo, a, b, hi):

@@ -60,8 +60,8 @@ def test_insert_point_frozen_example():
     cond = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [0, 1])),
-            (F(3, 4), SetBits.from_elements(g, [1, 3, 4, 5, 7])),
+            (F(1, 4), SetBits.from_elements(g, [0, 1]).mask),
+            (F(3, 4), SetBits.from_elements(g, [1, 3, 4, 5, 7]).mask),
         ],
     )
     candidate = SetBits.from_elements(g, [1, 3, 5])
@@ -79,7 +79,7 @@ def test_insert_point_frozen_example():
 def test_insert_without_predecessor_intersects_with_successor():
     g = GroundSet(6)
     above = SetBits.from_elements(g, [0, 2, 4])
-    cond = ChainFamily.from_pairs(g, [(F(3, 4), above)])
+    cond = ChainFamily.from_pairs(g, [(F(3, 4), above.mask)])
     candidate = SetBits.from_elements(g, [0, 1, 2])
     _, receipt = insert_point(cond, F(1, 4), candidate)
     assert receipt.produced_set == candidate & above
@@ -87,7 +87,7 @@ def test_insert_without_predecessor_intersects_with_successor():
 
 def test_insert_point_input_errors():
     g = GroundSet(3)
-    cond = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g))])
+    cond = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g).mask)])
     with pytest.raises(InputError):
         insert_point(cond, F(1, 2), SetBits.empty(g))
     with pytest.raises(InputError):
@@ -127,10 +127,10 @@ def test_adjust_chain_is_identity_for_any_order():
     chain = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 5), SetBits.from_elements(g, [0])),
-            (F(2, 5), SetBits.from_elements(g, [0, 2])),
-            (F(3, 5), SetBits.from_elements(g, [0, 2, 3])),
-            (F(4, 5), SetBits.from_elements(g, [0, 1, 2, 3, 5])),
+            (F(1, 5), SetBits.from_elements(g, [0]).mask),
+            (F(2, 5), SetBits.from_elements(g, [0, 2]).mask),
+            (F(3, 5), SetBits.from_elements(g, [0, 2, 3]).mask),
+            (F(4, 5), SetBits.from_elements(g, [0, 1, 2, 3, 5]).mask),
         ],
     )
     assert is_chain(chain)
@@ -238,13 +238,13 @@ def test_condition_is_compatible_with_itself():
 
 def test_incompatible_merge_returns_least_witness():
     g = GroundSet(1)
-    c1 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.full(g))])
+    c1 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.full(g).mask)])
     c2 = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 8), SetBits.full(g)),
-            (F(1, 4), SetBits.empty(g)),
-            (F(3, 4), SetBits.empty(g)),
+            (F(1, 8), SetBits.full(g).mask),
+            (F(1, 4), SetBits.empty(g).mask),
+            (F(3, 4), SetBits.empty(g).mask),
         ],
     )
     assert compatibility_witness(c1, c2) == (0, F(1, 8), F(1, 4), F(1, 2), F(3, 4))
@@ -253,11 +253,11 @@ def test_incompatible_merge_returns_least_witness():
 
 def test_merge_requires_agreement_on_shared_indices():
     g = GroundSet(2)
-    c1 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.full(g))])
-    c2 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g))])
+    c1 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.full(g).mask)])
+    c2 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g).mask)])
     with pytest.raises(InputError):
         merge_conditions(c1, c2)
-    c3 = ChainFamily.from_pairs(GroundSet(3), [(F(1, 2), SetBits.empty(GroundSet(3)))])
+    c3 = ChainFamily.from_pairs(GroundSet(3), [(F(1, 2), SetBits.empty(GroundSet(3)).mask)])
     with pytest.raises(InputError):
         merge_conditions(c1, c3)
 
@@ -272,7 +272,7 @@ def test_block_adjustments_around_a_shared_index_are_compatible():
         if len(fam) < 3:
             continue
         s = rng.randrange(1, len(fam) - 1)
-        pairs = list(fam.pairs())
+        pairs = list(zip(fam.indices, fam.masks))
         lower = ChainFamily.from_pairs(fam.ground, pairs[: s + 1])
         upper = ChainFamily.from_pairs(fam.ground, pairs[s:])
         shared = fam.indices[s]
@@ -294,8 +294,9 @@ def test_split_conditions_stay_compatible():
             continue
         adjusted, _ = adjust_family(fam)
         split = rng.randrange(1, len(fam) - 1)
-        left = ChainFamily.from_pairs(fam.ground, list(adjusted.pairs())[: split + 1])
-        right = ChainFamily.from_pairs(fam.ground, list(adjusted.pairs())[split:])
+        pairs = list(zip(adjusted.indices, adjusted.masks))
+        left = ChainFamily.from_pairs(fam.ground, pairs[: split + 1])
+        right = ChainFamily.from_pairs(fam.ground, pairs[split:])
         assert conditions_compatible(left, right)
         assert merge_conditions(left, right) == adjusted
 

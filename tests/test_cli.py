@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -464,3 +465,96 @@ def test_gap_tower_rows_may_be_unsorted_but_not_out_of_range(tmp_path, capsys):
         {"ground_size": 4, "ascending": [[2, 9, 1]], "descending": [[1]]}))
     code, out, err = run_cli(capsys, "gap", "--input", str(inst), "--budget", "3")
     assert (code, out, err) == (1, "", "input-error: element 9 outside ground range [0, 4)\n")
+
+
+# Every document kind goes through one JSON reader; an integer over Python's
+# 4300-digit conversion limit and nesting past the recursion limit are input
+# errors there, not tracebacks.
+_DOCUMENT_KINDS = {
+    "family": (("check", "--input", "{doc}"), '{"ground_size": BIG, "entries": []}'),
+    "gap": (("gap", "--input", "{doc}"),
+            '{"ground_size": 3, "ascending": [[BIG]], "descending": []}'),
+    "config": (("generate", "--config", "{doc}"),
+               '{"kind": "perturbed", "ground_size": BIG, "flips": 1, "count": 2}'),
+    "function": (("operator", "--input", "{fam}", "--function", "{doc}"),
+                 '{"values": {"1/1": BIG}}'),
+    "model": (("operator", "--input", "{fam}", "--model", "{doc}"),
+              '{"carrier": [BIG], "dense": []}'),
+}
+
+
+@pytest.mark.parametrize("payload", ["long-integer", "deep-nesting"])
+@pytest.mark.parametrize("kind", list(_DOCUMENT_KINDS))
+def test_unparsable_json_is_one_input_error_line(tmp_path, capsys, kind, payload):
+    argv, template = _DOCUMENT_KINDS[kind]
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"ground_size": 1, "entries": [{"index": "1/1", "set": [0]}]}))
+    doc = tmp_path / "doc.json"
+    if payload == "long-integer":
+        doc.write_text(template.replace("BIG", "7" * 5000))
+    else:
+        doc.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, *(a.format(doc=doc, fam=fam) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("input-error:") and "cannot be parsed" in err
+    assert err.count("\n") == 1
+
+
+def _strict_family_and_function(tmp_path, denominators):
+    """A one-element family with the strict triple (1/4, 1/2, 3/4), and f = 1/d there."""
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"ground_size": 1, "entries": [
+        {"index": "1/4", "set": [0]}, {"index": "1/2", "set": []},
+        {"index": "3/4", "set": [0]}]}))
+    f = tmp_path / "f.json"
+    values = {p: f"1/{d}" for p, d in zip(("1/4", "1/2", "3/4"), denominators)}
+    f.write_text(json.dumps({"values": values}))
+    return fam, f
+
+
+def _coprime_denominators(digits):
+    """Three pairwise coprime integers of exactly `digits` digits: n, n+1, n+2 for odd n."""
+    n = 10**digits - 3
+    return n, n + 1, n + 2
+
+
+def test_function_values_at_the_digit_cap_format(tmp_path, capsys):
+    # Ef(0) = 1/n - 1/(n+1) + 1/(n+2) has a denominator of about 3000 digits.
+    denominators = _coprime_denominators(1000)
+    fam, f = _strict_family_and_function(tmp_path, denominators)
+    code, out, err = run_cli(capsys, "operator", "--input", str(fam), "--function", str(f))
+    assert (code, err) == (0, "")
+    n, a, b = denominators
+    ef = F(1, n) - F(1, a) + F(1, b)
+    assert out.splitlines()[-1] == f"0\t{ef}"
+    assert len(str(ef.denominator)) == 3000
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (("check", "--input", "{doc}"), {"ground_size": 1, "entries": [
+            {"index": "1" * 1001 + "/3", "set": []}]}),
+        (("check", "--input", "{doc}"), {"ground_size": 1, "entries": [
+            {"index": "1/" + "3" * 1001, "set": []}]}),
+        (("generate", "--config", "{doc}"), {"kind": "marciszewski", "depth": 3,
+                                             "xs": ["0" * 14_999 + "1"]}),
+        (("generate", "--config", "{doc}"), {"kind": "marciszewski", "depth": 3,
+                                             "xs": ["1" * 1001]}),
+    ],
+    ids=["numerator", "denominator", "bit-word-15000", "bit-word-1001"],
+)
+def test_index_over_the_digit_cap_is_one_input_error_line(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *(a.format(doc=path) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("input-error:") and "1000" in err
+    assert err.count("\n") == 1
+
+
+def test_function_values_over_the_digit_cap_are_refused(tmp_path, capsys):
+    fam, f = _strict_family_and_function(tmp_path, _coprime_denominators(3000))
+    code, out, err = run_cli(capsys, "operator", "--input", str(fam), "--function", str(f))
+    assert (code, out) == (1, "")
+    assert err == "input-error: index numerator or denominator exceeds 1000 digits\n"

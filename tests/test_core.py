@@ -10,6 +10,7 @@ import pytest
 
 from chainlab.core import (
     MAX_GROUND_SIZE,
+    MAX_INDEX_DIGITS,
     ChainFamily,
     GroundSet,
     InputError,
@@ -21,9 +22,11 @@ from chainlab.core import (
     family_from_text,
     family_to_text,
     flip_count,
+    format_index,
     is_barely_alternating,
     is_chain,
     membership_trace,
+    parse_index,
     validate_almost_chain,
 )
 from chainlab.generators import BitIndex, DyadicGround, marciszewski_family
@@ -39,7 +42,7 @@ from oracles import (
 
 def test_trace_of_empty_sets_is_all_zero():
     g = GroundSet(4)
-    fam = ChainFamily.from_pairs(g, [(F(i + 1, 4), SetBits.empty(g)) for i in range(3)])
+    fam = ChainFamily.from_pairs(g, [(F(i + 1, 4), SetBits.empty(g).mask) for i in range(3)])
     for n in range(4):
         assert membership_trace(fam, n) == "000"
 
@@ -49,9 +52,9 @@ def test_trace_direct_read_off():
     fam = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [0])),
-            (F(1, 2), SetBits.empty(g)),
-            (F(3, 4), SetBits.from_elements(g, [0])),
+            (F(1, 4), SetBits.from_elements(g, [0]).mask),
+            (F(1, 2), SetBits.empty(g).mask),
+            (F(3, 4), SetBits.from_elements(g, [0]).mask),
         ],
     )
     assert membership_trace(fam, 0) == "101"
@@ -117,7 +120,7 @@ def test_chain_verdicts():
     assert is_chain(good)
     g = GroundSet(1)
     bad = ChainFamily.from_pairs(
-        g, [(F(1, 4), SetBits.from_elements(g, [0])), (F(1, 2), SetBits.empty(g))]
+        g, [(F(1, 4), SetBits.from_elements(g, [0]).mask), (F(1, 2), SetBits.empty(g).mask)]
     )
     assert chain_witness(bad) == (0, F(1, 4), F(1, 2))
 
@@ -148,16 +151,16 @@ def test_defect_examples_and_errors():
     fam = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [0, 1, 3])),
-            (F(1, 2), SetBits.from_elements(g, [1])),
+            (F(1, 4), SetBits.from_elements(g, [0, 1, 3]).mask),
+            (F(1, 2), SetBits.from_elements(g, [1]).mask),
         ],
     )
     assert defect(fam, F(1, 4), F(1, 2)).elements() == (0, 3)
     nested = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [1])),
-            (F(1, 2), SetBits.from_elements(g, [0, 1, 3])),
+            (F(1, 4), SetBits.from_elements(g, [1]).mask),
+            (F(1, 2), SetBits.from_elements(g, [0, 1, 3]).mask),
         ],
     )
     assert not defect(nested, F(1, 4), F(1, 2))
@@ -187,8 +190,8 @@ def test_validate_almost_chain():
     fam = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [0, 1, 3])),
-            (F(1, 2), SetBits.from_elements(g, [1])),
+            (F(1, 4), SetBits.from_elements(g, [0, 1, 3]).mask),
+            (F(1, 2), SetBits.from_elements(g, [1]).mask),
         ],
     )
     report = validate_almost_chain(fam, 1)
@@ -219,9 +222,9 @@ def test_chain_defect_set_examples():
     fam = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [0])),
-            (F(1, 2), SetBits.empty(g)),
-            (F(3, 4), SetBits.from_elements(g, [0, 1])),
+            (F(1, 4), SetBits.from_elements(g, [0]).mask),
+            (F(1, 2), SetBits.empty(g).mask),
+            (F(3, 4), SetBits.from_elements(g, [0, 1]).mask),
         ],
     )
     assert chain_defect_set(fam).elements() == (0,)
@@ -252,7 +255,7 @@ def test_chain_defect_set_is_minimal():
 def test_empty_and_singleton_families_are_vacuously_fine():
     g = GroundSet(3)
     empty = ChainFamily(g, (), ())
-    single = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.from_elements(g, [0, 2]))])
+    single = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.from_elements(g, [0, 2]).mask)])
     for fam in (empty, single):
         assert is_chain(fam)
         assert is_barely_alternating(fam)
@@ -269,6 +272,30 @@ def test_family_shape_is_validated():
         ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g)), (F(1, 2), SetBits.empty(g))])
     with pytest.raises(InputError):
         ChainFamily(g, (F(1, 2),), (SetBits.empty(GroundSet(4)),))
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [0b1000, -1, True, SetBits.empty(GroundSet(3))],
+    ids=["above-full-mask", "negative", "bool", "set-bits"],
+)
+def test_family_masks_must_be_int_masks_within_the_ground(mask):
+    g = GroundSet(3)
+    with pytest.raises(InputError, match="mask 1 is not an int mask over ground size 3"):
+        ChainFamily(g, (F(1, 4), F(1, 2)), (0b111, mask))
+    with pytest.raises(InputError, match="mask 0 is not an int mask"):
+        ChainFamily.from_pairs(g, [(F(1, 2), mask)])
+
+
+def test_index_digit_cap():
+    at_cap = "-" + "9" * MAX_INDEX_DIGITS + "/1" + "0" * (MAX_INDEX_DIGITS - 1)
+    assert format_index(parse_index(at_cap)) == at_cap
+    for over in ("1" * (MAX_INDEX_DIGITS + 1), "1/" + "3" * (MAX_INDEX_DIGITS + 1)):
+        with pytest.raises(InputError, match=f"exceeds {MAX_INDEX_DIGITS} digits"):
+            parse_index(over)
+    assert len(BitIndex.from_string("1" * MAX_INDEX_DIGITS).bits) == MAX_INDEX_DIGITS
+    with pytest.raises(InputError, match=f"exceeds the cap {MAX_INDEX_DIGITS}"):
+        BitIndex.from_string("1" * (MAX_INDEX_DIGITS + 1))
 
 
 def test_automaton_agrees_with_quantifier_definition():
@@ -307,7 +334,7 @@ def test_chain_implies_barely_alternating():
         fam = ChainFamily(
             g,
             tuple(F(i + 1, width + 1) for i in range(width)),
-            tuple(SetBits(g, m) for m in masks),
+            tuple(masks),
         )
         assert is_chain(fam)
         assert is_barely_alternating(fam)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainlab.adjust import adjust_family
+from chainlab.adjust import adjust_family, insert_point
 from chainlab.core import (
     ChainFamily,
     GroundSet,
@@ -53,6 +53,7 @@ from oracles import (
     brute_defect_report,
     brute_fourth_flip_witness,
     brute_harness_text,
+    brute_insert_point,
     brute_norm_witness,
     brute_triple_table_text,
     brute_triples,
@@ -71,7 +72,7 @@ def families(draw, max_ground=12, max_indices=10):
     indices = tuple(F(v, 16) for v in sorted(grid))
     masks = draw(st.lists(st.integers(0, ground.full_mask),
                           min_size=len(indices), max_size=len(indices)))
-    return ChainFamily(ground, indices, tuple(SetBits(ground, m) for m in masks))
+    return ChainFamily(ground, indices, tuple(masks))
 
 
 @st.composite
@@ -86,7 +87,7 @@ def barely_alternating_families(draw, max_ground=12, max_indices=10):
             masks[i] |= 1 << n
     ground = GroundSet(size)
     indices = tuple(F(2 * i + 1, 2 * k + 2) for i in range(k))
-    return ChainFamily(ground, indices, tuple(SetBits(ground, m) for m in masks))
+    return ChainFamily(ground, indices, tuple(masks))
 
 
 def _model(draw, dense):
@@ -186,7 +187,7 @@ def test_family_text_is_the_indent_2_json_dump(fam):
 def test_family_text_of_empty_family_and_empty_sets():
     g = GroundSet(3)
     for fam in (ChainFamily(g, (), ()),
-                ChainFamily(g, (F(-1, 2), F(1, 3)), (SetBits(g, 0), SetBits(g, 0)))):
+                ChainFamily(g, (F(-1, 2), F(1, 3)), (0, 0))):
         doc = {"ground_size": 3,
                "entries": [{"index": format_index(x), "set": []} for x in fam.indices]}
         assert family_to_text(fam) == json.dumps(doc, indent=2) + "\n"
@@ -208,7 +209,7 @@ def test_set_bits_round_trip_through_elements(size_and_mask):
 def _family(size, masks):
     ground = GroundSet(size)
     indices = tuple(F(i + 1, len(masks) + 1) for i in range(len(masks)))
-    return ChainFamily(ground, indices, tuple(SetBits(ground, m) for m in masks))
+    return ChainFamily(ground, indices, tuple(masks))
 
 
 # Edge shapes: no indices, fewer than four indices, a one-element ground.
@@ -226,6 +227,44 @@ def _with_edges(test):
     for fam in EDGE_FAMILIES:
         test = example(fam)(test)
     return test
+
+
+@st.composite
+def insertions(draw):
+    """A family, an index off its grid (odd 32nds, some beyond both ends) and a candidate."""
+    fam = draw(families())
+    x = F(2 * draw(st.integers(-70, 70)) + 1, 32)
+    return fam, x, draw(st.integers(0, fam.ground.full_mask))
+
+
+@CHECK
+@example((_family(2, []), F(1, 32), 0b10))  # empty condition: both boundaries
+@example((_family(3, [5, 6]), F(-1, 32), 0b011))  # below every index
+@example((_family(3, [5, 6]), F(33, 32), 0b011))  # above every index
+@given(insertions())
+def test_insert_point_matches_the_set_formula(insertion):
+    fam, x, mask = insertion
+    candidate = SetBits(fam.ground, mask)
+    extended, receipt = insert_point(fam, x, candidate)
+    expected, produced, delta, predecessor, successor = brute_insert_point(fam, x, candidate)
+    assert extended == expected
+    assert receipt.inserted_index == x
+    assert (receipt.produced_set, receipt.delta_from_input) == (produced, delta)
+    assert (receipt.predecessor, receipt.successor) == (predecessor, successor)
+
+
+@CHECK
+@given(families().flatmap(lambda fam: st.tuples(st.just(fam), st.permutations(fam.indices))))
+def test_adjust_family_is_iterated_insert_point(fam_and_order):
+    fam, order = fam_and_order
+    adjusted, report = adjust_family(fam, order)
+    cond = ChainFamily(fam.ground, (), ())
+    receipts = []
+    for x in order:
+        cond, receipt = insert_point(cond, x, fam.set_at(x))
+        receipts.append(receipt)
+    assert adjusted == cond
+    assert report.receipts == tuple(receipts)
 
 
 @CHECK
