@@ -12,6 +12,10 @@ The module also carries the two combinatorial tools used when comparing
 conditions: pairwise compatibility (merge and re-check) and sunflower
 extraction over finite index sets, plus the interpolant construction that
 threads a single set between an ascending and a descending tower.
+
+Sets are int masks over the condition's `GroundSet` throughout: the
+candidate of `insert_point`, the produced set and delta of its receipt,
+and the towers, interpolant and bounds of the gap construction.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import or_, sub
+from operator import or_
 
 from .core import (
     AlternationWitness,
     ChainFamily,
+    GroundSet,
     IndexValue,
     InputError,
-    SetBits,
     alternation_witness,
     iter_bits,
 )
@@ -48,14 +52,14 @@ class InsertionReceipt:
     """Record of a single insertion: what was produced and what it cost."""
 
     inserted_index: IndexValue
-    produced_set: SetBits
+    produced_set: int
     predecessor: IndexValue | None
     successor: IndexValue | None
-    delta_from_input: SetBits
+    delta_from_input: int
 
     @property
     def cost(self) -> int:
-        return len(self.delta_from_input)
+        return self.delta_from_input.bit_count()
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,9 @@ class SunflowerDecomposition:
 
 
 def insert_point(
-    fam: ChainFamily, x: IndexValue, candidate: SetBits
+    fam: ChainFamily, x: IndexValue, candidate: int
 ) -> tuple[ChainFamily, InsertionReceipt]:
-    """Insert index x into the condition `fam`, reshaping its candidate set.
+    """Insert index x into the condition `fam`, reshaping its candidate mask.
 
     The produced set is (candidate ∪ A) \\ (candidate \\ C) for the neighbour
     sets A (predecessor, empty at the left boundary) and C (successor, full
@@ -99,26 +103,24 @@ def insert_point(
     agreeing with C, elements outside it with A, so a barely alternating
     condition stays barely alternating.
     """
-    if candidate.ground != fam.ground:
-        raise InputError(
-            f"candidate ground size {candidate.ground.size} != condition ground "
-            f"size {fam.ground.size}"
-        )
+    fam.ground.check_mask(candidate, "candidate")
     pos = bisect_left(fam.indices, x)
     if pos < len(fam.indices) and not x < fam.indices[pos]:
         if fam.indices[pos] == x:
             raise InputError(f"index {x} already present")
         raise InputError(f"indices not strictly increasing at {x} >= {fam.indices[pos]}")
-    masks, c = fam.masks, candidate.mask
+    masks, c = fam.masks, candidate
     below = masks[pos - 1] if pos > 0 else 0
     above = masks[pos] if pos < len(masks) else fam.ground.full_mask
-    produced = (c | below) & ~(c & ~above)
+    # Equal to (c | below) & ~(c & ~above), but with no complement of `above`,
+    # which at the right boundary is the full ground and would cost O(N).
+    produced = (c & above) | (below & ~c)
     receipt = InsertionReceipt(
         inserted_index=x,
-        produced_set=SetBits(fam.ground, produced),
+        produced_set=produced,
         predecessor=fam.indices[pos - 1] if pos > 0 else None,
         successor=fam.indices[pos] if pos < len(fam.indices) else None,
-        delta_from_input=SetBits(fam.ground, produced ^ c),
+        delta_from_input=produced ^ c,
     )
     extended = ChainFamily._trusted(
         fam.ground,
@@ -151,7 +153,7 @@ def adjust_family(
     cond = ChainFamily(ground, (), ())
     receipts = []
     for x in order:
-        cond, receipt = insert_point(cond, x, SetBits(ground, masks[position[x]]))
+        cond, receipt = insert_point(cond, x, masks[position[x]])
         receipts.append(receipt)
     costs = [r.cost for r in receipts]
     report = AdjustmentReport(
@@ -254,9 +256,9 @@ def delta_system_extract(
 
 
 def gap_exceptions(
-    ascending: list[SetBits], descending: list[SetBits], defect_budget: int
-) -> tuple[SetBits, list[SetBits], list[SetBits]]:
-    """Thread one set W between an ascending and a descending tower.
+    ground: GroundSet, ascending: list[int], descending: list[int], defect_budget: int
+) -> tuple[int, list[int], list[int]]:
+    """Thread one set W between an ascending and a descending tower of masks.
 
     Requires |U_n \\ V_m| <= defect_budget for every pair (validated).  The
     result W = ⋃_n (U_n \\ ⋃_{m<=n} (U_n \\ V_m)) satisfies, for all valid
@@ -271,41 +273,38 @@ def gap_exceptions(
     """
     if defect_budget < 0:
         raise InputError(f"defect_budget must be non-negative, got {defect_budget}")
-    towers = list(ascending) + list(descending)
-    if not towers:
+    if not ascending and not descending:
         raise InputError("both towers are empty")
-    ground = towers[0].ground
-    for s in towers:
-        if s.ground != ground:
-            raise InputError("tower sets have mismatched grounds")
-    defects = [[u - v for v in descending] for u in ascending]
+    for key, tower in (("ascending", ascending), ("descending", descending)):
+        for i, m in enumerate(tower):
+            ground.check_mask(m, f"{key} set {i}")
+    defects = [[u & ~v for v in descending] for u in ascending]
     for n, row in enumerate(defects):
         for m, d in enumerate(row):
-            if len(d) > defect_budget:
+            if d.bit_count() > defect_budget:
                 raise InputError(
-                    f"|U_{n} \\ V_{m}| = {len(d)} exceeds budget {defect_budget}"
+                    f"|U_{n} \\ V_{m}| = {d.bit_count()} exceeds budget {defect_budget}"
                 )
-    empty = SetBits.empty(ground)
-    ascending_bounds = [reduce(or_, row[: n + 1], empty) for n, row in enumerate(defects)]
+    ascending_bounds = [reduce(or_, row[: n + 1], 0) for n, row in enumerate(defects)]
     descending_bounds = [
-        reduce(or_, (row[m] for row in defects[:m]), empty) for m in range(len(descending))
+        reduce(or_, (row[m] for row in defects[:m]), 0) for m in range(len(descending))
     ]
-    result = reduce(or_, map(sub, ascending, ascending_bounds), empty)
+    result = reduce(or_, (u & ~b for u, b in zip(ascending, ascending_bounds)), 0)
     return result, ascending_bounds, descending_bounds
 
 
 def interpolate_gap(
-    ascending: list[SetBits], descending: list[SetBits], defect_budget: int
-) -> SetBits:
-    """The set W that `gap_exceptions` threads between the two towers."""
-    return gap_exceptions(ascending, descending, defect_budget)[0]
+    ground: GroundSet, ascending: list[int], descending: list[int], defect_budget: int
+) -> int:
+    """The mask W that `gap_exceptions` threads between the two towers."""
+    return gap_exceptions(ground, ascending, descending, defect_budget)[0]
 
 
 def adjustment_report_to_text(report: AdjustmentReport) -> str:
     """One line per receipt: index, cost, changed elements ('-' when none)."""
     lines = ["# index\tcost\tdelta"]
     for r in report.receipts:
-        elems = " ".join(map(str, iter_bits(r.delta_from_input.mask))) or "-"
+        elems = " ".join(map(str, iter_bits(r.delta_from_input))) or "-"
         lines.append(
             f"{r.inserted_index.numerator}/{r.inserted_index.denominator}"
             f"\t{r.cost}\t{elems}"

@@ -137,9 +137,7 @@ def _cmd_compat(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_gap_instance(
-    text: str,
-) -> tuple[list[core.SetBits], list[core.SetBits]]:
+def _parse_gap_instance(text: str) -> tuple[core.GroundSet, list[int], list[int]]:
     doc = core.parse_json(text, "gap instance")
     expected = {"ground_size", "ascending", "descending"}
     if not isinstance(doc, dict) or set(doc) != expected:
@@ -148,40 +146,38 @@ def _parse_gap_instance(
         )
     ground = core.GroundSet(doc["ground_size"])
 
-    def tower(key: str) -> list[core.SetBits]:
+    def tower(key: str) -> list[int]:
         rows = doc[key]
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise core.InputError(f"{key} must be a list of element lists")
-        return [core.SetBits.from_elements(ground, r) for r in rows]
+        return [ground.mask_of(r) for r in rows]
 
-    return tower("ascending"), tower("descending")
+    return ground, tower("ascending"), tower("descending")
 
 
-def _exception_entries(
-    key: str, exceptions: list[core.SetBits], bounds: list[core.SetBits]
-) -> list[dict]:
+def _exception_entries(key: str, exceptions: list[int], bounds: list[int]) -> list[dict]:
     return [
         {
             "position": i,
-            key: list(exception.elements()),
-            "bound": list(bound.elements()),
-            "covered": exception.is_subset(bound),
+            key: list(core.iter_bits(e)),
+            "bound": list(core.iter_bits(b)),
+            "covered": e & ~b == 0,
         }
-        for i, (exception, bound) in enumerate(zip(exceptions, bounds))
+        for i, (e, b) in enumerate(zip(exceptions, bounds))
     ]
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    ascending, descending = _parse_gap_instance(_read_text(args.input))
-    interpolant, asc_bounds, desc_bounds = adj.gap_exceptions(
-        ascending, descending, args.budget
-    )
-    escaped = [u - interpolant for u in ascending]
-    excess = [interpolant - v for v in descending]
+    ground, ascending, descending = _parse_gap_instance(_read_text(args.input))
+    w, asc_bounds, desc_bounds = adj.gap_exceptions(ground, ascending, descending, args.budget)
     doc = {
-        "interpolant": list(interpolant.elements()),
-        "ascending_exceptions": _exception_entries("escaped", escaped, asc_bounds),
-        "descending_exceptions": _exception_entries("excess", excess, desc_bounds),
+        "interpolant": list(core.iter_bits(w)),
+        "ascending_exceptions": _exception_entries(
+            "escaped", [u & ~w for u in ascending], asc_bounds
+        ),
+        "descending_exceptions": _exception_entries(
+            "excess", [w & ~v for v in descending], desc_bounds
+        ),
     }
     _write_text(args.output, json.dumps(doc, indent=2) + "\n")
     return 0
@@ -257,7 +253,7 @@ def _sweep_cell(args: argparse.Namespace, param: int, rep: int) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # The ground and count caps are checked before any grid cell is built.
+    # The caps and the grid's floors are checked before any grid cell is built.
     if args.kind == "perturbed":
         core.GroundSet(args.ground_size)
         grid = range(args.flips + 1)
@@ -266,7 +262,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         generators.DyadicGround(args.depth)
         grid = range(3, args.depth + 1)
+    if not grid:
+        raise core.InputError("sweep needs --flips of at least 0")
     generators.check_count(args.count)
+    for flag in ("count", "reps"):
+        if getattr(args, flag) < 1:
+            raise core.InputError(f"sweep needs --{flag} of at least 1")
     rows = [_sweep_cell(args, param, rep) for param in grid for rep in range(args.reps)]
     _write_text(args.output, "\n".join([_SWEEP_HEADER, *rows]) + "\n")
     return 0

@@ -8,12 +8,14 @@ leaves again along the sorted indices), and the defect calculus that measures
 how far a family is from being a chain.
 
 All values are immutable after construction and all arithmetic is exact:
-indices are `fractions.Fraction`, sets are int bit masks (bit n = element n).
-`ChainFamily(ground, indices, masks)` holds one mask per index; its `sets`,
-`set_at` and `pairs()` build `SetBits` views of them for library callers,
-and `SetBits` is the value type of the set-valued API.  Witnesses returned by
-the checkers are lexicographically least (least ground element first, then
-least index tuple), so every verdict is reproducible byte for byte.
+indices are `fractions.Fraction`, sets are int bit masks (bit n = element n)
+everywhere, in and out of the library.  `ChainFamily(ground, indices, masks)`
+holds one mask per index, and `defect` and `chain_defect_set` return masks.
+`GroundSet.check_mask` is the one check that a mask lies in the ground;
+`mask_of` and `iter_bits` convert between element lists and masks.
+Witnesses returned by the checkers are lexicographically least (least ground
+element first, then least index tuple), so every verdict is reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -67,19 +69,17 @@ def _mask_of(size: int, elements: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """The finite ground set {0, ..., size-1}."""
+    """The finite ground set {0, ..., size-1}; its subsets are int masks."""
 
     size: int
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.size) is not int or self.size < 1:
             raise InputError(f"ground size must be a positive integer, got {self.size!r}")
         if self.size > MAX_GROUND_SIZE:
             raise InputError(f"ground size {self.size} exceeds the cap {MAX_GROUND_SIZE}")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
+        object.__setattr__(self, "full_mask", (1 << self.size) - 1)
 
     def elements(self) -> range:
         return range(self.size)
@@ -88,77 +88,17 @@ class GroundSet:
         if type(n) is not int or not 0 <= n < self.size:
             raise InputError(f"element {n!r} outside ground range [0, {self.size})")
 
+    def check_mask(self, m: int, what: str) -> None:
+        """Refuse anything but an exact int mask of elements of this ground."""
+        if type(m) is not int or m < 0 or m.bit_length() > self.size:
+            raise InputError(f"{what} is not an int mask over ground size {self.size}")
 
-@dataclass(frozen=True)
-class SetBits:
-    """A subset of a ground set, stored as a bit mask (bit n = element n)."""
-
-    ground: GroundSet
-    mask: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask <= self.ground.full_mask:
-            raise InputError(f"mask {self.mask:#x} does not fit ground of size {self.ground.size}")
-
-    @classmethod
-    def empty(cls, ground: GroundSet) -> SetBits:
-        return cls(ground, 0)
-
-    @classmethod
-    def full(cls, ground: GroundSet) -> SetBits:
-        return cls(ground, ground.full_mask)
-
-    @classmethod
-    def from_elements(cls, ground: GroundSet, elements: Iterable[int]) -> SetBits:
+    def mask_of(self, elements: Iterable[int]) -> int:
+        """The mask of the given elements, each checked against the ground."""
         elems = list(elements)
         for n in elems:
-            ground.check_element(n)
-        return cls(ground, _mask_of(ground.size, elems))
-
-    def _check_same_ground(self, other: SetBits) -> None:
-        if self.ground != other.ground:
-            raise InputError(
-                f"ground mismatch: size {self.ground.size} vs {other.ground.size}"
-            )
-
-    def __contains__(self, n: int) -> bool:
-        self.ground.check_element(n)
-        return bool(self.mask >> n & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.mask)
-
-    def __or__(self, other: SetBits) -> SetBits:
-        self._check_same_ground(other)
-        return SetBits(self.ground, self.mask | other.mask)
-
-    def __and__(self, other: SetBits) -> SetBits:
-        self._check_same_ground(other)
-        return SetBits(self.ground, self.mask & other.mask)
-
-    def __sub__(self, other: SetBits) -> SetBits:
-        self._check_same_ground(other)
-        return SetBits(self.ground, self.mask & ~other.mask)
-
-    def __xor__(self, other: SetBits) -> SetBits:
-        self._check_same_ground(other)
-        return SetBits(self.ground, self.mask ^ other.mask)
-
-    def is_subset(self, other: SetBits) -> bool:
-        self._check_same_ground(other)
-        return self.mask & ~other.mask == 0
-
-    def elements(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
-
-    def __repr__(self) -> str:
-        return f"SetBits({set(self.elements()) or '{}'} / {self.ground.size})"
+            self.check_element(n)
+        return _mask_of(self.size, elems)
 
 
 @dataclass(frozen=True)
@@ -180,10 +120,8 @@ class ChainFamily:
         for a, b in zip(self.indices, self.indices[1:]):
             if not a < b:
                 raise InputError(f"indices not strictly increasing at {a} >= {b}")
-        full = self.ground.full_mask
         for i, m in enumerate(self.masks):
-            if type(m) is not int or not 0 <= m <= full:
-                raise InputError(f"mask {i} is not an int mask over ground size {self.ground.size}")
+            self.ground.check_mask(m, f"mask {i}")
 
     @classmethod
     def _trusted(
@@ -216,17 +154,6 @@ class ChainFamily:
         if i == len(self.indices) or self.indices[i] != x:
             raise InputError(f"index {x} not in family")
         return i
-
-    @property
-    def sets(self) -> tuple[SetBits, ...]:
-        """The members as SetBits values, built on each access."""
-        return tuple(SetBits(self.ground, m) for m in self.masks)
-
-    def set_at(self, x: IndexValue) -> SetBits:
-        return SetBits(self.ground, self.masks[self.position(x)])
-
-    def pairs(self) -> Iterator[tuple[IndexValue, SetBits]]:
-        return zip(self.indices, self.sets)
 
 
 class AlternationWitness(NamedTuple):
@@ -322,11 +249,11 @@ def is_chain(family: ChainFamily) -> bool:
     return chain_witness(family) is None
 
 
-def defect(family: ChainFamily, x: IndexValue, y: IndexValue) -> SetBits:
-    """The witness set A_x \\ A_y for indices x < y of the family."""
+def defect(family: ChainFamily, x: IndexValue, y: IndexValue) -> int:
+    """The mask of the witness set A_x \\ A_y for indices x < y of the family."""
     if not x < y:
         raise InputError(f"defect requires x < y, got {x} >= {y}")
-    return family.set_at(x) - family.set_at(y)
+    return family.masks[family.position(x)] & ~family.masks[family.position(y)]
 
 
 @dataclass(frozen=True)
@@ -382,15 +309,14 @@ def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
     return DefectReport(worst, budget, family.indices, tuple(rows))
 
 
-def chain_defect_set(family: ChainFamily) -> SetBits:
-    """Least set D whose removal from every member makes the family a chain.
+def chain_defect_set(family: ChainFamily) -> int:
+    """Mask of the least set D whose removal from every member makes the family a chain.
 
     Equals the union of A_x \\ A_y over all index pairs x < y; an element
     belongs to D exactly when its trace ever goes from 1 to 0, that is, when
     it has a first exit.
     """
-    exits = reduce(or_, (exit_ for _, exit_, _, _ in membership_steps(family)), 0)
-    return SetBits(family.ground, exits)
+    return reduce(or_, (exit_ for _, exit_, _, _ in membership_steps(family)), 0)
 
 
 # --- textual family format ---------------------------------------------------
@@ -400,7 +326,7 @@ def chain_defect_set(family: ChainFamily) -> SetBits:
 # with entries sorted by index and each set listed in increasing order.  The
 # writer is canonical, so write -> parse -> write is byte-identical.
 
-_INDEX_RE = re.compile(r"^-?\d+(/\d*[1-9]\d*)?$")
+_INDEX_RE = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
 def format_index(x: IndexValue) -> str:
@@ -408,7 +334,7 @@ def format_index(x: IndexValue) -> str:
 
 
 def parse_index(text: str) -> IndexValue:
-    if not isinstance(text, str) or not _INDEX_RE.match(text):
+    if not isinstance(text, str) or not _INDEX_RE.fullmatch(text):
         raise InputError(f"malformed index {text!r}, expected 'p/q'")
     if any(len(part) > MAX_INDEX_DIGITS for part in text.lstrip("-").split("/")):
         raise InputError(f"index numerator or denominator exceeds {MAX_INDEX_DIGITS} digits")

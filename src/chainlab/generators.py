@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,16 +36,14 @@ class DyadicGround:
     """Ground set enumerating the dyadics k/2^depth inside (0, 1) in order."""
 
     depth: int
+    ground: GroundSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.depth, int) or self.depth < 1:
             raise InputError(f"depth must be a positive integer, got {self.depth!r}")
         if self.depth >= (MAX_GROUND_SIZE + 1).bit_length():
             raise InputError(f"depth {self.depth} puts the ground above the cap {MAX_GROUND_SIZE}")
-
-    @property
-    def ground(self) -> GroundSet:
-        return GroundSet((1 << self.depth) - 1)
+        object.__setattr__(self, "ground", GroundSet((1 << self.depth) - 1))
 
     def point(self, n: int) -> IndexValue:
         """Numeric value of ground element n."""

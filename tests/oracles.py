@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from chainlab.core import ChainFamily, GroundSet, SetBits
+from chainlab.core import ChainFamily, GroundSet
 
 
 def build_family(traces: list[str], indices=None) -> ChainFamily:
@@ -32,11 +32,21 @@ def build_family(traces: list[str], indices=None) -> ChainFamily:
     return ChainFamily(ground, tuple(indices), tuple(sets))
 
 
+def elements_of(mask: int) -> frozenset[int]:
+    """The elements of a non-negative mask, read one bit at a time."""
+    return frozenset(n for n in range(mask.bit_length()) if mask >> n & 1)
+
+
+def mask_from(elements) -> int:
+    """The mask of a set of elements, one bit per element."""
+    return sum(1 << n for n in elements)
+
+
 def brute_alternation_witness(family: ChainFamily):
     """Least (n, x1..x4) with the 1,0,1,0 pattern, by full quadruple scan."""
     k = len(family.indices)
     for n in family.ground.elements():
-        bits = [s.mask >> n & 1 for s in family.sets]
+        bits = [m >> n & 1 for m in family.masks]
         for i1, i2, i3, i4 in combinations(range(k), 4):
             if bits[i1] and not bits[i2] and bits[i3] and not bits[i4]:
                 return (
@@ -58,7 +68,7 @@ def brute_triples(family: ChainFamily, top):
     ys = family.indices
     triples = []
     for n in family.ground.elements():
-        member = [s.mask >> n & 1 for s in family.sets]
+        member = [m >> n & 1 for m in family.masks]
         first_in = next((i for i, m in enumerate(member) if m), None)
         if first_in is None:
             triples.append((top, top, top))
@@ -148,7 +158,7 @@ def brute_chain_witness(family: ChainFamily):
     """Least (n, x, y) with x < y and n in A_x but not A_y, by full pair scan."""
     k = len(family.indices)
     for n in family.ground.elements():
-        bits = [s.mask >> n & 1 for s in family.sets]
+        bits = [m >> n & 1 for m in family.masks]
         for i, j in combinations(range(k), 2):
             if bits[i] and not bits[j]:
                 return (n, family.indices[i], family.indices[j])
@@ -161,7 +171,7 @@ def brute_defect_report(family: ChainFamily, budget: int):
     Returns (maximum, {(x, y): size}) with the pairs in (x, y) order.
     """
     indices = family.indices
-    masks = [s.mask for s in family.sets]
+    masks = family.masks
     over = {}
     worst = 0
     for i, a in enumerate(masks):
@@ -174,10 +184,13 @@ def brute_defect_report(family: ChainFamily, budget: int):
     return worst, over
 
 
-def removal_makes_chain(family: ChainFamily, removed: SetBits) -> bool:
-    """Does deleting `removed` from every member leave an inclusion chain?"""
+def removal_makes_chain(family: ChainFamily, removed: int) -> bool:
+    """Does deleting the elements of mask `removed` from every member leave a chain?"""
+    gone = elements_of(removed)
     stripped = ChainFamily(
-        family.ground, family.indices, tuple((s - removed).mask for s in family.sets)
+        family.ground,
+        family.indices,
+        tuple(mask_from(elements_of(m) - gone) for m in family.masks),
     )
     return brute_chain_witness(stripped) is None
 
@@ -206,7 +219,7 @@ def min_chain_edit_distance(family: ChainFamily) -> int:
     total = 0
     for n in family.ground.elements():
         trace = "".join(
-            "1" if s.mask >> n & 1 else "0" for s in family.sets
+            "1" if m >> n & 1 else "0" for m in family.masks
         )
         total += min(
             sum(a != b for a, b in zip(trace, m)) for m in monotone
@@ -214,45 +227,55 @@ def min_chain_edit_distance(family: ChainFamily) -> int:
     return total
 
 
-def brute_insert_point(family: ChainFamily, x, candidate: SetBits):
-    """One-point insertion by the set formula (candidate | A) - (candidate - C).
+def brute_insert_point(family: ChainFamily, x, candidate: int):
+    """One-point insertion by the set formula (candidate ∪ A) \\ (candidate \\ C).
 
     A and C are the sets at the nearest indices below and above x, found by
     a full scan, with the empty set and the full ground at the boundaries.
-    Returns the extended family, the produced set, its difference from the
-    candidate, and the predecessor and successor indices (None when absent).
+    The algebra runs on frozensets of elements.  Returns the extended
+    family, the produced mask, its difference from the candidate, and the
+    predecessor and successor indices (None when absent).
     """
     g = family.ground
-    members = list(family.pairs())
+    members = [(y, elements_of(m)) for y, m in zip(family.indices, family.masks)]
     below = [(y, s) for y, s in members if y < x]
     above = [(y, s) for y, s in members if y > x]
-    predecessor, a = below[-1] if below else (None, SetBits.empty(g))
-    successor, c = above[0] if above else (None, SetBits.full(g))
-    produced = (candidate | a) - (candidate - c)
+    predecessor, a = below[-1] if below else (None, frozenset())
+    successor, c = above[0] if above else (None, frozenset(g.elements()))
+    cand = elements_of(candidate)
+    produced = (cand | a) - (cand - c)
     extended = ChainFamily.from_pairs(
-        g, [(y, s.mask) for y, s in below + [(x, produced)] + above]
+        g, [(y, mask_from(s)) for y, s in below + [(x, produced)] + above]
     )
-    return extended, produced, produced ^ candidate, predecessor, successor
+    return extended, mask_from(produced), mask_from(produced ^ cand), predecessor, successor
 
 
 def receipts_respect_bound(family, adjusted, report) -> bool:
     """Replay the receipts and check each change against its neighbour bound.
 
     Neighbour sets are reconstructed from earlier receipts (inserted sets are
-    never modified afterwards), so this does not consult the adjuster.
+    never modified afterwards), so this does not consult the adjuster.  The
+    set algebra runs on frozensets of elements.
     """
-    produced: dict[Fraction, SetBits] = {}
     g = family.ground
+    given = {x: elements_of(m) for x, m in zip(family.indices, family.masks)}
+    produced: dict[Fraction, frozenset[int]] = {}
     for r in report.receipts:
-        below = produced[r.predecessor] if r.predecessor is not None else SetBits.empty(g)
-        above = produced[r.successor] if r.successor is not None else SetBits.full(g)
-        original = family.set_at(r.inserted_index)
-        if r.produced_set ^ original != r.delta_from_input:
+        below = produced[r.predecessor] if r.predecessor is not None else frozenset()
+        above = (
+            produced[r.successor] if r.successor is not None else frozenset(g.elements())
+        )
+        original = given[r.inserted_index]
+        made = elements_of(r.produced_set)
+        delta = elements_of(r.delta_from_input)
+        if made ^ original != delta or r.cost != len(delta):
             return False
-        if not r.delta_from_input.is_subset((below - original) | (original - above)):
+        if not delta <= (below - original) | (original - above):
             return False
-        produced[r.inserted_index] = r.produced_set
-    return all(produced[x] == s for x, s in adjusted.pairs())
+        produced[r.inserted_index] = made
+    return all(
+        produced[x] == elements_of(m) for x, m in zip(adjusted.indices, adjusted.masks)
+    )
 
 
 def random_indices(rng: random.Random, count: int) -> tuple[Fraction, ...]:

@@ -24,7 +24,6 @@ from chainlab.adjust import adjust_family, compatibility_witness, conditions_com
 from chainlab.core import (
     ChainFamily,
     GroundSet,
-    SetBits,
     alternation_witness,
     flip_count,
     is_barely_alternating,
@@ -189,22 +188,23 @@ def test_c04_density_step_law():
             x = F(rng.randrange(1, 1 << 14), 1 << 14)
             if x in base.indices:
                 continue
-            candidate = SetBits(base.ground, rng.getrandbits(size))
+            candidate = rng.getrandbits(size)
             new_cond, receipt = insert_point(cond, x, candidate)
             calls += 1
             below = (
-                base.set_at(receipt.predecessor)
+                base.masks[base.position(receipt.predecessor)]
                 if receipt.predecessor is not None
-                else SetBits.empty(base.ground)
+                else 0
             )
             above = (
-                base.set_at(receipt.successor)
+                base.masks[base.position(receipt.successor)]
                 if receipt.successor is not None
-                else SetBits.full(base.ground)
+                else base.ground.full_mask
             )
             produced = receipt.produced_set
             for m in range(size):
-                if (m in produced) != (m in below) and (m in produced) != (m in above):
+                inside = produced >> m & 1
+                if inside != below >> m & 1 and inside != above >> m & 1:
                     violations += 1
             if not is_barely_alternating(new_cond):
                 violations += 1
@@ -234,12 +234,10 @@ def test_c05_compatibility_kernel():
             lo, a, b, hi = sorted(
                 F(v, 4096) for v in rng.sample(range(1, 4096), 4)
             )
-            elem = SetBits.from_elements(g, [n])
+            elem = g.mask_of([n])
             # merged trace at n reads 1,0,1,0 across lo < a < b < hi
-            c1 = ChainFamily.from_pairs(g, [(b, elem.mask)])
-            c2 = ChainFamily.from_pairs(
-                g, [(lo, elem.mask), (a, SetBits.empty(g).mask), (hi, SetBits.empty(g).mask)]
-            )
+            c1 = ChainFamily.from_pairs(g, [(b, elem)])
+            c2 = ChainFamily.from_pairs(g, [(lo, elem), (a, 0), (hi, 0)])
             witness = compatibility_witness(c1, c2)
             if witness is None or witness != (n, lo, a, b, hi):
                 misclassified += 1
@@ -260,23 +258,23 @@ def test_c06_gap_interpolation():
                 extra = 0
                 for _ in range(rng.randint(0, 3)):
                     extra |= 1 << rng.randrange(size)
-                ascending.append(SetBits(g, u | extra))
+                ascending.append(u | extra)
             descending = []
             v = base | rng.getrandbits(size)
             for _ in range(rng.randint(1, 8)):
                 v &= base | rng.getrandbits(size)
-                descending.append(SetBits(g, v))
-            w = interpolate_gap(ascending, descending, 3)
+                descending.append(v)
+            w = interpolate_gap(g, ascending, descending, 3)
             for n, un in enumerate(ascending):
-                bound = SetBits.empty(g)
+                bound = 0
                 for m in range(min(n + 1, len(descending))):
-                    bound |= un - descending[m]
-                assert (un - w).is_subset(bound)
+                    bound |= un & ~descending[m]
+                assert un & ~w & ~bound == 0
             for m, vm in enumerate(descending):
-                bound = SetBits.empty(g)
+                bound = 0
                 for n in range(min(m, len(ascending))):
-                    bound |= ascending[n] - vm
-                assert (w - vm).is_subset(bound)
+                    bound |= ascending[n] & ~vm
+                assert w & ~vm & ~bound == 0
 
 
 def test_c07_operator_norm():

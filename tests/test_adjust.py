@@ -25,7 +25,7 @@ from chainlab.core import (
     ChainFamily,
     GroundSet,
     InputError,
-    SetBits,
+    iter_bits,
     is_barely_alternating,
     is_chain,
 )
@@ -34,10 +34,17 @@ from chainlab.generators import DyadicGround, marciszewski_family, random_bit_in
 from oracles import brute_alternation_witness, brute_sunflower, build_family, mixed_corpus
 
 
+def _mask_at(fam, x):
+    return fam.masks[fam.position(x)]
+
+
 def _neighbour_sets(fam, receipt):
-    g = fam.ground
-    below = fam.set_at(receipt.predecessor) if receipt.predecessor is not None else SetBits.empty(g)
-    above = fam.set_at(receipt.successor) if receipt.successor is not None else SetBits.full(g)
+    below = _mask_at(fam, receipt.predecessor) if receipt.predecessor is not None else 0
+    above = (
+        _mask_at(fam, receipt.successor)
+        if receipt.successor is not None
+        else fam.ground.full_mask
+    )
     return below, above
 
 
@@ -47,10 +54,10 @@ def _neighbour_sets(fam, receipt):
 def test_insert_into_empty_condition_keeps_candidate():
     g = GroundSet(5)
     cond = ChainFamily(g, (), ())
-    candidate = SetBits.from_elements(g, [1, 3])
+    candidate = g.mask_of([1, 3])
     new_cond, receipt = insert_point(cond, F(1, 2), candidate)
     assert receipt.produced_set == candidate
-    assert not receipt.delta_from_input
+    assert receipt.delta_from_input == 0
     assert receipt.predecessor is None and receipt.successor is None
     assert new_cond.indices == (F(1, 2),)
 
@@ -60,40 +67,42 @@ def test_insert_point_frozen_example():
     cond = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [0, 1]).mask),
-            (F(3, 4), SetBits.from_elements(g, [1, 3, 4, 5, 7]).mask),
+            (F(1, 4), g.mask_of([0, 1])),
+            (F(3, 4), g.mask_of([1, 3, 4, 5, 7])),
         ],
     )
-    candidate = SetBits.from_elements(g, [1, 3, 5])
+    candidate = g.mask_of([1, 3, 5])
     new_cond, receipt = insert_point(cond, F(1, 2), candidate)
-    assert receipt.produced_set.elements() == (0, 1, 3, 5)
+    assert tuple(iter_bits(receipt.produced_set)) == (0, 1, 3, 5)
     assert receipt.predecessor == F(1, 4) and receipt.successor == F(3, 4)
     below, above = _neighbour_sets(cond, receipt)
     for m in range(8):
-        assert (m in receipt.produced_set) == (m in below) or (
-            (m in receipt.produced_set) == (m in above)
+        assert (receipt.produced_set >> m & 1) == (below >> m & 1) or (
+            (receipt.produced_set >> m & 1) == (above >> m & 1)
         )
-    assert new_cond.set_at(F(1, 2)) == receipt.produced_set
+    assert _mask_at(new_cond, F(1, 2)) == receipt.produced_set
 
 
 def test_insert_without_predecessor_intersects_with_successor():
     g = GroundSet(6)
-    above = SetBits.from_elements(g, [0, 2, 4])
-    cond = ChainFamily.from_pairs(g, [(F(3, 4), above.mask)])
-    candidate = SetBits.from_elements(g, [0, 1, 2])
+    above = g.mask_of([0, 2, 4])
+    cond = ChainFamily.from_pairs(g, [(F(3, 4), above)])
+    candidate = g.mask_of([0, 1, 2])
     _, receipt = insert_point(cond, F(1, 4), candidate)
     assert receipt.produced_set == candidate & above
 
 
 def test_insert_point_input_errors():
     g = GroundSet(3)
-    cond = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g).mask)])
+    cond = ChainFamily.from_pairs(g, [(F(1, 2), 0)])
     with pytest.raises(InputError):
-        insert_point(cond, F(1, 2), SetBits.empty(g))
-    with pytest.raises(InputError):
-        insert_point(cond, F(1, 4), SetBits.empty(GroundSet(4)))
+        insert_point(cond, F(1, 2), 0)
+    with pytest.raises(InputError, match="candidate is not an int mask over ground size 3"):
+        insert_point(cond, F(1, 4), GroundSet(4).full_mask)
+    with pytest.raises(InputError, match="candidate is not an int mask"):
+        insert_point(cond, F(1, 4), F(0))
     with pytest.raises(InputError, match="not strictly increasing at nan >= 1/2"):
-        insert_point(cond, float("nan"), SetBits.empty(g))
+        insert_point(cond, float("nan"), 0)
 
 
 def test_insert_point_agreement_and_preservation_fuzz():
@@ -107,12 +116,12 @@ def test_insert_point_agreement_and_preservation_fuzz():
         x = F(rng.randrange(1, 4096), 4096)
         if x in adjusted.indices:
             continue
-        candidate = SetBits(adjusted.ground, rng.getrandbits(size))
+        candidate = rng.getrandbits(size)
         new_cond, receipt = insert_point(cond, x, candidate)
         below, above = _neighbour_sets(cond, receipt)
         for m in range(size):
-            agrees_below = (m in receipt.produced_set) == (m in below)
-            agrees_above = (m in receipt.produced_set) == (m in above)
+            agrees_below = (receipt.produced_set >> m & 1) == (below >> m & 1)
+            agrees_above = (receipt.produced_set >> m & 1) == (above >> m & 1)
             assert agrees_below or agrees_above
         assert is_barely_alternating(new_cond)
         assert brute_alternation_witness(new_cond) is None
@@ -127,10 +136,10 @@ def test_adjust_chain_is_identity_for_any_order():
     chain = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 5), SetBits.from_elements(g, [0]).mask),
-            (F(2, 5), SetBits.from_elements(g, [0, 2]).mask),
-            (F(3, 5), SetBits.from_elements(g, [0, 2, 3]).mask),
-            (F(4, 5), SetBits.from_elements(g, [0, 1, 2, 3, 5]).mask),
+            (F(1, 5), g.mask_of([0])),
+            (F(2, 5), g.mask_of([0, 2])),
+            (F(3, 5), g.mask_of([0, 2, 3])),
+            (F(4, 5), g.mask_of([0, 1, 2, 3, 5])),
         ],
     )
     assert is_chain(chain)
@@ -147,7 +156,7 @@ def test_adjust_single_1010_trace_hand_run():
     out, report = adjust_family(fam)
     # sorted insertion keeps every set equal to {0}: the two empty candidates
     # each inherit their predecessor's element
-    assert all(s.elements() == (0,) for s in out.sets)
+    assert all(tuple(iter_bits(m)) == (0,) for m in out.masks)
     assert is_barely_alternating(out)
     assert report.total_cost == 2 and report.max_cost == 1
     assert out.indices == fam.indices
@@ -196,14 +205,15 @@ def test_receipts_obey_structural_bound():
         produced = {}
         g = fam.ground
         for r in report.receipts:
-            below = produced[r.predecessor] if r.predecessor is not None else SetBits.empty(g)
-            above = produced[r.successor] if r.successor is not None else SetBits.full(g)
-            original = fam.set_at(r.inserted_index)
+            below = produced[r.predecessor] if r.predecessor is not None else 0
+            above = produced[r.successor] if r.successor is not None else g.full_mask
+            original = _mask_at(fam, r.inserted_index)
             assert r.produced_set ^ original == r.delta_from_input
-            assert r.delta_from_input.is_subset((below - original) | (original - above))
+            bound = (below & ~original) | (original & ~above)
+            assert r.delta_from_input & ~bound == 0
             produced[r.inserted_index] = r.produced_set
-        for x, s in out.pairs():
-            assert produced[x] == s
+        for x, m in zip(out.indices, out.masks):
+            assert produced[x] == m
 
 
 def test_adjust_marciszewski_instance():
@@ -238,13 +248,13 @@ def test_condition_is_compatible_with_itself():
 
 def test_incompatible_merge_returns_least_witness():
     g = GroundSet(1)
-    c1 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.full(g).mask)])
+    c1 = ChainFamily.from_pairs(g, [(F(1, 2), g.full_mask)])
     c2 = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 8), SetBits.full(g).mask),
-            (F(1, 4), SetBits.empty(g).mask),
-            (F(3, 4), SetBits.empty(g).mask),
+            (F(1, 8), g.full_mask),
+            (F(1, 4), 0),
+            (F(3, 4), 0),
         ],
     )
     assert compatibility_witness(c1, c2) == (0, F(1, 8), F(1, 4), F(1, 2), F(3, 4))
@@ -253,11 +263,11 @@ def test_incompatible_merge_returns_least_witness():
 
 def test_merge_requires_agreement_on_shared_indices():
     g = GroundSet(2)
-    c1 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.full(g).mask)])
-    c2 = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g).mask)])
+    c1 = ChainFamily.from_pairs(g, [(F(1, 2), g.full_mask)])
+    c2 = ChainFamily.from_pairs(g, [(F(1, 2), 0)])
     with pytest.raises(InputError):
         merge_conditions(c1, c2)
-    c3 = ChainFamily.from_pairs(GroundSet(3), [(F(1, 2), SetBits.empty(GroundSet(3)).mask)])
+    c3 = ChainFamily.from_pairs(GroundSet(3), [(F(1, 2), 0)])
     with pytest.raises(InputError):
         merge_conditions(c1, c3)
 
@@ -280,7 +290,7 @@ def test_block_adjustments_around_a_shared_index_are_compatible():
         upper_order = (shared,) + upper.indices[1:]
         left, _ = adjust_family(lower, lower_order)
         right, _ = adjust_family(upper, upper_order)
-        assert left.set_at(shared) == right.set_at(shared) == fam.set_at(shared)
+        assert _mask_at(left, shared) == _mask_at(right, shared) == _mask_at(fam, shared)
         assert conditions_compatible(left, right)
         merged = merge_conditions(left, right)
         assert brute_alternation_witness(merged) is None
@@ -364,37 +374,33 @@ def test_sunflower_respects_size_groups():
 # --- gap interpolation ----------------------------------------------------------
 
 
-def _tower_sets(ground, masks):
-    return [SetBits(ground, m) for m in masks]
-
-
 def test_gap_exact_nested_towers():
     g = GroundSet(8)
-    ascending = _tower_sets(g, [0b0001, 0b0011, 0b0111])
-    descending = _tower_sets(g, [0b11111111, 0b0111_1111, 0b0011_1111])
-    w = interpolate_gap(ascending, descending, 0)
+    ascending = [0b0001, 0b0011, 0b0111]
+    descending = [0b11111111, 0b0111_1111, 0b0011_1111]
+    w = interpolate_gap(g, ascending, descending, 0)
     for u in ascending:
-        assert u.is_subset(w)
+        assert u & ~w == 0
     for v in descending:
-        assert w.is_subset(v)
+        assert w & ~v == 0
 
 
 def test_gap_single_pair_frozen():
     g = GroundSet(2)
-    u0 = SetBits.from_elements(g, [0, 1])
-    v0 = SetBits.from_elements(g, [1])
-    w = interpolate_gap([u0], [v0], 1)
-    assert w.elements() == (1,)
-    assert (u0 - w).elements() == (0,)
-    assert (u0 - w).is_subset(u0 - v0)
+    u0 = g.mask_of([0, 1])
+    v0 = g.mask_of([1])
+    w = interpolate_gap(g, [u0], [v0], 1)
+    assert tuple(iter_bits(w)) == (1,)
+    assert tuple(iter_bits(u0 & ~w)) == (0,)
+    assert (u0 & ~w) & ~(u0 & ~v0) == 0
 
 
 def test_gap_precondition_violation_names_the_pair():
     g = GroundSet(4)
-    u = SetBits.from_elements(g, [0, 1, 2])
-    v = SetBits.from_elements(g, [3])
+    u = g.mask_of([0, 1, 2])
+    v = g.mask_of([3])
     with pytest.raises(InputError, match=r"U_0 .* V_0"):
-        interpolate_gap([u], [v], 2)
+        interpolate_gap(g, [u], [v], 2)
 
 
 def test_gap_postconditions_on_fuzzed_towers():
@@ -417,31 +423,32 @@ def test_gap_postconditions_on_fuzzed_towers():
             extra = 0
             for _ in range(rng.randint(0, 2)):
                 extra |= 1 << rng.randrange(size)
-            ascending.append(SetBits(g, mask | extra))
-        descending = _tower_sets(g, down)
+            ascending.append(mask | extra)
+        descending = down
         budget = max(
-            (len(un - vm) for un in ascending for vm in descending), default=0
+            ((un & ~vm).bit_count() for un in ascending for vm in descending), default=0
         )
-        w = interpolate_gap(ascending, descending, budget)
+        w = interpolate_gap(g, ascending, descending, budget)
         for n, un in enumerate(ascending):
-            bound = SetBits.empty(g)
+            bound = 0
             for m in range(min(n + 1, len(descending))):
-                bound |= un - descending[m]
-            assert (un - w).is_subset(bound)
+                bound |= un & ~descending[m]
+            assert un & ~w & ~bound == 0
         for m, vm in enumerate(descending):
-            bound = SetBits.empty(g)
+            bound = 0
             for n in range(min(m, len(ascending))):
-                bound |= ascending[n] - vm
-            assert (w - vm).is_subset(bound)
+                bound |= ascending[n] & ~vm
+            assert w & ~vm & ~bound == 0
 
 
-def test_gap_rejects_mixed_grounds_and_empty_instance():
+def test_gap_rejects_out_of_ground_masks_and_empty_instance():
     g = GroundSet(4)
-    h = GroundSet(5)
+    with pytest.raises(InputError, match="descending set 0 is not an int mask over ground size 4"):
+        interpolate_gap(g, [0], [GroundSet(5).full_mask], 0)
+    with pytest.raises(InputError, match="ascending set 1 is not an int mask"):
+        interpolate_gap(g, [0, F(0)], [], 0)
     with pytest.raises(InputError):
-        interpolate_gap([SetBits.empty(g)], [SetBits.empty(h)], 0)
-    with pytest.raises(InputError):
-        interpolate_gap([], [], 0)
+        interpolate_gap(g, [], [], 0)
 
 
 def test_gap_exceptions_bounds_are_the_defect_unions():
@@ -449,22 +456,22 @@ def test_gap_exceptions_bounds_are_the_defect_unions():
     for _ in range(60):
         size = rng.randint(1, 16)
         g = GroundSet(size)
-        ascending = _tower_sets(g, [rng.getrandbits(size) for _ in range(rng.randint(0, 4))])
-        descending = _tower_sets(g, [rng.getrandbits(size) for _ in range(rng.randint(0, 4))])
+        ascending = [rng.getrandbits(size) for _ in range(rng.randint(0, 4))]
+        descending = [rng.getrandbits(size) for _ in range(rng.randint(0, 4))]
         if not ascending and not descending:
             continue
-        w, asc_bounds, desc_bounds = gap_exceptions(ascending, descending, size)
-        assert w == interpolate_gap(ascending, descending, size)
+        w, asc_bounds, desc_bounds = gap_exceptions(g, ascending, descending, size)
+        assert w == interpolate_gap(g, ascending, descending, size)
         assert len(asc_bounds) == len(ascending) and len(desc_bounds) == len(descending)
         for n, u in enumerate(ascending):
             expected = 0
             for v in descending[: n + 1]:
-                expected |= u.mask & ~v.mask
-            assert asc_bounds[n].mask == expected
-            assert (u - w).is_subset(asc_bounds[n])
+                expected |= u & ~v
+            assert asc_bounds[n] == expected
+            assert u & ~w & ~asc_bounds[n] == 0
         for m, v in enumerate(descending):
             expected = 0
             for u in ascending[:m]:
-                expected |= u.mask & ~v.mask
-            assert desc_bounds[m].mask == expected
-            assert (w - v).is_subset(desc_bounds[m])
+                expected |= u & ~v
+            assert desc_bounds[m] == expected
+            assert w & ~v & ~desc_bounds[m] == 0

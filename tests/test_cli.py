@@ -251,6 +251,24 @@ def test_sweep_table_shape_and_determinism(capsys):
     assert all(line.split("\t")[10] == "yes" for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("sweep", "--count", "0"), "--count of at least 1"),
+        (("sweep", "--kind", "marciszewski", "--count", "0"), "--count of at least 1"),
+        (("sweep", "--reps", "0"), "--reps of at least 1"),
+        (("sweep", "--kind", "marciszewski", "--reps", "-1"), "--reps of at least 1"),
+        (("sweep", "--flips", "-1"), "--flips of at least 0"),
+    ],
+    ids=["count-zero", "marciszewski-count-zero", "reps-zero", "marciszewski-reps-negative",
+         "flips-negative"],
+)
+def test_sweep_refuses_an_empty_grid_up_front(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"input-error: sweep needs {flag}\n"
+
+
 def test_marciszewski_sweep_runs(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--kind", "marciszewski", "--seed", "3",
@@ -285,8 +303,12 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
         b'\xff\xfe{"ground_size": 2, "entries": []}',
         b'{"ground_size": true, "entries": []}',
         b'{"ground_size": 2, "entries": [{"index": "1/2", "set": [false, true]}]}',
+        b'{"ground_size": 2, "entries": [{"index": "1/2\\n", "set": [0]}]}',
+        '{"ground_size": 2, "entries": [{"index": "\uff11/2", "set": [0]}]}'.encode(),
+        '{"ground_size": 2, "entries": [{"index": "\u0663/4", "set": [0]}]}'.encode(),
     ],
-    ids=["zero-denominator", "not-utf8", "bool-ground-size", "bool-elements"],
+    ids=["zero-denominator", "not-utf8", "bool-ground-size", "bool-elements",
+         "trailing-newline-index", "fullwidth-digit-index", "arabic-indic-digit-index"],
 )
 def test_malformed_input_is_one_input_error_line(tmp_path, capsys, raw):
     fam = tmp_path / "bad.json"

@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
+from chainlab.adjust import insert_point
 from chainlab.core import (
     MAX_GROUND_SIZE,
     MAX_INDEX_DIGITS,
     ChainFamily,
     GroundSet,
     InputError,
-    SetBits,
     alternation_witness,
     chain_defect_set,
     chain_witness,
@@ -23,6 +24,7 @@ from chainlab.core import (
     family_to_text,
     flip_count,
     format_index,
+    iter_bits,
     is_barely_alternating,
     is_chain,
     membership_trace,
@@ -42,7 +44,7 @@ from oracles import (
 
 def test_trace_of_empty_sets_is_all_zero():
     g = GroundSet(4)
-    fam = ChainFamily.from_pairs(g, [(F(i + 1, 4), SetBits.empty(g).mask) for i in range(3)])
+    fam = ChainFamily.from_pairs(g, [(F(i + 1, 4), 0) for i in range(3)])
     for n in range(4):
         assert membership_trace(fam, n) == "000"
 
@@ -52,9 +54,9 @@ def test_trace_direct_read_off():
     fam = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [0]).mask),
-            (F(1, 2), SetBits.empty(g).mask),
-            (F(3, 4), SetBits.from_elements(g, [0]).mask),
+            (F(1, 4), g.mask_of([0])),
+            (F(1, 2), 0),
+            (F(3, 4), g.mask_of([0])),
         ],
     )
     assert membership_trace(fam, 0) == "101"
@@ -79,7 +81,7 @@ def test_trace_marciszewski_depth3_frozen():
         DyadicGround(3),
     )
     assert fam.indices == (F(5, 16), F(11, 16), F(13, 16))
-    assert [s.elements() for s in fam.sets] == [(0, 1), (0, 1, 2, 4), (0, 1, 2, 4, 5)]
+    assert [tuple(iter_bits(m)) for m in fam.masks] == [(0, 1), (0, 1, 2, 4), (0, 1, 2, 4, 5)]
     assert membership_trace(fam, 1) == "111"  # ground element of 1/4
     assert membership_trace(fam, 2) == "011"  # ground element of 3/8
     assert membership_trace(fam, 3) == "000"  # ground element of 1/2
@@ -120,7 +122,7 @@ def test_chain_verdicts():
     assert is_chain(good)
     g = GroundSet(1)
     bad = ChainFamily.from_pairs(
-        g, [(F(1, 4), SetBits.from_elements(g, [0]).mask), (F(1, 2), SetBits.empty(g).mask)]
+        g, [(F(1, 4), g.mask_of([0])), (F(1, 2), 0)]
     )
     assert chain_witness(bad) == (0, F(1, 4), F(1, 2))
 
@@ -151,19 +153,19 @@ def test_defect_examples_and_errors():
     fam = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [0, 1, 3]).mask),
-            (F(1, 2), SetBits.from_elements(g, [1]).mask),
+            (F(1, 4), g.mask_of([0, 1, 3])),
+            (F(1, 2), g.mask_of([1])),
         ],
     )
-    assert defect(fam, F(1, 4), F(1, 2)).elements() == (0, 3)
+    assert tuple(iter_bits(defect(fam, F(1, 4), F(1, 2)))) == (0, 3)
     nested = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [1]).mask),
-            (F(1, 2), SetBits.from_elements(g, [0, 1, 3]).mask),
+            (F(1, 4), g.mask_of([1])),
+            (F(1, 2), g.mask_of([0, 1, 3])),
         ],
     )
-    assert not defect(nested, F(1, 4), F(1, 2))
+    assert defect(nested, F(1, 4), F(1, 2)) == 0
     with pytest.raises(InputError):
         defect(fam, F(1, 2), F(1, 4))
     with pytest.raises(InputError):
@@ -180,7 +182,7 @@ def test_defect_marciszewski_contained_in_excluded_dyadics():
     for x, y in combinations(fam.indices, 2):
         d = defect(fam, x, y)
         allowed = set(excluded_dyadics(by_value[y], 3))
-        assert all(ground.point(n) in allowed for n in d.elements())
+        assert all(ground.point(n) in allowed for n in iter_bits(d))
 
 
 def test_validate_almost_chain():
@@ -190,8 +192,8 @@ def test_validate_almost_chain():
     fam = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [0, 1, 3]).mask),
-            (F(1, 2), SetBits.from_elements(g, [1]).mask),
+            (F(1, 4), g.mask_of([0, 1, 3])),
+            (F(1, 2), g.mask_of([1])),
         ],
     )
     report = validate_almost_chain(fam, 1)
@@ -205,7 +207,7 @@ def test_validate_almost_chain():
 
 def test_defect_scan_matches_pairwise_defects():
     for fam in mixed_corpus(4242, 300, 9, 12):
-        sizes = {(x, y): len(defect(fam, x, y)) for x, y in combinations(fam.indices, 2)}
+        sizes = {(x, y): defect(fam, x, y).bit_count() for x, y in combinations(fam.indices, 2)}
         for budget in (0, 1, 2):
             report = validate_almost_chain(fam, budget)
             assert report.max_defect_size == max(sizes.values(), default=0)
@@ -215,19 +217,19 @@ def test_defect_scan_matches_pairwise_defects():
 
 def test_chain_defect_set_examples():
     chain = build_family(["0011", "0111"])
-    assert not chain_defect_set(chain)
+    assert chain_defect_set(chain) == 0
     equal = build_family(["1111", "0000"])
-    assert not chain_defect_set(equal)
+    assert chain_defect_set(equal) == 0
     g = GroundSet(2)
     fam = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 4), SetBits.from_elements(g, [0]).mask),
-            (F(1, 2), SetBits.empty(g).mask),
-            (F(3, 4), SetBits.from_elements(g, [0, 1]).mask),
+            (F(1, 4), g.mask_of([0])),
+            (F(1, 2), 0),
+            (F(3, 4), g.mask_of([0, 1])),
         ],
     )
-    assert chain_defect_set(fam).elements() == (0,)
+    assert tuple(iter_bits(chain_defect_set(fam))) == (0,)
 
 
 def test_chain_defect_set_is_minimal():
@@ -242,12 +244,12 @@ def test_chain_defect_set_is_minimal():
         fam = build_family(traces)
         d = chain_defect_set(fam)
         assert removal_makes_chain(fam, d)
-        if 0 < len(d) <= 8:
+        if 0 < d.bit_count() <= 8:
             checked += 1
-            elems = d.elements()
+            elems = tuple(iter_bits(d))
             for k in range(len(elems)):
                 for sub in combinations(elems, k):
-                    proper = SetBits.from_elements(fam.ground, sub)
+                    proper = fam.ground.mask_of(sub)
                     assert not removal_makes_chain(fam, proper)
     assert checked > 20
 
@@ -255,29 +257,29 @@ def test_chain_defect_set_is_minimal():
 def test_empty_and_singleton_families_are_vacuously_fine():
     g = GroundSet(3)
     empty = ChainFamily(g, (), ())
-    single = ChainFamily.from_pairs(g, [(F(1, 2), SetBits.from_elements(g, [0, 2]).mask)])
+    single = ChainFamily.from_pairs(g, [(F(1, 2), g.mask_of([0, 2]))])
     for fam in (empty, single):
         assert is_chain(fam)
         assert is_barely_alternating(fam)
-        assert not chain_defect_set(fam)
+        assert chain_defect_set(fam) == 0
 
 
 def test_family_shape_is_validated():
     g = GroundSet(3)
     with pytest.raises(InputError):
-        ChainFamily(g, (F(1, 2), F(1, 2)), (SetBits.empty(g), SetBits.empty(g)))
+        ChainFamily(g, (F(1, 2), F(1, 2)), (0, 0))
     with pytest.raises(InputError):
         ChainFamily(g, (F(1, 2),), ())
     with pytest.raises(InputError):
-        ChainFamily.from_pairs(g, [(F(1, 2), SetBits.empty(g)), (F(1, 2), SetBits.empty(g))])
+        ChainFamily.from_pairs(g, [(F(1, 2), 0), (F(1, 2), 0)])
     with pytest.raises(InputError):
-        ChainFamily(g, (F(1, 2),), (SetBits.empty(GroundSet(4)),))
+        ChainFamily(g, (F(1, 2),), (GroundSet(4).full_mask,))
 
 
 @pytest.mark.parametrize(
     "mask",
-    [0b1000, -1, True, SetBits.empty(GroundSet(3))],
-    ids=["above-full-mask", "negative", "bool", "set-bits"],
+    [0b1000, -1, True, F(0)],
+    ids=["above-full-mask", "negative", "bool", "fraction"],
 )
 def test_family_masks_must_be_int_masks_within_the_ground(mask):
     g = GroundSet(3)
@@ -285,6 +287,42 @@ def test_family_masks_must_be_int_masks_within_the_ground(mask):
         ChainFamily(g, (F(1, 4), F(1, 2)), (0b111, mask))
     with pytest.raises(InputError, match="mask 0 is not an int mask"):
         ChainFamily.from_pairs(g, [(F(1, 2), mask)])
+
+
+def _seconds(work) -> float:
+    start = time.perf_counter()
+    work()
+    return time.perf_counter() - start
+
+
+# At N = 2^20 one full mask has 2^20 bits, so per-set work that builds or
+# scans one (recomputing the full mask, say) costs about 0.1 ms: these runs
+# then take several times longer than the same runs over a 64-element ground.
+def test_family_mask_checks_do_not_grow_with_the_ground():
+    k = 1 << 14
+    indices = tuple(F(i) for i in range(k))
+
+    def build(size):
+        masks = tuple(range(k - 1)) + (1 << (size - 1),)
+        return _seconds(lambda: ChainFamily(GroundSet(size), indices, masks))
+
+    small, large = build(64), build(MAX_GROUND_SIZE)
+    assert large < 1.0 and large < 3 * small + 0.05
+
+
+def test_right_boundary_insertions_do_not_grow_with_the_ground():
+    def insert(size):
+        fam = ChainFamily(GroundSet(size), tuple(F(i) for i in range(8)),
+                          tuple((1 << i) - 1 for i in range(8)))
+        receipts = []
+        seconds = _seconds(lambda: receipts.extend(
+            insert_point(fam, F(8 + i), 0b1010)[1] for i in range(1 << 12)))
+        assert all(r.predecessor == F(7) and r.successor is None for r in receipts)
+        assert {r.produced_set for r in receipts} == {0b1111111 | 0b1010}
+        return seconds
+
+    small, large = insert(64), insert(MAX_GROUND_SIZE)
+    assert large < 1.0 and large < 3 * small + 0.05
 
 
 def test_index_digit_cap():
@@ -346,7 +384,7 @@ def test_defect_matches_trace_coordinates():
             d = defect(fam, x, y)
             for n in range(fam.ground.size):
                 trace = membership_trace(fam, n)
-                assert (n in d) == (trace[i] == "1" and trace[j] == "0")
+                assert bool(d >> n & 1) == (trace[i] == "1" and trace[j] == "0")
 
 
 def test_serialization_round_trip_is_bit_exact():

@@ -8,7 +8,14 @@ from itertools import combinations
 
 import pytest
 
-from chainlab.core import MAX_FAMILY_SIZE, InputError, defect, is_chain, validate_almost_chain
+from chainlab.core import (
+    MAX_FAMILY_SIZE,
+    InputError,
+    defect,
+    is_chain,
+    iter_bits,
+    validate_almost_chain,
+)
 from chainlab.generators import (
     BitIndex,
     DyadicGround,
@@ -30,13 +37,13 @@ def test_initial_segment_chain_frozen():
     fam = initial_segment_chain(
         [F(1, 8), F(3, 8), F(5, 8)], [F(1, 4), F(1, 2), F(3, 4)]
     )
-    assert [s.elements() for s in fam.sets] == [(0,), (0, 1), (0, 1, 2)]
+    assert [tuple(iter_bits(m)) for m in fam.masks] == [(0,), (0, 1), (0, 1, 2)]
     assert is_chain(fam)
 
 
 def test_initial_segment_chain_below_all_positions():
     fam = initial_segment_chain([F(1, 2), F(3, 4)], [F(1, 8), F(1, 4)])
-    assert all(not s for s in fam.sets)
+    assert all(m == 0 for m in fam.masks)
 
 
 def test_initial_segment_chain_errors():
@@ -82,7 +89,7 @@ def test_excluded_dyadics_all_zero_prefix():
     x = BitIndex.from_string("0000001")
     assert excluded_dyadics(x, 6) == ()
     fam = marciszewski_family([x], DyadicGround(6))
-    assert not fam.sets[0]  # the index sits below every ground point
+    assert fam.masks[0] == 0  # the index sits below every ground point
 
 
 def test_marciszewski_rejects_bad_indices():
@@ -115,7 +122,7 @@ def test_marciszewski_defects_sit_in_the_excluded_set():
     by_value = {x.value: x for x in xs}
     for x, y in combinations(fam.indices, 2):
         allowed = set(excluded_dyadics(by_value[y], depth))
-        for n in defect(fam, x, y).elements():
+        for n in iter_bits(defect(fam, x, y)):
             assert dg.point(n) in allowed
 
 
@@ -126,14 +133,14 @@ def test_marciszewski_matches_per_element_oracle():
     xs = random_bit_indices(rng, depth, 10)
     fam = marciszewski_family(xs, dg)
     by_value = {x.value: x for x in xs}
-    for v, s in fam.pairs():
+    for v, m in zip(fam.indices, fam.masks):
         x = by_value[v]
         banned = set(excluded_dyadics(x, depth))
         expected = tuple(
             n for n in range(dg.ground.size)
             if dg.point(n) < v and dg.point(n) not in banned
         )
-        assert s.elements() == expected
+        assert tuple(iter_bits(m)) == expected
 
 
 def test_min_edit_oracle_agrees_with_full_enumeration():
@@ -149,7 +156,7 @@ def test_min_edit_oracle_agrees_with_full_enumeration():
     for t0, t1 in product(monotone, repeat=2):
         candidate = build_family([t0, t1])
         dist = sum(
-            len(a ^ b) for a, b in zip(fam.sets, candidate.sets)
+            (a ^ b).bit_count() for a, b in zip(fam.masks, candidate.masks)
         )
         best = dist if best is None else min(best, dist)
     assert min_chain_edit_distance(fam) == best == 2
@@ -191,8 +198,8 @@ def test_perturbed_chain_is_deterministic_and_flips_exactly():
     assert one == two
     assert perturbed_chain(8, 16, cuts, 2) != one
     base = initial_segment_chain(uniform_positions(16), cuts)
-    for noisy, plain in zip(one.sets, base.sets):
-        assert len(noisy ^ plain) == 2
+    for noisy, plain in zip(one.masks, base.masks):
+        assert (noisy ^ plain).bit_count() == 2
 
 
 def test_perturbed_chain_budget_observation():
@@ -226,7 +233,7 @@ def test_sign_matrix_of_differences_is_the_initial_segment_chain():
 
 def test_sign_matrix_positive_matrix_gives_empty_sets():
     fam = from_sign_matrix([F(1, 3), F(2, 3)], [[1, 1, 1], [1, 1, 1]])
-    assert all(not s for s in fam.sets)
+    assert all(m == 0 for m in fam.masks)
 
 
 def test_sign_matrix_random_signs_judged_by_the_validator():
@@ -284,13 +291,13 @@ def test_generator_configs_round_trip():
         "X": ["1/4", "1/2", "3/4"],
     }
     fam = family_from_config(explicit)
-    assert [s.elements() for s in fam.sets] == [(0,), (0, 1), (0, 1, 2)]
+    assert [tuple(iter_bits(m)) for m in fam.masks] == [(0,), (0, 1), (0, 1, 2)]
     seeded = {"kind": "perturbed", "seed": 5, "ground_size": 12, "count": 4, "flips": 1}
     assert family_from_config(seeded) == family_from_config(dict(seeded))
     marc = {"kind": "marciszewski", "depth": 4, "xs": ["01011", "10111"]}
     assert len(family_from_config(marc)) == 2
     sign = {"kind": "sign-matrix", "Y": ["1/3", "2/3"], "rows": [["-1/2", 1], [1, 1]]}
-    assert family_from_config(sign).sets[0].elements() == (0,)
+    assert tuple(iter_bits(family_from_config(sign).masks[0])) == (0,)
 
 
 def test_generator_configs_reject_bad_shapes():

@@ -7,19 +7,23 @@ inputs.  Runs are derandomized, so every run draws the same examples.
 
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainlab.adjust import adjust_family, insert_point
+from chainlab.cli import main
 from chainlab.core import (
     ChainFamily,
     GroundSet,
     InputError,
-    SetBits,
     alternation_witness,
     chain_witness,
     family_from_text,
@@ -31,7 +35,7 @@ from chainlab.core import (
     membership_trace,
     validate_almost_chain,
 )
-from chainlab.generators import initial_segment_chain
+from chainlab.generators import GENERATOR_KINDS, initial_segment_chain
 from chainlab.lineop import (
     FunctionOnLine,
     LineModel,
@@ -151,8 +155,8 @@ def test_initial_segment_chain_matches_definition(position_grid, cut_grid):
     cuts = [F(2 * c + 1, 8) for c in sorted(cut_grid)]
     fam = initial_segment_chain(positions, cuts)
     assert fam.indices == tuple(cuts)
-    for x, s in fam.pairs():
-        assert s.mask == sum(1 << n for n, p in enumerate(positions) if p < x)
+    for x, m in zip(fam.indices, fam.masks):
+        assert m == sum(1 << n for n, p in enumerate(positions) if p < x)
 
 
 @CHECK
@@ -175,8 +179,8 @@ def test_family_text_is_the_indent_2_json_dump(fam):
         "ground_size": fam.ground.size,
         "entries": [
             {"index": format_index(x),
-             "set": [n for n in range(fam.ground.size) if s.mask >> n & 1]}
-            for x, s in fam.pairs()
+             "set": [n for n in range(fam.ground.size) if m >> n & 1]}
+            for x, m in zip(fam.indices, fam.masks)
         ],
     }
     text = family_to_text(fam)
@@ -196,14 +200,14 @@ def test_family_text_of_empty_family_and_empty_sets():
 @CHECK
 @given(st.integers(1, 300).flatmap(
     lambda size: st.tuples(st.just(size), st.integers(0, (1 << size) - 1))))
-def test_set_bits_round_trip_through_elements(size_and_mask):
+def test_mask_round_trip_through_elements(size_and_mask):
     size, mask = size_and_mask
     g = GroundSet(size)
-    s = SetBits(g, mask)
-    assert s.elements() == tuple(n for n in range(size) if mask >> n & 1)
-    assert tuple(iter_bits(mask)) == s.elements()
-    assert SetBits.from_elements(g, s.elements()) == s
-    assert SetBits.from_elements(g, reversed(s.elements() * 2)) == s
+    elements = tuple(n for n in range(size) if mask >> n & 1)
+    assert tuple(iter_bits(mask)) == elements
+    assert g.mask_of(elements) == mask
+    assert g.mask_of(reversed(elements * 2)) == mask
+    g.check_mask(mask, "mask")
 
 
 def _family(size, masks):
@@ -243,8 +247,7 @@ def insertions(draw):
 @example((_family(3, [5, 6]), F(33, 32), 0b011))  # above every index
 @given(insertions())
 def test_insert_point_matches_the_set_formula(insertion):
-    fam, x, mask = insertion
-    candidate = SetBits(fam.ground, mask)
+    fam, x, candidate = insertion
     extended, receipt = insert_point(fam, x, candidate)
     expected, produced, delta, predecessor, successor = brute_insert_point(fam, x, candidate)
     assert extended == expected
@@ -261,7 +264,7 @@ def test_adjust_family_is_iterated_insert_point(fam_and_order):
     cond = ChainFamily(fam.ground, (), ())
     receipts = []
     for x in order:
-        cond, receipt = insert_point(cond, x, fam.set_at(x))
+        cond, receipt = insert_point(cond, x, fam.masks[fam.position(x)])
         receipts.append(receipt)
     assert adjusted == cond
     assert report.receipts == tuple(receipts)
@@ -348,3 +351,145 @@ def test_fourth_flip_witness_matches_brute_force(data, fam):
     witness = fourth_flip_witness(fam, table)
     assert (None if witness is None else tuple(witness)) == brute_fourth_flip_witness(fam, table)
 
+
+
+# --- cli.main on arbitrary documents ---------------------------------------------
+
+_DOC_KEYS = ("ground_size", "entries", "index", "set", "ascending", "descending", "carrier",
+             "dense", "values", "kind", "seed", "count", "flips", "depth", "X", "xs",
+             "points", "Y", "rows")
+_CONFIG_KEYS = ("seed", "ground_size", "count", "flips", "depth", "X", "xs", "points", "Y",
+                "rows")
+# Small ints keep every valid config cheap; the large ones are over every cap.
+_INTS = st.integers(-3, 12) | st.sampled_from([2**31, 2**70, -(2**70)])
+_INDEX_TEXT = st.sampled_from(
+    ["1/2", "-1/3", "0/1", "3/4", "2/3", "1/0", "1/2\n", "\uff11/2", "0101", ""]
+) | st.text(max_size=4)
+_SCALARS = (st.none() | st.booleans() | _INTS | st.floats() | _INDEX_TEXT
+            | st.sampled_from(GENERATOR_KINDS))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_DOC_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+_ELEMENTS = st.lists(st.integers(-1, 6) | _SCALARS, max_size=4)
+_SHAPED = {
+    "family": st.fixed_dictionaries({
+        "ground_size": st.integers(-1, 6) | _JSON,
+        "entries": st.lists(
+            st.fixed_dictionaries({"index": _INDEX_TEXT, "set": _ELEMENTS | _JSON}) | _JSON,
+            max_size=4),
+    }),
+    "gap": st.fixed_dictionaries({
+        "ground_size": st.integers(-1, 6) | _JSON,
+        "ascending": st.lists(_ELEMENTS | _SCALARS, min_size=1, max_size=3) | _JSON,
+        "descending": st.lists(_ELEMENTS | _SCALARS, max_size=3) | _JSON,
+    }),
+    "config": st.fixed_dictionaries(
+        {"kind": st.sampled_from(GENERATOR_KINDS)},
+        optional={key: _JSON for key in _CONFIG_KEYS},
+    ),
+    "function": st.fixed_dictionaries(
+        {"values": st.dictionaries(_INDEX_TEXT, _SCALARS, max_size=4) | _JSON}),
+    "model": st.fixed_dictionaries({"carrier": st.lists(_INDEX_TEXT, max_size=4) | _JSON,
+                                    "dense": st.lists(_INDEX_TEXT, max_size=4) | _JSON}),
+}
+_SMALL = st.integers(-1, 8)
+_VALID_CONFIGS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("initial-chain"), "seed": _SMALL,
+                           "ground_size": _SMALL, "count": _SMALL}),
+    st.fixed_dictionaries({"kind": st.just("initial-chain"),
+                           "points": st.lists(_INDEX_TEXT, max_size=3),
+                           "X": st.lists(_INDEX_TEXT, max_size=3)}),
+    st.fixed_dictionaries({"kind": st.just("marciszewski"), "depth": _SMALL, "seed": _SMALL,
+                           "count": _SMALL}),
+    st.fixed_dictionaries({"kind": st.just("marciszewski"), "depth": _SMALL,
+                           "xs": st.lists(st.text("01", max_size=10), max_size=3)}),
+    st.fixed_dictionaries({"kind": st.just("perturbed"), "seed": _SMALL, "ground_size": _SMALL,
+                           "count": _SMALL, "flips": _SMALL}),
+    st.fixed_dictionaries({"kind": st.just("sign-matrix"), "seed": _SMALL,
+                           "ground_size": _SMALL, "count": _SMALL}),
+    st.fixed_dictionaries({"kind": st.just("sign-matrix"), "Y": st.lists(_INDEX_TEXT, max_size=2),
+                           "rows": st.lists(st.lists(_SMALL | _INDEX_TEXT, max_size=3),
+                                            max_size=2)}),
+)
+
+
+@st.composite
+def _valid_gap(draw):
+    size = draw(st.integers(1, 6))
+    towers = st.lists(st.lists(st.integers(0, size - 1), max_size=size), max_size=3)
+    return {"ground_size": size, "ascending": draw(towers), "descending": draw(towers)}
+
+
+@st.composite
+def cli_documents(draw, kind):
+    """Raw bytes per document kind, all valid but `kind`: that one is valid, shaped,
+    a JSON scalar, any JSON or not UTF-8.
+
+    The valid family is barely alternating, and the valid model and function
+    are built on its indices, so that `triples` and `operator` run to the end;
+    the valid gap instance and generator config may still break a budget or a
+    generator's own preconditions.
+    """
+    fam = draw(barely_alternating_families(max_ground=6, max_indices=6))
+    points = [format_index(x) for x in fam.indices]
+    carrier = points + ["2/1"]
+    values = draw(st.lists(st.integers(-3, 3), min_size=len(carrier), max_size=len(carrier)))
+    docs = {
+        "family": family_to_text(fam),
+        "gap": json.dumps(draw(_valid_gap())),
+        "config": json.dumps(draw(_VALID_CONFIGS)),
+        "function": json.dumps({"values": {p: f"{v}/1" for p, v in zip(carrier, values)}}),
+        "model": json.dumps({"carrier": carrier, "dense": points}),
+    }
+    docs = {k: text.encode() for k, text in docs.items()}
+    form = draw(st.sampled_from(["valid", "shaped", "scalar", "json", "bytes"]))
+    if form == "bytes":
+        docs[kind] = b"\xff" + draw(st.binary(max_size=6))
+    elif form != "valid":
+        value = {"shaped": _SHAPED[kind], "scalar": _SCALARS, "json": _JSON}[form]
+        docs[kind] = json.dumps(draw(value)).encode()
+    return docs
+
+
+@pytest.mark.parametrize("kind", ["family", "gap", "config", "function", "model"])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_main_never_raises_on_any_document(kind, data):
+    docs = data.draw(cli_documents(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {}
+        for name, raw in docs.items():
+            path[name] = str(Path(tmp, f"{name}.json"))
+            Path(path[name]).write_bytes(raw)
+        fam, out = path["family"], str(Path(tmp, "adjusted.json"))
+        runs = [
+            ("check", "--input", fam),
+            *(("adjust", "--input", fam, "--order", order, "--output", out)
+              for order in ("sorted", "given", "random")),
+            ("compat", "--input", fam, "--input", fam),
+            ("compat", "--input", fam, "--input", out),
+            ("gap", "--input", path["gap"]),
+            ("gap", "--input", path["gap"], "--budget", "6"),
+            ("triples", "--input", fam),
+            ("triples", "--input", fam, "--model", path["model"]),
+            ("operator", "--input", fam),
+            ("operator", "--input", fam, "--model", path["model"]),
+            ("operator", "--input", fam, "--function", path["function"]),
+            ("operator", "--input", fam, "--model", path["model"],
+             "--function", path["function"]),
+            ("generate", "--config", path["config"]),
+        ]
+        for argv in (argv for argv in runs if path[kind] in argv):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(list(argv))
+            err = stderr.getvalue()
+            assert code in (0, 1, 3), argv
+            if code:
+                assert err.count("\n") == 1, (argv, err)
+                assert err.startswith(("input-error:", "inconsistency:")), (argv, err)
+            else:
+                assert err == "", (argv, err)
