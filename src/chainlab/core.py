@@ -289,23 +289,23 @@ def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
 
     Over-budget pairs are reported with their defect size, in (x, y) order,
     not raised; a chain family yields max_defect_size 0.  Each row is one
-    C-level popcount pass over the later sets' complements within the ground
-    (ANDing with a negative `~m` is markedly slower).
+    C-level popcount pass over the intersections A_x & A_y, since
+    |A_x \\ A_y| = |A_x| - |A_x & A_y|: nothing wider than the sets is built.
     """
     if budget < 0:
         raise InputError(f"budget must be non-negative, got {budget}")
-    full = family.ground.full_mask
     masks = family.masks
-    outside = [full ^ m for m in masks]
     worst = 0
     rows = []
     for i, a in enumerate(masks):
-        sizes = list(map(int.bit_count, map(a.__and__, outside[i + 1:])))
-        top = max(sizes, default=0)
+        size = a.bit_count()
+        inside = list(map(int.bit_count, map(a.__and__, masks[i + 1:])))
+        top = size - min(inside, default=size)
         worst = max(worst, top)
         if top > budget:
-            flags = list(map(budget.__lt__, sizes))
-            rows.append((i, tuple(compress(count(i + 1), flags)), tuple(compress(sizes, flags))))
+            flags = list(map((size - budget).__gt__, inside))  # defect > budget
+            sizes = tuple(map(size.__sub__, compress(inside, flags)))
+            rows.append((i, tuple(compress(count(i + 1), flags)), sizes))
     return DefectReport(worst, budget, family.indices, tuple(rows))
 
 

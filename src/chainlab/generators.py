@@ -12,10 +12,9 @@ and the adjuster.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     MAX_FAMILY_SIZE,
@@ -25,6 +24,7 @@ from .core import (
     GroundSet,
     IndexValue,
     InputError,
+    iter_bits,
     parse_index,
     parse_index_list,
     parse_json,
@@ -50,11 +50,9 @@ class DyadicGround:
         self.ground.check_element(n)
         return Fraction(n + 1, 1 << self.depth)
 
-    def index_of(self, q: IndexValue) -> int:
-        scaled = q * (1 << self.depth)
-        if scaled.denominator != 1 or not 1 <= scaled.numerator < (1 << self.depth):
-            raise InputError(f"{q} is not a depth-{self.depth} dyadic in (0, 1)")
-        return scaled.numerator - 1
+
+_BITS_OF_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS_OF_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class BitIndex:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.bits or any(b not in (0, 1) for b in self.bits):
+        if not self.bits or not set(self.bits) <= {0, 1}:
             raise InputError(f"bits must be a nonempty 0/1 word, got {self.bits!r}")
         if len(self.bits) > MAX_INDEX_DIGITS:
             raise InputError(f"bit word of {len(self.bits)} bits exceeds the cap {MAX_INDEX_DIGITS}")
@@ -73,11 +71,30 @@ class BitIndex:
     def from_string(cls, word: str) -> BitIndex:
         if not isinstance(word, str) or not word or set(word) - {"0", "1"}:
             raise InputError(f"bit word must be nonempty over 0/1, got {word!r}")
-        return cls(tuple(int(c) for c in word))
+        return cls(tuple(word.encode("ascii").translate(_BITS_OF_DIGITS)))
 
     @property
     def value(self) -> IndexValue:
-        return Fraction(int("".join(map(str, self.bits)), 2), 1 << len(self.bits))
+        return Fraction(int(self.digits(), 2), 1 << len(self.bits))
+
+    def digits(self) -> bytes:
+        """The word as ASCII binary digits: int(x.digits(), 2) / 2^L is the value."""
+        return bytes(self.bits).translate(_DIGITS_OF_BITS)
+
+
+def _excluded(head: int) -> int:
+    """Mask of the excluded truncations of a word whose first `depth` bits read `head`.
+
+    Scaled by 2^depth, the truncation t before a 1-bit is `head` with that
+    bit and all below it cleared: ground point t - 1.  The one before the
+    top 1-bit is 0, outside the ground.
+    """
+    excluded = 0
+    t = head & (head - 1)
+    while t:
+        excluded |= 1 << (t - 1)
+        t &= t - 1
+    return excluded
 
 
 def excluded_dyadics(x: BitIndex, depth: int) -> tuple[IndexValue, ...]:
@@ -88,13 +105,10 @@ def excluded_dyadics(x: BitIndex, depth: int) -> tuple[IndexValue, ...]:
     below x; truncations equal to 0 fall outside the open-interval ground and
     are dropped.
     """
-    values = []
-    t = Fraction(0)
-    for n in range(depth):
-        if x.bits[n] == 1 and t > 0:
-            values.append(t)
-        t += Fraction(x.bits[n], 1 << (n + 1))
-    return tuple(values)
+    if len(x.bits) < depth:
+        raise InputError(f"bit word of length {len(x.bits)} is shorter than depth {depth}")
+    excluded = _excluded(int(x.digits()[:depth], 2))
+    return tuple(Fraction(n + 1, 1 << depth) for n in iter_bits(excluded))
 
 
 def initial_segment_chain(
@@ -102,9 +116,9 @@ def initial_segment_chain(
 ) -> ChainFamily:
     """Family A_x = {n : p_n < x} over ground positions p_n; always a chain.
 
-    The positions are sorted once; each cut's set is the previous cut's set
-    plus the elements whose positions fall between the two cuts, found by
-    bisection, so the work is one sort plus one bit per element.
+    The positions are sorted once and merged with the cuts: each cut's set
+    is the previous one plus the elements the walk passes, so the work is
+    one sort plus at most N + k order comparisons and k equality tests.
     """
     positions = tuple(points)
     ground = GroundSet(len(positions))
@@ -112,50 +126,45 @@ def initial_segment_chain(
     for a, b in zip(xs, xs[1:]):
         if not a < b:
             raise InputError(f"cut indices not strictly increasing at {a} >= {b}")
-    taken = set(positions)
-    ranked = sorted(range(len(positions)), key=positions.__getitem__)
-    ranked_points = [positions[n] for n in ranked]
+    ranked = sorted(range(ground.size), key=positions.__getitem__)
     masks = []
     mask = below = 0
     for x in xs:
-        if x in taken:
+        while below < ground.size and positions[ranked[below]] < x:
+            mask |= 1 << ranked[below]
+            below += 1
+        if below < ground.size and positions[ranked[below]] == x:
             raise InputError(f"cut index {x} coincides with a ground position")
-        stop = bisect_left(ranked_points, x, below)
-        for n in ranked[below:stop]:
-            mask |= 1 << n
-        below = stop
         masks.append(mask)
     return ChainFamily(ground, xs, tuple(masks))
 
 
-def marciszewski_family(xs: Sequence[BitIndex], ground: DyadicGround) -> ChainFamily:
+def marciszewski_family(xs: Iterable[BitIndex], ground: DyadicGround) -> ChainFamily:
     """Family A'_x = {q in ground : q < x, q not an excluded truncation of x}.
 
     Each x must carry at least `depth` bits and must not itself be a dyadic of
     depth <= `depth`, so that every comparison with a ground point is strict.
+    The words are read once, in integer arithmetic.  With its trailing zeros
+    dropped, a word names its value exactly and sorts as it does; read as the
+    integer w of L bits, the ground points below it are the first
+    `w >> (L - depth)`.  Each index becomes one Fraction at the end.
     """
     d = ground.depth
-    gset = ground.ground
-    scale = 1 << d
-    pairs: list[tuple[IndexValue, int]] = []
-    seen: set[IndexValue] = set()
+    sets: dict[bytes, int] = {}  # word without trailing zeros -> mask
     for x in xs:
-        if len(x.bits) < d:
-            raise InputError(
-                f"bit word of length {len(x.bits)} is shorter than depth {d}"
-            )
-        v = x.value
-        if (v * scale).denominator == 1:
-            raise InputError(f"{v} is a depth-{d} dyadic; comparisons would be ambiguous")
-        if v in seen:
-            raise InputError(f"duplicate index value {v}")
-        seen.add(v)
-        below = v.numerator * scale // v.denominator  # ground points strictly below x
-        mask = (1 << below) - 1
-        for t in excluded_dyadics(x, d):
-            mask &= ~(1 << ground.index_of(t))
-        pairs.append((v, mask))
-    return ChainFamily.from_pairs(gset, pairs)
+        digits = x.digits()
+        if len(digits) < d:
+            raise InputError(f"bit word of length {len(digits)} is shorter than depth {d}")
+        word = digits.rstrip(b"0")
+        if len(word) <= d:  # no 1-bit past the first d: x is on the grid
+            raise InputError(f"{x.value} is a depth-{d} dyadic; comparisons would be ambiguous")
+        if word in sets:
+            raise InputError(f"duplicate index value {x.value}")
+        head = int(word, 2) >> (len(word) - d)
+        sets[word] = ((1 << head) - 1) ^ _excluded(head)
+    words = sorted(sets)
+    indices = tuple(Fraction(int(w, 2), 1 << len(w)) for w in words)
+    return ChainFamily(ground.ground, indices, tuple(map(sets.__getitem__, words)))
 
 
 def uniform_positions(size: int) -> tuple[IndexValue, ...]:
@@ -198,10 +207,7 @@ def random_bit_indices(
     if count > (1 << (length - 1)):
         raise InputError(f"cannot draw {count} distinct words of length {length}")
     prefixes = rng.sample(range(1 << (length - 1)), count)
-    return tuple(
-        BitIndex(tuple(int(c) for c in format(2 * p + 1, f"0{length}b")))
-        for p in prefixes
-    )
+    return tuple(BitIndex.from_string(format(2 * p + 1, f"0{length}b")) for p in prefixes)
 
 
 def perturbed_chain(
@@ -236,14 +242,8 @@ def from_sign_matrix(
     if len(widths) != 1:
         raise InputError(f"matrix is ragged, row lengths {sorted(widths)}")
     ground = GroundSet(widths.pop())
-    pairs = []
-    for y, row in zip(indices, rows):
-        mask = 0
-        for n, value in enumerate(row):
-            if value < 0:
-                mask |= 1 << n
-        pairs.append((y, mask))
-    return ChainFamily.from_pairs(ground, pairs)
+    negative = (ground.mask_of(n for n, v in enumerate(row) if v < 0) for row in rows)
+    return ChainFamily.from_pairs(ground, zip(indices, negative))
 
 
 # --- generator configs --------------------------------------------------------

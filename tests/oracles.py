@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from chainlab.core import ChainFamily, GroundSet
+from chainlab.core import ChainFamily, GroundSet, InputError
 
 
 def build_family(traces: list[str], indices=None) -> ChainFamily:
@@ -225,6 +225,44 @@ def min_chain_edit_distance(family: ChainFamily) -> int:
             sum(a != b for a, b in zip(trace, m)) for m in monotone
         )
     return total
+
+
+def brute_excluded_dyadics(bits, depth: int) -> tuple[Fraction, ...]:
+    """Truncations 0.b1...bn (n < depth) before each 1-bit b(n+1), dropping 0.
+
+    A per-bit walk that adds up the truncation one Fraction at a time.
+    """
+    values = []
+    t = Fraction(0)
+    for n in range(depth):
+        if bits[n] == 1 and t > 0:
+            values.append(t)
+        t += Fraction(bits[n], 1 << (n + 1))
+    return tuple(values)
+
+
+def brute_marciszewski_family(words, depth: int) -> ChainFamily:
+    """The dyadic family of bit-word strings, with each set read off point by point.
+
+    x = 0.b1 b2 ... bL is summed bit by bit, and A'_x holds each ground point
+    (n+1)/2^depth below x that is not an excluded truncation of x.  Words are
+    refused in order: too short, on the depth grid, or a repeated value.
+    """
+    points = [Fraction(n + 1, 1 << depth) for n in range((1 << depth) - 1)]
+    sets = {}
+    for word in words:
+        bits = [int(c) for c in word]
+        x = sum((Fraction(b, 1 << (i + 1)) for i, b in enumerate(bits)), Fraction(0))
+        if len(bits) < depth:
+            raise InputError(f"bit word of length {len(bits)} is shorter than depth {depth}")
+        if (x * (1 << depth)).denominator == 1:
+            raise InputError(f"{x} is a depth-{depth} dyadic; comparisons would be ambiguous")
+        if x in sets:
+            raise InputError(f"duplicate index value {x}")
+        banned = brute_excluded_dyadics(bits, depth)
+        sets[x] = mask_from(n for n, p in enumerate(points) if p < x and p not in banned)
+    indices = tuple(sorted(sets))
+    return ChainFamily(GroundSet(len(points)), indices, tuple(sets[x] for x in indices))
 
 
 def brute_insert_point(family: ChainFamily, x, candidate: int):

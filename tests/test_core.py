@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -323,6 +324,20 @@ def test_right_boundary_insertions_do_not_grow_with_the_ground():
 
     small, large = insert(64), insert(MAX_GROUND_SIZE)
     assert large < 1.0 and large < 3 * small + 0.05
+
+
+def test_defect_scan_memory_does_not_grow_with_the_ground():
+    # The scan intersects masks and never builds a complement within the
+    # ground, so 256 empty sets over 2^20 elements need no 2^20-bit mask.
+    fam = ChainFamily(GroundSet(MAX_GROUND_SIZE), tuple(F(i) for i in range(256)), (0,) * 256)
+    tracemalloc.start()
+    try:
+        report = validate_almost_chain(fam, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.max_defect_size == 0
+    assert peak < 1 << 20
 
 
 def test_index_digit_cap():

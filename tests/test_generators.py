@@ -71,9 +71,8 @@ def test_dyadic_ground_enumeration():
     dg = DyadicGround(3)
     assert dg.ground.size == 7
     assert [dg.point(n) for n in range(7)] == [F(k, 8) for k in range(1, 8)]
-    assert dg.index_of(F(3, 8)) == 2
     with pytest.raises(InputError):
-        dg.index_of(F(1, 16))
+        dg.point(7)
     with pytest.raises(InputError):
         DyadicGround(0)
 
@@ -103,6 +102,12 @@ def test_marciszewski_rejects_bad_indices():
     x = BitIndex.from_string("011011")
     with pytest.raises(InputError):
         marciszewski_family([x, x], DyadicGround(5))  # duplicate value
+
+
+def test_marciszewski_reads_its_words_in_one_pass():
+    xs = random_bit_indices(random.Random(31), 6, 24)
+    dg = DyadicGround(6)
+    assert marciszewski_family((x for x in xs), dg) == marciszewski_family(xs, dg)
 
 
 def test_marciszewski_defects_fit_depth_budget():

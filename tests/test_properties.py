@@ -35,7 +35,14 @@ from chainlab.core import (
     membership_trace,
     validate_almost_chain,
 )
-from chainlab.generators import GENERATOR_KINDS, initial_segment_chain
+from chainlab.generators import (
+    GENERATOR_KINDS,
+    BitIndex,
+    DyadicGround,
+    excluded_dyadics,
+    initial_segment_chain,
+    marciszewski_family,
+)
 from chainlab.lineop import (
     FunctionOnLine,
     LineModel,
@@ -55,9 +62,11 @@ from oracles import (
     brute_chain_witness,
     brute_coincident_schedule,
     brute_defect_report,
+    brute_excluded_dyadics,
     brute_fourth_flip_witness,
     brute_harness_text,
     brute_insert_point,
+    brute_marciszewski_family,
     brute_norm_witness,
     brute_triple_table_text,
     brute_triples,
@@ -157,6 +166,57 @@ def test_initial_segment_chain_matches_definition(position_grid, cut_grid):
     assert fam.indices == tuple(cuts)
     for x, m in zip(fam.indices, fam.masks):
         assert m == sum(1 << n for n, p in enumerate(positions) if p < x)
+
+
+@st.composite
+def marciszewski_words(draw):
+    """A depth and bit words of length depth to depth+6, some with trailing zeros.
+
+    The drawn words have distinct values, each ending in a 1 past the first
+    `depth` bits, then zeros; one more word may be slipped in anywhere that
+    is too short, sits on the depth grid, or repeats a drawn value.
+    """
+    depth = draw(st.integers(1, 6))
+
+    def bits(low, high):
+        return st.integers(low, high).flatmap(lambda n: st.text("01", min_size=n, max_size=n))
+
+    word = st.tuples(bits(depth, depth + 5), st.integers(0, 5)).map(
+        lambda t: t[0] + "1" + "0" * min(t[1], depth + 5 - len(t[0])))
+    words = draw(st.lists(word, max_size=6, unique_by=lambda w: w.rstrip("0")))
+    flaws = [None] * 3 + ["grid"] + ["short"] * (depth > 1) + ["duplicate"] * 2 * bool(words)
+    flaw = draw(st.sampled_from(flaws))
+    if flaw == "short":
+        extra = draw(bits(1, depth - 1))
+    elif flaw == "grid":
+        extra = draw(bits(depth, depth)) + "0" * draw(st.integers(0, 6))
+    elif flaw == "duplicate":
+        extra = draw(st.sampled_from(words)) + "0" * draw(st.integers(0, 2))
+    if flaw:
+        words.insert(draw(st.integers(0, len(words))), extra)
+    return depth, words
+
+
+@CHECK
+@given(marciszewski_words())
+@example((5, ["011011", "0110110"]))
+@example((4, ["011"]))
+@example((4, ["0110"]))
+@example((5, ["01101"]))
+def test_marciszewski_family_matches_the_fraction_oracle(case):
+    depth, words = case
+    xs = [BitIndex.from_string(w) for w in words]
+    try:
+        expected = brute_marciszewski_family(words, depth)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            marciszewski_family(xs, DyadicGround(depth))
+        assert str(got.value) == str(exc)
+        return
+    fam = marciszewski_family(xs, DyadicGround(depth))
+    assert (fam.indices, fam.masks) == (expected.indices, expected.masks)
+    for x in xs:
+        assert excluded_dyadics(x, depth) == brute_excluded_dyadics(x.bits, depth)
 
 
 @CHECK
