@@ -22,15 +22,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import or_
+from typing import NamedTuple
 
 from .core import (
     AlternationWitness,
     ChainFamily,
+    Frozen,
     GroundSet,
     IndexValue,
     InputError,
@@ -47,8 +48,7 @@ class SunflowerNotFoundError(LookupError):
     """No sunflower of the requested size exists among the inputs."""
 
 
-@dataclass(frozen=True)
-class InsertionReceipt:
+class InsertionReceipt(NamedTuple):
     """Record of a single insertion: what was produced and what it cost."""
 
     inserted_index: IndexValue
@@ -62,34 +62,36 @@ class InsertionReceipt:
         return self.delta_from_input.bit_count()
 
 
-@dataclass(frozen=True)
-class AdjustmentReport:
+class AdjustmentReport(NamedTuple):
     receipts: tuple[InsertionReceipt, ...]
     total_cost: int
     max_cost: int
 
 
-@dataclass(frozen=True)
-class SunflowerDecomposition:
+class SunflowerDecomposition(Frozen):
     """Selected input sets written as a common root plus pairwise disjoint petals."""
 
-    root: tuple[IndexValue, ...]
-    petals: tuple[tuple[IndexValue, ...], ...]
-    members: tuple[int, ...]
+    __slots__ = _fields = ("root", "petals", "members")
 
-    def __post_init__(self) -> None:
-        root = frozenset(self.root)
-        sizes = {len(p) for p in self.petals}
+    def __init__(
+        self,
+        root: tuple[IndexValue, ...],
+        petals: tuple[tuple[IndexValue, ...], ...],
+        members: tuple[int, ...],
+    ) -> None:
+        root_set = frozenset(root)
+        sizes = {len(p) for p in petals}
         if len(sizes) > 1:
             raise InputError(f"petals must have equal size, got sizes {sorted(sizes)}")
         seen: set[IndexValue] = set()
-        for petal in self.petals:
+        for petal in petals:
             p = frozenset(petal)
-            if p & root:
+            if p & root_set:
                 raise InputError(f"petal {petal} meets the root")
             if p & seen:
                 raise InputError(f"petal {petal} meets another petal")
             seen |= p
+        self._fill(root, petals, members)
 
 
 def insert_point(
@@ -184,10 +186,6 @@ def conditions_compatible(c1: ChainFamily, c2: ChainFamily) -> bool:
     return compatibility_witness(c1, c2) is None
 
 
-def _as_frozensets(index_sets) -> list[frozenset[IndexValue]]:
-    return [frozenset(s) for s in index_sets]
-
-
 def _build_decomposition(
     sets: list[frozenset[IndexValue]], root: frozenset[IndexValue], members: list[int]
 ) -> SunflowerDecomposition:
@@ -211,7 +209,7 @@ def delta_system_extract(
     """
     if target_count < 2:
         raise InputError(f"target_count must be at least 2, got {target_count}")
-    sets = _as_frozensets(index_sets)
+    sets = [frozenset(s) for s in index_sets]
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(sets):
         groups.setdefault(len(s), []).append(i)

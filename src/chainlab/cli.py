@@ -116,6 +116,7 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
         family, order = core.family_with_file_order(text)
     else:
         family, order = core.family_from_text(text), None
+    del text  # the parsed family replaces the document: free it before the output is built
     if args.order == "random":
         order = list(family.indices)
         random.Random(args.seed).shuffle(order)

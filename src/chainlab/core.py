@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, count
@@ -67,19 +66,57 @@ def _mask_of(size: int, elements: Iterable[int]) -> int:
     return int(digits, 2)
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class Frozen:
+    """Base of the validated value types: immutable classes with `__slots__`.
+
+    `__init__` checks its arguments and fills the slots once, in order;
+    equality, hash, repr and pickling read `_fields`, the constructor's
+    arguments, so derived slots stay out of them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class GroundSet(Frozen):
     """The finite ground set {0, ..., size-1}; its subsets are int masks."""
 
-    size: int
-    full_mask: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("size", "full_mask")
+    _fields = ("size",)
 
-    def __post_init__(self) -> None:
-        if type(self.size) is not int or self.size < 1:
-            raise InputError(f"ground size must be a positive integer, got {self.size!r}")
-        if self.size > MAX_GROUND_SIZE:
-            raise InputError(f"ground size {self.size} exceeds the cap {MAX_GROUND_SIZE}")
-        object.__setattr__(self, "full_mask", (1 << self.size) - 1)
+    def __init__(self, size: int) -> None:
+        if type(size) is not int or size < 1:
+            raise InputError(f"ground size must be a positive integer, got {size!r}")
+        if size > MAX_GROUND_SIZE:
+            raise InputError(f"ground size {size} exceeds the cap {MAX_GROUND_SIZE}")
+        self._fill(size, (1 << size) - 1)
 
     def elements(self) -> range:
         return range(self.size)
@@ -101,8 +138,7 @@ class GroundSet:
         return _mask_of(self.size, elems)
 
 
-@dataclass(frozen=True)
-class ChainFamily:
+class ChainFamily(Frozen):
     """A finite family of sets, one mask per strictly increasing rational index.
 
     The type enforces only shape (sorted distinct indices, masks within the
@@ -110,28 +146,29 @@ class ChainFamily:
     by the explicit checkers below, never assumed.
     """
 
-    ground: GroundSet
-    indices: tuple[IndexValue, ...]
-    masks: tuple[int, ...]
+    __slots__ = _fields = ("ground", "indices", "masks")
 
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.masks):
-            raise InputError(f"{len(self.indices)} indices but {len(self.masks)} masks")
-        for a, b in zip(self.indices, self.indices[1:]):
+    def __init__(
+        self, ground: GroundSet, indices: tuple[IndexValue, ...], masks: tuple[int, ...]
+    ) -> None:
+        if len(indices) != len(masks):
+            raise InputError(f"{len(indices)} indices but {len(masks)} masks")
+        for a, b in zip(indices, indices[1:]):
             if not a < b:
                 raise InputError(f"indices not strictly increasing at {a} >= {b}")
-        for i, m in enumerate(self.masks):
-            self.ground.check_mask(m, f"mask {i}")
+        for i, m in enumerate(masks):
+            ground.check_mask(m, f"mask {i}")
+        self._fill(ground, indices, masks)
 
     @classmethod
     def _trusted(
         cls, ground: GroundSet, indices: tuple[IndexValue, ...], masks: tuple[int, ...]
     ) -> ChainFamily:
-        """Build without the shape checks; the caller guarantees them."""
-        family = object.__new__(cls)
-        object.__setattr__(family, "ground", ground)
-        object.__setattr__(family, "indices", indices)
-        object.__setattr__(family, "masks", masks)
+        """Build without the shape checks, which the caller guarantees; hot in `insert_point`."""
+        family, fill = object.__new__(cls), object.__setattr__
+        fill(family, "ground", ground)
+        fill(family, "indices", indices)
+        fill(family, "masks", masks)
         return family
 
     @classmethod
@@ -256,8 +293,7 @@ def defect(family: ChainFamily, x: IndexValue, y: IndexValue) -> int:
     return family.masks[family.position(x)] & ~family.masks[family.position(y)]
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """The largest pairwise defect of a family and the pairs over a budget.
 
     Over-budget pairs are kept as positions: (i, js, sizes) per flagged row i.
@@ -265,8 +301,8 @@ class DefectReport:
 
     max_defect_size: int
     budget: int
-    indices: tuple[IndexValue, ...] = field(repr=False)
-    flagged_rows: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] = field(repr=False)
+    indices: tuple[IndexValue, ...]
+    flagged_rows: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
     @property
     def over_budget(self) -> dict[tuple[IndexValue, IndexValue], int]:

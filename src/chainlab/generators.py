@@ -12,7 +12,6 @@ and the adjuster.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -21,9 +20,11 @@ from .core import (
     MAX_GROUND_SIZE,
     MAX_INDEX_DIGITS,
     ChainFamily,
+    Frozen,
     GroundSet,
     IndexValue,
     InputError,
+    _mask_of,
     iter_bits,
     parse_index,
     parse_index_list,
@@ -31,19 +32,18 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class DyadicGround:
+class DyadicGround(Frozen):
     """Ground set enumerating the dyadics k/2^depth inside (0, 1) in order."""
 
-    depth: int
-    ground: GroundSet = field(init=False, repr=False, compare=False)
+    __slots__ = ("depth", "ground")
+    _fields = ("depth",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.depth, int) or self.depth < 1:
-            raise InputError(f"depth must be a positive integer, got {self.depth!r}")
-        if self.depth >= (MAX_GROUND_SIZE + 1).bit_length():
-            raise InputError(f"depth {self.depth} puts the ground above the cap {MAX_GROUND_SIZE}")
-        object.__setattr__(self, "ground", GroundSet((1 << self.depth) - 1))
+    def __init__(self, depth: int) -> None:
+        if not isinstance(depth, int) or depth < 1:
+            raise InputError(f"depth must be a positive integer, got {depth!r}")
+        if depth >= (MAX_GROUND_SIZE + 1).bit_length():
+            raise InputError(f"depth {depth} puts the ground above the cap {MAX_GROUND_SIZE}")
+        self._fill(depth, GroundSet((1 << depth) - 1))
 
     def point(self, n: int) -> IndexValue:
         """Numeric value of ground element n."""
@@ -55,17 +55,18 @@ _BITS_OF_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _DIGITS_OF_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@dataclass(frozen=True)
-class BitIndex:
+class BitIndex(Frozen):
     """An index given by a finite binary expansion 0.b1 b2 ... bL."""
 
-    bits: tuple[int, ...]
+    __slots__ = _fields = ("bits",)
 
-    def __post_init__(self) -> None:
-        if not self.bits or not set(self.bits) <= {0, 1}:
-            raise InputError(f"bits must be a nonempty 0/1 word, got {self.bits!r}")
-        if len(self.bits) > MAX_INDEX_DIGITS:
-            raise InputError(f"bit word of {len(self.bits)} bits exceeds the cap {MAX_INDEX_DIGITS}")
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        # Exact ints only: the type test keeps 1.0, True and unhashables out.
+        if not bits or set(map(type, bits)) != {int} or not set(bits) <= {0, 1}:
+            raise InputError(f"bits must be a nonempty 0/1 word, got {bits!r}")
+        if len(bits) > MAX_INDEX_DIGITS:
+            raise InputError(f"bit word of {len(bits)} bits exceeds the cap {MAX_INDEX_DIGITS}")
+        self._fill(bits)
 
     @classmethod
     def from_string(cls, word: str) -> BitIndex:
@@ -119,6 +120,7 @@ def initial_segment_chain(
     The positions are sorted once and merged with the cuts: each cut's set
     is the previous one plus the elements the walk passes, so the work is
     one sort plus at most N + k order comparisons and k equality tests.
+    The passed elements are OR-ed in as one mask, built over their span.
     """
     positions = tuple(points)
     ground = GroundSet(len(positions))
@@ -130,11 +132,15 @@ def initial_segment_chain(
     masks = []
     mask = below = 0
     for x in xs:
+        start = below
         while below < ground.size and positions[ranked[below]] < x:
-            mask |= 1 << ranked[below]
             below += 1
         if below < ground.size and positions[ranked[below]] == x:
             raise InputError(f"cut index {x} coincides with a ground position")
+        if below > start:
+            passed = ranked[start:below]
+            low = min(passed)
+            mask |= _mask_of(max(passed) - low + 1, [n - low for n in passed]) << low
         masks.append(mask)
     return ChainFamily(ground, xs, tuple(masks))
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     ChainFamily,
+    Frozen,
     IndexValue,
     InputError,
     alternation_witness,
@@ -48,29 +48,29 @@ class FourthFlipWitness(NamedTuple):
     y: IndexValue
 
 
-@dataclass(frozen=True)
-class LineModel:
+class LineModel(Frozen):
     """Finite strictly increasing carrier with a chosen dense index subset."""
 
-    carrier: tuple[IndexValue, ...]
-    dense_points: tuple[IndexValue, ...]
-    dense_ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("carrier", "dense_points", "dense_ranks")
+    _fields = ("carrier", "dense_points")
 
-    def __post_init__(self) -> None:
-        if not self.carrier:
+    def __init__(
+        self, carrier: tuple[IndexValue, ...], dense_points: tuple[IndexValue, ...]
+    ) -> None:
+        if not carrier:
             raise InputError("carrier must be nonempty")
-        for a, b in zip(self.carrier, self.carrier[1:]):
+        for a, b in zip(carrier, carrier[1:]):
             if not a < b:
                 raise InputError(f"carrier not strictly increasing at {a} >= {b}")
-        rank = {p: r for r, p in enumerate(self.carrier)}
-        for a, b in zip(self.dense_points, self.dense_points[1:]):
+        rank = {p: r for r, p in enumerate(carrier)}
+        for a, b in zip(dense_points, dense_points[1:]):
             if not a < b:
                 raise InputError(f"dense points not strictly increasing at {a} >= {b}")
-        ranks = tuple(rank.get(y, -1) for y in self.dense_points)
-        missing = [y for y, r in zip(self.dense_points, ranks) if r < 0]
+        ranks = tuple(rank.get(y, -1) for y in dense_points)
+        missing = [y for y, r in zip(dense_points, ranks) if r < 0]
         if missing:
             raise InputError(f"dense points {missing} not in the carrier")
-        object.__setattr__(self, "dense_ranks", ranks)
+        self._fill(carrier, dense_points, ranks)
 
     @classmethod
     def from_dense(cls, dense_points: Sequence[IndexValue]) -> LineModel:
@@ -83,19 +83,20 @@ class LineModel:
         return self.carrier[-1]
 
 
-@dataclass(frozen=True)
-class TripleTable:
+class TripleTable(Frozen):
     """Per ground element n, the ranks of x0_n <= x1_n <= x2_n in the carrier `points`."""
 
-    points: tuple[IndexValue, ...]
-    ranks: tuple[tuple[int, int, int], ...]
+    __slots__ = _fields = ("points", "ranks")
 
-    def __post_init__(self) -> None:
-        size = len(self.points)
-        for n, t in enumerate(self.ranks):
+    def __init__(
+        self, points: tuple[IndexValue, ...], ranks: tuple[tuple[int, int, int], ...]
+    ) -> None:
+        size = len(points)
+        for n, t in enumerate(ranks):
             if not 0 <= t[0] <= t[1] <= t[2] < size:
-                xs = ", ".join(str(self.points[r]) if 0 <= r < size else "off carrier" for r in t)
+                xs = ", ".join(str(points[r]) if 0 <= r < size else "off carrier" for r in t)
                 raise InputError(f"triple at n={n} not ordered: {xs}")
+        self._fill(points, ranks)
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -112,8 +113,7 @@ class TripleTable:
         return f.value_at(x0) - f.value_at(x1) + f.value_at(x2)
 
 
-@dataclass(frozen=True)
-class FunctionOnLine:
+class FunctionOnLine(NamedTuple):
     """Rational-valued function given pointwise on carrier points."""
 
     values: Mapping[IndexValue, Fraction]
@@ -128,8 +128,7 @@ class FunctionOnLine:
         return max((abs(v) for v in self.values.values()), default=Fraction(0))
 
 
-@dataclass(frozen=True)
-class ExtendedFunction:
+class ExtendedFunction(NamedTuple):
     """A function on the carrier together with its values on the ground."""
 
     on_carrier: FunctionOnLine
@@ -266,8 +265,7 @@ class HarnessStep(NamedTuple):
     operator_value: Fraction
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(NamedTuple):
     """Trajectory of operator values along a schedule, with its limit verdict."""
 
     steps: tuple[HarnessStep, ...]
