@@ -25,7 +25,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -52,9 +52,21 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 def iter_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of a non-negative mask, in increasing order.
 
-    One C-level pass over the binary digits, with no per-bit shifts.
+    A sparse mask is walked low bit by low bit; any other takes one C-level
+    pass over its binary digits.  Each low-bit step costs full-width int
+    operations, so the walk wins only under one set bit per 64 digits and
+    under 256 set bits in all.
     """
+    if mask.bit_count() * 64 < min(mask.bit_length(), 1 << 14):
+        return _low_bits(mask)
     return compress(count(), bin(mask)[:1:-1].encode("ascii").translate(_BIT_FLAGS))
+
+
+def _low_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _mask_of(size: int, elements: Iterable[int]) -> int:
@@ -324,13 +336,27 @@ def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
     """Measure every pairwise defect |A_x \\ A_y| (x < y) against a budget.
 
     Over-budget pairs are reported with their defect size, in (x, y) order,
-    not raised; a chain family yields max_defect_size 0.  Each row is one
-    C-level popcount pass over the intersections A_x & A_y, since
-    |A_x \\ A_y| = |A_x| - |A_x & A_y|: nothing wider than the sets is built.
+    not raised; a chain family yields max_defect_size 0.  Both row engines
+    count the intersections, since |A_x \\ A_y| = |A_x| - |A_x & A_y|:
+    `_scan_rows` popcounts each pair, and `_counter_rows` keeps all of a
+    row's counts in vertical counters, updated by the toggles between
+    neighbouring sets.  The counters win when the toggles
+    T = sum |A_i ^ A_(i-1)| are few for k sets of up to 2^B - 1 elements:
+    when 2 (12 T + k B) < k^2 / 2, against the k^2 / 2 pairs of the scan.
     """
     if budget < 0:
         raise InputError(f"budget must be non-negative, got {budget}")
     masks = family.masks
+    k = len(masks)
+    toggles = sum(map(int.bit_count, map(int.__xor__, (0, *masks), masks)))
+    width = max(map(int.bit_count, masks), default=0).bit_length()
+    rows_of = _counter_rows if 4 * (12 * toggles + k * width) < k * k else _scan_rows
+    worst, rows = rows_of(masks, budget)
+    return DefectReport(worst, budget, family.indices, tuple(rows))
+
+
+def _scan_rows(masks: tuple[int, ...], budget: int) -> tuple[int, list]:
+    """Largest defect and flagged rows, one C-level popcount pass per row."""
     worst = 0
     rows = []
     for i, a in enumerate(masks):
@@ -342,7 +368,66 @@ def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
             flags = list(map((size - budget).__gt__, inside))  # defect > budget
             sizes = tuple(map(size.__sub__, compress(inside, flags)))
             rows.append((i, tuple(compress(count(i + 1), flags)), sizes))
-    return DefectReport(worst, budget, family.indices, tuple(rows))
+    return worst, rows
+
+
+def _counter_rows(masks: tuple[int, ...], budget: int) -> tuple[int, list]:
+    """Largest defect and flagged rows from vertical counters over the columns j.
+
+    Bit j of planes[b] is bit b of |A_i & A_j|.  Row i comes from row i-1 by
+    subtracting the column (bit j set when n is in A_j) of each n that
+    leaves and adding that of each n that enters; no count, even midway,
+    exceeds |A_j|, so B bits hold it.  Only elements that toggle get a column.
+    """
+    everything = (1 << len(masks)) - 1
+    columns: dict[int, int] = {}
+    for i, change in enumerate(map(int.__xor__, (0, *masks), masks)):
+        for n in iter_bits(change):
+            columns[n] = columns.get(n, 0) ^ (everything >> i << i)
+    planes = [0] * max(map(int.bit_count, masks), default=0).bit_length()
+    worst = 0
+    rows = []
+    for i, (prev, a) in enumerate(zip((0, *masks), masks)):
+        for n in iter_bits(prev & ~a):
+            _ripple(planes, columns[n], 0)
+        for n in iter_bits(a & ~prev):
+            _ripple(planes, columns[n], everything)
+        size = a.bit_count()
+        later = everything >> (i + 1) << (i + 1)
+        least, group = _least_count(planes, later)
+        worst = max(worst, size - least)
+        flagged = []
+        while later and size - least > budget:
+            flagged += zip(iter_bits(group), repeat(size - least))
+            later ^= group
+            least, group = _least_count(planes, later)
+        if flagged:
+            flagged.sort()
+            js, sizes = zip(*flagged)
+            rows.append((i, js, sizes))
+    return worst, rows
+
+
+def _ripple(planes: list[int], column: int, flip: int) -> None:
+    """Add (flip all ones) or subtract (flip 0) a 0/1 column, stopping with the carry."""
+    for b, p in enumerate(planes):
+        p ^= column
+        planes[b] = p
+        column &= p ^ flip  # the carry, or borrow, out of plane b
+        if not column:
+            return
+
+
+def _least_count(planes: list[int], columns: int) -> tuple[int, int]:
+    """The least count among the columns and those that reach it, top plane down."""
+    least = 0
+    for b in reversed(range(len(planes))):
+        zeros = columns & ~planes[b]
+        if zeros:
+            columns = zeros
+        else:
+            least |= 1 << b
+    return least, columns
 
 
 def chain_defect_set(family: ChainFamily) -> int:

@@ -39,7 +39,7 @@ class DyadicGround(Frozen):
     _fields = ("depth",)
 
     def __init__(self, depth: int) -> None:
-        if not isinstance(depth, int) or depth < 1:
+        if type(depth) is not int or depth < 1:
             raise InputError(f"depth must be a positive integer, got {depth!r}")
         if depth >= (MAX_GROUND_SIZE + 1).bit_length():
             raise InputError(f"depth {depth} puts the ground above the cap {MAX_GROUND_SIZE}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -301,8 +302,11 @@ def continuity_harness(
         if seq != sorted(seq) and seq != sorted(seq, reverse=True):
             raise InputError(f"schedule triples not monotone in coordinate {coord}")
     at = table.points.__getitem__
+    # f is read once per rank, in step order, so the first undefined point
+    # named is the one a step-by-step signed sum would meet first.
+    value = {r: f.value_at(at(r)) for r in dict.fromkeys(chain.from_iterable(ranks))}
     steps = tuple(
-        HarnessStep(stage, n, tuple(map(at, t)), table.signed_sum(f, n))
+        HarnessStep(stage, n, tuple(map(at, t)), value[t[0]] - value[t[1]] + value[t[2]])
         for (n, stage), t in zip(schedule, ranks)
     )
     final = steps[-1]

@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from chainlab import core
 from chainlab.adjust import insert_point
 from chainlab.core import (
     MAX_GROUND_SIZE,
@@ -32,7 +33,7 @@ from chainlab.core import (
     parse_index,
     validate_almost_chain,
 )
-from chainlab.generators import BitIndex, DyadicGround, marciszewski_family
+from chainlab.generators import BitIndex, DyadicGround, family_from_config, marciszewski_family
 
 from oracles import (
     brute_alternation_witness,
@@ -338,6 +339,41 @@ def test_defect_scan_memory_does_not_grow_with_the_ground():
         tracemalloc.stop()
     assert report.ok and report.max_defect_size == 0
     assert peak < 1 << 20
+
+
+def test_counter_engine_memory_does_not_grow_with_the_ground():
+    # Columns exist only for the three toggling elements, one of them at the
+    # top of a 2^20 ground; planes and columns are k bits wide, not N.
+    top = 1 << (MAX_GROUND_SIZE - 1)
+    start, entered, left = top, top | 0b101, top | 0b1
+    masks = (start,) * 1000 + (entered,) * 20 + (left,) * 4
+    tracemalloc.start()
+    try:
+        worst, rows = core._counter_rows(masks, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Only element 2 ever leaves: each set holding it misses it in every later set without it.
+    assert worst == 1
+    assert rows == [(i, (1020, 1021, 1022, 1023), (1, 1, 1, 1)) for i in range(1000, 1020)]
+    assert peak < 1 << 20
+
+
+def test_engine_rule_follows_the_toggles(monkeypatch):
+    picked = []
+    for name in ("_scan_rows", "_counter_rows"):
+        def spy(masks, budget, name=name, engine=getattr(core, name)):
+            picked.append(name)
+            return engine(masks, budget)
+        monkeypatch.setattr(core, name, spy)
+    near = family_from_config(
+        {"kind": "perturbed", "seed": 1, "ground_size": 256, "count": 1000, "flips": 2})
+    rng = random.Random(11)
+    scattered = ChainFamily(near.ground, near.indices,
+                            tuple(rng.getrandbits(256) for _ in near.masks))
+    assert validate_almost_chain(near, 256).ok
+    assert validate_almost_chain(scattered, 256).ok
+    assert picked == ["_counter_rows", "_scan_rows"]
 
 
 def test_index_digit_cap():

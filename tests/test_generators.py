@@ -93,6 +93,8 @@ def test_dyadic_ground_enumeration():
         dg.point(7)
     with pytest.raises(InputError):
         DyadicGround(0)
+    with pytest.raises(InputError):
+        DyadicGround(True)  # a bool is not an exact int depth
 
 
 def test_excluded_dyadics_frozen_example():

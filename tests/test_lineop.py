@@ -287,6 +287,33 @@ def test_harness_flags_strict_final_triple():
         continuity_harness(fam, MODEL3, [(0, 0)], f)
 
 
+class _CountingValues(dict):
+    """Function values that count their lookups."""
+
+    reads = 0
+
+    def __getitem__(self, p):
+        self.reads += 1
+        return super().__getitem__(p)
+
+
+def test_harness_reads_f_once_per_point():
+    fam = _family3("011")  # triple (1/2, 1, 1) at every step
+    values = _CountingValues({p: 3 * p for p in MODEL3.carrier})
+    report = continuity_harness(fam, MODEL3, [(0, 0), (0, 1), (0, 2)], FunctionOnLine(values))
+    assert [step.operator_value for step in report.steps] == [F(3, 2)] * 3
+    assert values.reads == 3  # 1/2 and 1 for the steps, then f(z) at z = 1/2
+
+
+def test_harness_names_the_first_undefined_point_in_step_order():
+    # Step order reads 1/2, then 1 (x1 of the first step) before 3/4 (x0 of
+    # the second step), so 1 is the point reported.
+    fam = _family3("011", "001")
+    f = FunctionOnLine({F(1, 2): F(1)})
+    with pytest.raises(InputError, match="carrier point 1$"):
+        continuity_harness(fam, MODEL3, [(0, 0), (1, 1)], f)
+
+
 def test_coincident_schedules_from_adjusted_families_never_flag():
     rng = random.Random(43)
     runs = 0

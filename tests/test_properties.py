@@ -18,9 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainlab import core
 from chainlab.adjust import adjust_family, insert_point
 from chainlab.cli import main
 from chainlab.core import (
+    MAX_GROUND_SIZE,
     ChainFamily,
     GroundSet,
     InputError,
@@ -375,6 +377,19 @@ def test_membership_steps_hold_the_leftmost_1010_positions(fam):
             assert at == expected[event:event + 1]
 
 
+@st.composite
+def near_chains(draw, max_ground=40, max_indices=64):
+    """A drawn first set, then up to three toggled elements per step."""
+    size = draw(st.integers(1, max_ground))
+    mask = draw(st.integers(0, (1 << size) - 1))
+    masks = []
+    for _ in range(draw(st.integers(0, max_indices))):
+        for n in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+            mask ^= 1 << n
+        masks.append(mask)
+    return _family(size, masks)
+
+
 # Budgets 0, 1 and 2 flag some pairs of a row and not others; a budget of
 # N (the ground size) flags none.
 @pytest.mark.parametrize("budget_of", [lambda n: 0, lambda n: 1, lambda n: 2, lambda n: n],
@@ -382,7 +397,7 @@ def test_membership_steps_hold_the_leftmost_1010_positions(fam):
 @CHECK
 @_with_edges
 @example(_family(2, [3]))
-@given(families())
+@given(st.one_of(families(), near_chains()))
 def test_defect_scan_matches_brute_force(budget_of, fam):
     budget = budget_of(fam.ground.size)
     worst, over = brute_defect_report(fam, budget)
@@ -391,6 +406,38 @@ def test_defect_scan_matches_brute_force(budget_of, fam):
     assert list(report.over_budget.items()) == list(over.items())
     assert report.flagged_pairs == tuple(over)
     assert report.ok == (not over)
+    # Both row engines, whichever the rule picks, give the checked rows.
+    for rows_of in (core._scan_rows, core._counter_rows):
+        assert rows_of(fam.masks, budget) == (worst, list(report.flagged_rows))
+
+
+def _bin_bits(mask):
+    """Set bits read off the binary digits."""
+    return [n for n, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
+
+
+@st.composite
+def threshold_masks(draw):
+    """A top bit and some lower bits, with the count near one bit per 64 digits."""
+    ones = draw(st.integers(1, 8))
+    length = 64 * ones + draw(st.integers(-1, 1))
+    below = draw(st.sets(st.integers(0, length - 2), min_size=ones - 1, max_size=ones - 1))
+    return (1 << (length - 1)) | sum(1 << n for n in below)
+
+
+@CHECK
+@example(0)
+@example(1 << (MAX_GROUND_SIZE - 1))
+@example(sum(1 << (64 * n) for n in range(254)) | 1 << 16383)  # 255 bits: low-bit walk
+@example(sum(1 << (64 * n) for n in range(254)) | 1 << 16383 | 2)  # 256 bits: binary digits
+@given(st.one_of(
+    st.integers(0, 12).map(lambda s: (1 << (1 << s)) - 1),  # dense
+    st.integers(0, 1 << 512),  # random
+    st.lists(st.integers(0, 4095), max_size=6).map(lambda ns: sum({1 << n for n in ns})),
+    threshold_masks(),
+))
+def test_iter_bits_matches_binary_digits(mask):
+    assert list(iter_bits(mask)) == _bin_bits(mask)
 
 
 @st.composite
