@@ -177,10 +177,8 @@ class ChainFamily(Frozen):
         cls, ground: GroundSet, indices: tuple[IndexValue, ...], masks: tuple[int, ...]
     ) -> ChainFamily:
         """Build without the shape checks, which the caller guarantees; hot in `insert_point`."""
-        family, fill = object.__new__(cls), object.__setattr__
-        fill(family, "ground", ground)
-        fill(family, "indices", indices)
-        fill(family, "masks", masks)
+        family = object.__new__(cls)
+        family._fill(ground, indices, masks)
         return family
 
     @classmethod
@@ -337,21 +335,25 @@ def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
 
     Over-budget pairs are reported with their defect size, in (x, y) order,
     not raised; a chain family yields max_defect_size 0.  Both row engines
-    count the intersections, since |A_x \\ A_y| = |A_x| - |A_x & A_y|:
-    `_scan_rows` popcounts each pair, and `_counter_rows` keeps all of a
-    row's counts in vertical counters, updated by the toggles between
-    neighbouring sets.  The counters win when the toggles
-    T = sum |A_i ^ A_(i-1)| are few for k sets of up to 2^B - 1 elements:
-    when 2 (12 T + k B) < k^2 / 2, against the k^2 / 2 pairs of the scan.
+    count intersections, as |A_x \\ A_y| = |A_x| - |A_x & A_y|.  For k sets of
+    up to 2^B - 1 elements and T = sum |A_i ^ A_(i-1)| toggles, the vertical
+    counters of `_counter_rows` run when 2 (12 T + k B) is under the k^2 / 2
+    pairs that `_scan_rows` popcounts and their k-bit columns, one per element
+    that ever toggles, take at most four times the bits of the masks.
     """
     if budget < 0:
         raise InputError(f"budget must be non-negative, got {budget}")
     masks = family.masks
     k = len(masks)
-    toggles = sum(map(int.bit_count, map(int.__xor__, (0, *masks), masks)))
+    changes = list(map(int.__xor__, (0, *masks), masks))
     width = max(map(int.bit_count, masks), default=0).bit_length()
-    rows_of = _counter_rows if 4 * (12 * toggles + k * width) < k * k else _scan_rows
-    worst, rows = rows_of(masks, budget)
+    toggles = sum(map(int.bit_count, changes))
+    columns = reduce(or_, changes, 0).bit_count() * k  # bits of the counters' columns
+    if 4 * (12 * toggles + k * width) < k * k and columns <= 4 * sum(map(int.bit_length, masks)):
+        worst, rows = _counter_rows(masks, budget, changes, width)
+    else:
+        del changes  # the scan reads only the masks
+        worst, rows = _scan_rows(masks, budget)
     return DefectReport(worst, budget, family.indices, tuple(rows))
 
 
@@ -371,27 +373,28 @@ def _scan_rows(masks: tuple[int, ...], budget: int) -> tuple[int, list]:
     return worst, rows
 
 
-def _counter_rows(masks: tuple[int, ...], budget: int) -> tuple[int, list]:
+def _counter_rows(masks: tuple[int, ...], budget: int, changes: list[int],
+                  width: int) -> tuple[int, list]:
     """Largest defect and flagged rows from vertical counters over the columns j.
 
     Bit j of planes[b] is bit b of |A_i & A_j|.  Row i comes from row i-1 by
-    subtracting the column (bit j set when n is in A_j) of each n that
-    leaves and adding that of each n that enters; no count, even midway,
-    exceeds |A_j|, so B bits hold it.  Only elements that toggle get a column.
+    subtracting the column (bit j set when n is in A_j) of each n in
+    changes[i] = A_i ^ A_(i-1) that leaves and adding that of each n that
+    enters; no count, even midway, exceeds |A_j|, so `width` planes hold it.
     """
     everything = (1 << len(masks)) - 1
     columns: dict[int, int] = {}
-    for i, change in enumerate(map(int.__xor__, (0, *masks), masks)):
+    for i, change in enumerate(changes):
         for n in iter_bits(change):
             columns[n] = columns.get(n, 0) ^ (everything >> i << i)
-    planes = [0] * max(map(int.bit_count, masks), default=0).bit_length()
+    planes = [0] * width
     worst = 0
     rows = []
-    for i, (prev, a) in enumerate(zip((0, *masks), masks)):
-        for n in iter_bits(prev & ~a):
-            _ripple(planes, columns[n], 0)
-        for n in iter_bits(a & ~prev):
+    for i, (prev, a, change) in enumerate(zip((0, *masks), masks, changes)):
+        for n in iter_bits(change & prev):
             _ripple(planes, columns[n], everything)
+        for n in iter_bits(change & a):
+            _ripple(planes, columns[n], 0)
         size = a.bit_count()
         later = everything >> (i + 1) << (i + 1)
         least, group = _least_count(planes, later)
@@ -402,17 +405,14 @@ def _counter_rows(masks: tuple[int, ...], budget: int) -> tuple[int, list]:
             later ^= group
             least, group = _least_count(planes, later)
         if flagged:
-            flagged.sort()
-            js, sizes = zip(*flagged)
-            rows.append((i, js, sizes))
+            rows.append((i, *zip(*sorted(flagged))))  # (i, js, sizes) in j order
     return worst, rows
 
 
 def _ripple(planes: list[int], column: int, flip: int) -> None:
-    """Add (flip all ones) or subtract (flip 0) a 0/1 column, stopping with the carry."""
+    """Add (flip 0) or subtract (flip all ones) a 0/1 column, stopping with the carry."""
     for b, p in enumerate(planes):
-        p ^= column
-        planes[b] = p
+        planes[b] = p ^ column
         column &= p ^ flip  # the carry, or borrow, out of plane b
         if not column:
             return

@@ -21,7 +21,7 @@ import json
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     ChainFamily,
@@ -110,8 +110,13 @@ class TripleTable(Frozen):
 
     def signed_sum(self, f: FunctionOnLine, n: int) -> Fraction:
         """Ef(n) = f(x0_n) - f(x1_n) + f(x2_n)."""
-        x0, x1, x2 = (self.points[r] for r in self.ranks[n])
-        return f.value_at(x0) - f.value_at(x1) + f.value_at(x2)
+        return _signed_sum(f.value_at, map(self.points.__getitem__, self.ranks[n]))
+
+
+def _signed_sum(value: Callable[..., Fraction], triple: Iterable) -> Fraction:
+    """value(t0) - value(t1) + value(t2), looked up in that order."""
+    v0, v1, v2 = map(value, triple)
+    return v0 - v1 + v2
 
 
 class FunctionOnLine(NamedTuple):
@@ -204,9 +209,7 @@ def norm_witness(triples: TripleTable) -> tuple[int, FunctionOnLine] | None:
     return None
 
 
-def fourth_flip_witness(
-    family: ChainFamily, triples: TripleTable
-) -> FourthFlipWitness | None:
+def fourth_flip_witness(family: ChainFamily, triples: TripleTable) -> FourthFlipWitness | None:
     """Least (n, y) with y beyond x2_n but n missing from the set at y, else None.
 
     n fails when its last absence, from one backward sweep over the sets,
@@ -238,9 +241,7 @@ def no_fourth_flip_check(family: ChainFamily, triples: TripleTable) -> bool:
     return fourth_flip_witness(family, triples) is None
 
 
-def limit_eval_point(
-    x0: IndexValue, x1: IndexValue, x2: IndexValue
-) -> IndexValue:
+def limit_eval_point(x0: IndexValue, x1: IndexValue, x2: IndexValue) -> IndexValue:
     """Evaluation point determined by an ordered limit triple.
 
     The decision table: a collapsed triple evaluates at the common point, a
@@ -306,7 +307,7 @@ def continuity_harness(
     # named is the one a step-by-step signed sum would meet first.
     value = {r: f.value_at(at(r)) for r in dict.fromkeys(chain.from_iterable(ranks))}
     steps = tuple(
-        HarnessStep(stage, n, tuple(map(at, t)), value[t[0]] - value[t[1]] + value[t[2]])
+        HarnessStep(stage, n, tuple(map(at, t)), _signed_sum(value.__getitem__, t))
         for (n, stage), t in zip(schedule, ranks)
     )
     final = steps[-1]

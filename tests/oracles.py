@@ -184,6 +184,13 @@ def brute_defect_report(family: ChainFamily, budget: int):
     return worst, over
 
 
+def counter_inputs(masks) -> tuple[list[int], int]:
+    """The toggle masks A_i ^ A_(i-1) (A_(-1) empty) and the bit length of the
+    largest set size, the inputs that core._counter_rows takes besides the masks."""
+    changes = [a ^ b for a, b in zip((0,) + tuple(masks), masks)]
+    return changes, max((m.bit_count() for m in masks), default=0).bit_length()
+
+
 def removal_makes_chain(family: ChainFamily, removed: int) -> bool:
     """Does deleting the elements of mask `removed` from every member leave a chain?"""
     gone = elements_of(removed)

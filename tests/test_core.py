@@ -39,6 +39,7 @@ from oracles import (
     brute_alternation_witness,
     brute_chain_witness,
     build_family,
+    counter_inputs,
     mixed_corpus,
     removal_makes_chain,
 )
@@ -327,18 +328,29 @@ def test_right_boundary_insertions_do_not_grow_with_the_ground():
     assert large < 1.0 and large < 3 * small + 0.05
 
 
-def test_defect_scan_memory_does_not_grow_with_the_ground():
-    # The scan intersects masks and never builds a complement within the
-    # ground, so 256 empty sets over 2^20 elements need no 2^20-bit mask.
-    fam = ChainFamily(GroundSet(MAX_GROUND_SIZE), tuple(F(i) for i in range(256)), (0,) * 256)
+def _peak_bytes(run):
+    """Result of run() and the most memory it held at once, by tracemalloc."""
     tracemalloc.start()
     try:
-        report = validate_almost_chain(fam, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_defect_scan_memory_does_not_grow_with_the_ground():
+    # Neither engine builds a complement within the ground, so 256 empty
+    # sets over 2^20 elements need no 2^20-bit mask on either.
+    fam = ChainFamily(GroundSet(MAX_GROUND_SIZE), tuple(F(i) for i in range(256)), (0,) * 256)
+    report, peak = _peak_bytes(lambda: validate_almost_chain(fam, 0))
     assert report.ok and report.max_defect_size == 0
     assert peak < 1 << 20
+    inputs = counter_inputs(fam.masks)
+    for run in (lambda: core._scan_rows(fam.masks, 0),
+                lambda: core._counter_rows(fam.masks, 0, *inputs)):
+        rows, peak = _peak_bytes(run)
+        assert rows == (0, [])
+        assert peak < 1 << 20
 
 
 def test_counter_engine_memory_does_not_grow_with_the_ground():
@@ -347,33 +359,44 @@ def test_counter_engine_memory_does_not_grow_with_the_ground():
     top = 1 << (MAX_GROUND_SIZE - 1)
     start, entered, left = top, top | 0b101, top | 0b1
     masks = (start,) * 1000 + (entered,) * 20 + (left,) * 4
-    tracemalloc.start()
-    try:
-        worst, rows = core._counter_rows(masks, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    inputs = counter_inputs(masks)
+    (worst, rows), peak = _peak_bytes(lambda: core._counter_rows(masks, 0, *inputs))
     # Only element 2 ever leaves: each set holding it misses it in every later set without it.
     assert worst == 1
     assert rows == [(i, (1020, 1021, 1022, 1023), (1, 1, 1, 1)) for i in range(1000, 1020)]
     assert peak < 1 << 20
 
 
+def test_defect_scan_memory_stays_flat_when_one_wide_set_toggles_all():
+    # 2^16 elements enter at the last of 2048 sets.  Their counter columns
+    # would take 2^16 * 2048 bits (16 MiB) for 2^16 bits of masks, so the
+    # rule keeps the scan, which ANDs zeros and holds one row.
+    k, wide = 2048, (1 << (1 << 16)) - 1
+    fam = ChainFamily(GroundSet(1 << 16), tuple(F(i) for i in range(k)), (0,) * (k - 1) + (wide,))
+    report, peak = _peak_bytes(lambda: validate_almost_chain(fam, 0))
+    assert report.ok and report.max_defect_size == 0
+    assert peak < 1 << 20
+
+
 def test_engine_rule_follows_the_toggles(monkeypatch):
     picked = []
     for name in ("_scan_rows", "_counter_rows"):
-        def spy(masks, budget, name=name, engine=getattr(core, name)):
+        def spy(*args, name=name, engine=getattr(core, name)):
             picked.append(name)
-            return engine(masks, budget)
+            return engine(*args)
         monkeypatch.setattr(core, name, spy)
     near = family_from_config(
         {"kind": "perturbed", "seed": 1, "ground_size": 256, "count": 1000, "flips": 2})
     rng = random.Random(11)
     scattered = ChainFamily(near.ground, near.indices,
                             tuple(rng.getrandbits(256) for _ in near.masks))
+    # Few toggles, but all 1000 elements enter at the last of 256 sets: the
+    # counters' columns would take 256 times the bits of the masks.
+    late = ChainFamily(GroundSet(1000), near.indices[:256], (0,) * 255 + ((1 << 1000) - 1,))
     assert validate_almost_chain(near, 256).ok
     assert validate_almost_chain(scattered, 256).ok
-    assert picked == ["_counter_rows", "_scan_rows"]
+    assert validate_almost_chain(late, 0).ok
+    assert picked == ["_counter_rows", "_scan_rows", "_scan_rows"]
 
 
 def test_index_digit_cap():

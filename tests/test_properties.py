@@ -72,6 +72,7 @@ from oracles import (
     brute_norm_witness,
     brute_triple_table_text,
     brute_triples,
+    counter_inputs,
 )
 
 
@@ -407,8 +408,9 @@ def test_defect_scan_matches_brute_force(budget_of, fam):
     assert report.flagged_pairs == tuple(over)
     assert report.ok == (not over)
     # Both row engines, whichever the rule picks, give the checked rows.
-    for rows_of in (core._scan_rows, core._counter_rows):
-        assert rows_of(fam.masks, budget) == (worst, list(report.flagged_rows))
+    rows = (worst, list(report.flagged_rows))
+    assert core._scan_rows(fam.masks, budget) == rows
+    assert core._counter_rows(fam.masks, budget, *counter_inputs(fam.masks)) == rows
 
 
 def _bin_bits(mask):
