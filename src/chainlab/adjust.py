@@ -23,9 +23,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
-from operator import or_
+from operator import and_, or_
 from typing import NamedTuple
 
 from .core import (
@@ -262,12 +262,13 @@ def gap_exceptions(
     result W = ⋃_n (U_n \\ ⋃_{m<=n} (U_n \\ V_m)) satisfies, for all valid
     n and m,
 
-        U_n \\ W  ⊆  ⋃_{m<=n} (U_n \\ V_m)
-        W \\ V_m  ⊆  ⋃_{n<m}  (U_n \\ V_m)
+        U_n \\ W  ⊆  ⋃_{m<=n} (U_n \\ V_m)  =  U_n \\ (V_0 ∩ … ∩ V_n)
+        W \\ V_m  ⊆  ⋃_{n<m}  (U_n \\ V_m)  =  (U_0 ∪ … ∪ U_{m-1}) \\ V_m
 
     so every exception is covered by recorded defect sets.  Returns W and
-    these bounds, per ascending n and per descending m, read from one table
-    of the pairwise defects U_n \\ V_m.
+    these bounds, per ascending n and per descending m, from prefix meets of
+    the descending tower and prefix unions of the ascending one (indices
+    past the other tower's end stop at its last set).
     """
     if defect_budget < 0:
         raise InputError(f"defect_budget must be non-negative, got {defect_budget}")
@@ -276,26 +277,20 @@ def gap_exceptions(
     for key, tower in (("ascending", ascending), ("descending", descending)):
         for i, m in enumerate(tower):
             ground.check_mask(m, f"{key} set {i}")
-    defects = [[u & ~v for v in descending] for u in ascending]
-    for n, row in enumerate(defects):
-        for m, d in enumerate(row):
-            if d.bit_count() > defect_budget:
-                raise InputError(
-                    f"|U_{n} \\ V_{m}| = {d.bit_count()} exceeds budget {defect_budget}"
-                )
-    ascending_bounds = [reduce(or_, row[: n + 1], 0) for n, row in enumerate(defects)]
-    descending_bounds = [
-        reduce(or_, (row[m] for row in defects[:m]), 0) for m in range(len(descending))
-    ]
+    for n, u in enumerate(ascending):
+        size = u.bit_count()
+        for m, v in enumerate(descending):
+            defect = size - (u & v).bit_count()
+            if defect > defect_budget:
+                raise InputError(f"|U_{n} \\ V_{m}| = {defect} exceeds budget {defect_budget}")
+    a, d = len(ascending), len(descending)
+    # meets[j] = V_0 ∩ … ∩ V_{j-1} from -1, every bit; joins[j] = U_0 ∪ … ∪ U_{j-1}.
+    meets = list(accumulate(descending, and_, initial=-1))
+    joins = list(accumulate(ascending, or_, initial=0))
+    ascending_bounds = [u & ~meets[min(n + 1, d)] for n, u in enumerate(ascending)]
+    descending_bounds = [joins[min(m, a)] & ~v for m, v in enumerate(descending)]
     result = reduce(or_, (u & ~b for u, b in zip(ascending, ascending_bounds)), 0)
     return result, ascending_bounds, descending_bounds
-
-
-def interpolate_gap(
-    ground: GroundSet, ascending: list[int], descending: list[int], defect_budget: int
-) -> int:
-    """The mask W that `gap_exceptions` threads between the two towers."""
-    return gap_exceptions(ground, ascending, descending, defect_budget)[0]
 
 
 def adjustment_report_to_text(report: AdjustmentReport) -> str:

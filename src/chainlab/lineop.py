@@ -18,7 +18,6 @@ an upstream violation.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -40,13 +39,6 @@ from .core import (
 
 class InconsistencyError(RuntimeError):
     """A strict triple reached the limit decision table."""
-
-
-class FourthFlipWitness(NamedTuple):
-    """Least (n, y) with y past n's third point yet n outside the set at y."""
-
-    n: int
-    y: IndexValue
 
 
 class LineModel(Frozen):
@@ -146,7 +138,8 @@ def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
 
     The family's indices must be exactly the model's dense points and the
     family must be barely alternating; each empty search falls back to
-    max(K).
+    max(K).  Refusing a second exit is the no-fourth-flip guarantee: after
+    x2_n, n's re-entry or max(K), n is in every set.
     """
     if family.indices != model.dense_points:
         raise InputError("family indices differ from the model's dense points")
@@ -207,38 +200,6 @@ def norm_witness(triples: TripleTable) -> tuple[int, FunctionOnLine] | None:
             values[triples.points[r2]] = Fraction(1)
             return n, FunctionOnLine(values)
     return None
-
-
-def fourth_flip_witness(family: ChainFamily, triples: TripleTable) -> FourthFlipWitness | None:
-    """Least (n, y) with y beyond x2_n but n missing from the set at y, else None.
-
-    n fails when its last absence, from one backward sweep over the sets,
-    is at or after the first index past x2_n, found by bisection.
-    """
-    if len(triples) != family.ground.size:
-        raise InputError(
-            f"triple table covers {len(triples)} elements, ground has {family.ground.size}"
-        )
-    full = family.ground.full_mask
-    last_absent = [-1] * family.ground.size
-    absent = 0
-    for i in reversed(range(len(family))):
-        new = full & ~(family.masks[i] | absent)
-        for n in iter_bits(new):
-            last_absent[n] = i
-        absent |= new
-    first_past = [bisect_right(family.indices, p) for p in triples.points]
-    for n, (_, _, r2) in enumerate(triples.ranks):
-        i = first_past[r2]
-        if i <= last_absent[n]:
-            while family.masks[i] >> n & 1:
-                i += 1
-            return FourthFlipWitness(n, family.indices[i])
-    return None
-
-
-def no_fourth_flip_check(family: ChainFamily, triples: TripleTable) -> bool:
-    return fourth_flip_witness(family, triples) is None
 
 
 def limit_eval_point(x0: IndexValue, x1: IndexValue, x2: IndexValue) -> IndexValue:

@@ -154,6 +154,36 @@ def brute_fourth_flip_witness(family: ChainFamily, triples):
     return None
 
 
+def brute_gap_exceptions(ascending, descending, budget):
+    """W and the two bound lists, read from the full table of defects U_n \\ V_m.
+
+    Raises InputError at the first pair, row by row, whose defect is over budget.
+    """
+    table = [[u & ~v for v in descending] for u in ascending]
+    for n, row in enumerate(table):
+        for m, defect in enumerate(row):
+            if defect.bit_count() > budget:
+                raise InputError(
+                    f"|U_{n} \\ V_{m}| = {defect.bit_count()} exceeds budget {budget}"
+                )
+    ascending_bounds = []
+    for n, row in enumerate(table):
+        bound = 0
+        for defect in row[: n + 1]:
+            bound |= defect
+        ascending_bounds.append(bound)
+    descending_bounds = []
+    for m in range(len(descending)):
+        bound = 0
+        for row in table[:m]:
+            bound |= row[m]
+        descending_bounds.append(bound)
+    w = 0
+    for u, bound in zip(ascending, ascending_bounds):
+        w |= u & ~bound
+    return w, ascending_bounds, descending_bounds
+
+
 def brute_chain_witness(family: ChainFamily):
     """Least (n, x, y) with x < y and n in A_x but not A_y, by full pair scan."""
     k = len(family.indices)

@@ -39,7 +39,7 @@ from chainlab.generators import (
     uniform_positions,
     initial_segment_chain,
 )
-from chainlab.adjust import insert_point, interpolate_gap
+from chainlab.adjust import gap_exceptions, insert_point
 from chainlab.lineop import (
     FunctionOnLine,
     InconsistencyError,
@@ -48,13 +48,13 @@ from chainlab.lineop import (
     coincident_schedule,
     compute_triples,
     continuity_harness,
-    no_fourth_flip_check,
     norm_witness,
     operator_norm,
 )
 
 from oracles import (
     brute_alternation_witness,
+    brute_fourth_flip_witness,
     mixed_corpus,
     random_family,
     receipts_respect_bound,
@@ -264,7 +264,7 @@ def test_c06_gap_interpolation():
             for _ in range(rng.randint(1, 8)):
                 v &= base | rng.getrandbits(size)
                 descending.append(v)
-            w = interpolate_gap(g, ascending, descending, 3)
+            w = gap_exceptions(g, ascending, descending, 3)[0]
             for n, un in enumerate(ascending):
                 bound = 0
                 for m in range(min(n + 1, len(descending))):
@@ -356,7 +356,7 @@ def test_c09_triple_soundness():
             table = compute_triples(fam, model)
             for x0, x1, x2 in table.triples:
                 assert x0 <= x1 <= x2
-            assert no_fourth_flip_check(fam, table)
+            assert brute_fourth_flip_witness(fam, table) is None
             schedule = coincident_schedule(table)
             if not schedule:
                 continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -18,7 +19,6 @@ from chainlab.adjust import (
     delta_system_extract,
     insert_point,
     gap_exceptions,
-    interpolate_gap,
     merge_conditions,
 )
 from chainlab.core import (
@@ -378,7 +378,7 @@ def test_gap_exact_nested_towers():
     g = GroundSet(8)
     ascending = [0b0001, 0b0011, 0b0111]
     descending = [0b11111111, 0b0111_1111, 0b0011_1111]
-    w = interpolate_gap(g, ascending, descending, 0)
+    w = gap_exceptions(g, ascending, descending, 0)[0]
     for u in ascending:
         assert u & ~w == 0
     for v in descending:
@@ -389,7 +389,7 @@ def test_gap_single_pair_frozen():
     g = GroundSet(2)
     u0 = g.mask_of([0, 1])
     v0 = g.mask_of([1])
-    w = interpolate_gap(g, [u0], [v0], 1)
+    w = gap_exceptions(g, [u0], [v0], 1)[0]
     assert tuple(iter_bits(w)) == (1,)
     assert tuple(iter_bits(u0 & ~w)) == (0,)
     assert (u0 & ~w) & ~(u0 & ~v0) == 0
@@ -400,7 +400,7 @@ def test_gap_precondition_violation_names_the_pair():
     u = g.mask_of([0, 1, 2])
     v = g.mask_of([3])
     with pytest.raises(InputError, match=r"U_0 .* V_0"):
-        interpolate_gap(g, [u], [v], 2)
+        gap_exceptions(g, [u], [v], 2)
 
 
 def test_gap_postconditions_on_fuzzed_towers():
@@ -428,7 +428,7 @@ def test_gap_postconditions_on_fuzzed_towers():
         budget = max(
             ((un & ~vm).bit_count() for un in ascending for vm in descending), default=0
         )
-        w = interpolate_gap(g, ascending, descending, budget)
+        w = gap_exceptions(g, ascending, descending, budget)[0]
         for n, un in enumerate(ascending):
             bound = 0
             for m in range(min(n + 1, len(descending))):
@@ -444,11 +444,11 @@ def test_gap_postconditions_on_fuzzed_towers():
 def test_gap_rejects_out_of_ground_masks_and_empty_instance():
     g = GroundSet(4)
     with pytest.raises(InputError, match="descending set 0 is not an int mask over ground size 4"):
-        interpolate_gap(g, [0], [GroundSet(5).full_mask], 0)
+        gap_exceptions(g, [0], [GroundSet(5).full_mask], 0)
     with pytest.raises(InputError, match="ascending set 1 is not an int mask"):
-        interpolate_gap(g, [0, F(0)], [], 0)
+        gap_exceptions(g, [0, F(0)], [], 0)
     with pytest.raises(InputError):
-        interpolate_gap(g, [], [], 0)
+        gap_exceptions(g, [], [], 0)
 
 
 def test_gap_exceptions_bounds_are_the_defect_unions():
@@ -461,7 +461,6 @@ def test_gap_exceptions_bounds_are_the_defect_unions():
         if not ascending and not descending:
             continue
         w, asc_bounds, desc_bounds = gap_exceptions(g, ascending, descending, size)
-        assert w == interpolate_gap(g, ascending, descending, size)
         assert len(asc_bounds) == len(ascending) and len(desc_bounds) == len(descending)
         for n, u in enumerate(ascending):
             expected = 0
@@ -475,3 +474,20 @@ def test_gap_exceptions_bounds_are_the_defect_unions():
                 expected |= u & ~v
             assert desc_bounds[m] == expected
             assert w & ~v & ~desc_bounds[m] == 0
+
+
+def test_gap_exceptions_memory_stays_near_the_towers():
+    # 64 + 64 random towers over 2^14 elements hold 256 KiB, and their 4096
+    # pairwise defects U_n \ V_m about 8.9 MiB: 2 MiB leaves no room for them.
+    rng = random.Random(64)
+    size = 1 << 14
+    g = GroundSet(size)
+    ascending = [rng.getrandbits(size) for _ in range(64)]
+    descending = [rng.getrandbits(size) for _ in range(64)]
+    tracemalloc.start()
+    try:
+        gap_exceptions(g, ascending, descending, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, f"peak {peak} B"

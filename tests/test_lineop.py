@@ -19,21 +19,19 @@ from chainlab.lineop import (
     coincident_schedule,
     compute_triples,
     continuity_harness,
-    fourth_flip_witness,
     function_from_text,
     function_to_text,
     harness_report_to_text,
     limit_eval_point,
     model_from_text,
     model_to_text,
-    no_fourth_flip_check,
     norm_witness,
     operator_norm,
     triple_pattern,
     triple_table_to_text,
 )
 
-from oracles import build_family, mixed_corpus
+from oracles import brute_fourth_flip_witness, build_family, mixed_corpus
 
 Y3 = (F(1, 4), F(1, 2), F(3, 4))
 MODEL3 = LineModel(carrier=Y3 + (F(1),), dense_points=Y3)
@@ -199,19 +197,6 @@ def test_chain_family_collapses_to_norm_one():
             assert x1 == x2 == model.max_point or x0 == x1 == x2
 
 
-def test_fourth_flip_check():
-    fam = _family3("010")
-    table = compute_triples(fam, MODEL3)
-    assert no_fourth_flip_check(fam, table)
-    pattern = build_family(["1010"])
-    handmade = TripleTable(pattern.indices, ((0, 1, 2),))
-    assert fourth_flip_witness(pattern, handmade) == (0, pattern.indices[3])
-    absent = _family3("000")
-    assert no_fourth_flip_check(absent, compute_triples(absent, MODEL3))
-    with pytest.raises(InputError):
-        fourth_flip_witness(fam, TripleTable((), ()))
-
-
 def test_fourth_flip_holds_for_all_adjusted_families():
     rng = random.Random(37)
     for _ in range(80):
@@ -220,7 +205,7 @@ def test_fourth_flip_holds_for_all_adjusted_families():
             continue
         adjusted, _ = adjust_family(fam)
         table = compute_triples(adjusted, LineModel.from_dense(adjusted.indices))
-        assert no_fourth_flip_check(adjusted, table)
+        assert brute_fourth_flip_witness(adjusted, table) is None
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainlab import core
-from chainlab.adjust import adjust_family, insert_point
+from chainlab.adjust import adjust_family, gap_exceptions, insert_point
 from chainlab.cli import main
 from chainlab.core import (
     MAX_GROUND_SIZE,
@@ -48,11 +48,9 @@ from chainlab.generators import (
 from chainlab.lineop import (
     FunctionOnLine,
     LineModel,
-    TripleTable,
     coincident_schedule,
     compute_triples,
     continuity_harness,
-    fourth_flip_witness,
     harness_report_to_text,
     norm_witness,
     operator_norm,
@@ -66,6 +64,7 @@ from oracles import (
     brute_defect_report,
     brute_excluded_dyadics,
     brute_fourth_flip_witness,
+    brute_gap_exceptions,
     brute_harness_text,
     brute_insert_point,
     brute_marciszewski_family,
@@ -106,9 +105,10 @@ def barely_alternating_families(draw, max_ground=12, max_indices=10):
     return ChainFamily(ground, indices, tuple(masks))
 
 
-def _model(draw, dense):
+def _model(draw, dense, min_extra=0):
     """Carrier = dense points plus extra points, some above every dense point."""
-    extra = draw(st.sets(st.integers(-40, 40).map(lambda v: F(v, 7)), max_size=4))
+    extra = draw(st.sets(st.integers(-40, 40).map(lambda v: F(v, 7)), min_size=min_extra,
+                         max_size=4))
     carrier = tuple(sorted(set(dense) | extra))
     if not carrier:
         carrier = (F(1),)
@@ -442,24 +442,42 @@ def test_iter_bits_matches_binary_digits(mask):
     assert list(iter_bits(mask)) == _bin_bits(mask)
 
 
+@CHECK
+@given(st.data(), barely_alternating_families())
+def test_compute_triples_never_shows_a_fourth_flip(data, fam):
+    # Past x2_n every set holds n: refusing a second exit is the whole guarantee.
+    model = _model(data.draw, fam.indices, min_extra=1)
+    assert len(model.carrier) > len(fam.indices)
+    assert brute_fourth_flip_witness(fam, compute_triples(fam, model)) is None
+
+
 @st.composite
-def ordered_tables(draw, fam):
-    """Ordered triples on, between and beyond the family's indices."""
-    points = tuple(sorted({F(v, 32) for v in range(-40, 41, 2)} | set(fam.indices)))
-    table = []
-    for _ in range(fam.ground.size):
-        triple = sorted(draw(st.lists(st.sampled_from(range(len(points))), min_size=3, max_size=3)))
-        table.append(tuple(triple))
-    return TripleTable(points, tuple(table))
+def gap_instances(draw):
+    """Towers of 0-5 arbitrary masks each, and a budget from 0 to the ground size."""
+    size = draw(st.integers(1, 12))
+    tower = st.lists(st.integers(0, (1 << size) - 1), max_size=5)
+    return GroundSet(size), draw(tower), draw(tower), draw(st.integers(0, size))
+
+
+def _outcome(gap, *args):
+    try:
+        return gap(*args)
+    except InputError as e:
+        return str(e)
 
 
 @CHECK
-@given(st.data(), families())
-def test_fourth_flip_witness_matches_brute_force(data, fam):
-    table = data.draw(ordered_tables(fam))
-    witness = fourth_flip_witness(fam, table)
-    assert (None if witness is None else tuple(witness)) == brute_fourth_flip_witness(fam, table)
-
+@example((GroundSet(3), [], [0b101], 0))
+@example((GroundSet(3), [0b111, 0b011], [], 0))
+@example((GroundSet(3), [], [], 3))
+@given(gap_instances())
+def test_gap_exceptions_match_the_defect_table(instance):
+    ground, ascending, descending, budget = instance
+    got = _outcome(gap_exceptions, ground, ascending, descending, budget)
+    if not ascending and not descending:
+        assert got == "both towers are empty"
+    else:
+        assert got == _outcome(brute_gap_exceptions, ascending, descending, budget)
 
 
 # --- cli.main on arbitrary documents ---------------------------------------------
