@@ -218,10 +218,8 @@ def _cmd_operator(args: argparse.Namespace) -> int:
         report = lineop.continuity_harness(family, model, schedule, f)
         lines.append(lineop.harness_report_to_text(report).rstrip("\n"))
     if args.function is not None:
-        extended = lineop.apply_operator(f, table)
         lines.append("# n\tEf")
-        for n in sorted(extended.on_ground):
-            lines.append(f"{n}\t{extended.on_ground[n]}")
+        lines += (f"{n}\t{v}" for n, v in lineop.apply_operator(f, table).items())
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -269,6 +267,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for flag in ("count", "reps"):
         if getattr(args, flag) < 1:
             raise core.InputError(f"sweep needs --{flag} of at least 1")
+    if args.kind == "perturbed":
+        generators.check_flips(args.flips, args.ground_size)
     rows = [_sweep_cell(args, param, rep) for param in grid for rep in range(args.reps)]
     _write_text(args.output, "\n".join([_SWEEP_HEADER, *rows]) + "\n")
     return 0

@@ -310,20 +310,12 @@ class DefectReport(NamedTuple):
     """
 
     max_defect_size: int
-    budget: int
-    indices: tuple[IndexValue, ...]
     flagged_rows: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
     @property
-    def over_budget(self) -> dict[tuple[IndexValue, IndexValue], int]:
-        """Defect size of each over-budget pair (x, y), in (x, y) order."""
-        xs = self.indices
-        return {(xs[i], xs[j]): d for i, js, ds in self.flagged_rows for j, d in zip(js, ds)}
-
-    @property
-    def flagged_pairs(self) -> tuple[tuple[IndexValue, IndexValue], ...]:
-        """Ordered pairs whose defect exceeds the budget."""
-        return tuple(self.over_budget)
+    def flagged_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Position pairs (i, j) whose defect exceeds the budget, in row order."""
+        return tuple((i, j) for i, js, _ in self.flagged_rows for j in js)
 
     @property
     def ok(self) -> bool:
@@ -354,7 +346,7 @@ def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
     else:
         del changes  # the scan reads only the masks
         worst, rows = _scan_rows(masks, budget)
-    return DefectReport(worst, budget, family.indices, tuple(rows))
+    return DefectReport(worst, tuple(rows))
 
 
 def _scan_rows(masks: tuple[int, ...], budget: int) -> tuple[int, list]:

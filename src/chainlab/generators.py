@@ -186,6 +186,14 @@ def check_count(count: int) -> None:
         raise InputError(f"count {count} exceeds the cap {MAX_FAMILY_SIZE}")
 
 
+def check_flips(flips: int, size: int) -> None:
+    """Refuse a per-set flip count below 0 or above the ground size."""
+    if flips < 0:
+        raise InputError(f"flips_per_set must be non-negative, got {flips}")
+    if flips > size:
+        raise InputError(f"cannot flip {flips} distinct bits in a ground of {size}")
+
+
 def sample_cut_indices(rng: random.Random, size: int, count: int) -> tuple[IndexValue, ...]:
     """Draw `count` distinct cut indices that avoid the uniform positions.
 
@@ -224,10 +232,7 @@ def perturbed_chain(
     Exactly `flips_per_set` distinct elements are toggled in each set, in
     index order, so the output is a deterministic function of its arguments.
     """
-    if flips_per_set < 0:
-        raise InputError(f"flips_per_set must be non-negative, got {flips_per_set}")
-    if flips_per_set > size:
-        raise InputError(f"cannot flip {flips_per_set} distinct bits in a ground of {size}")
+    check_flips(flips_per_set, size)
     base = initial_segment_chain(uniform_positions(size), cut_indices)
     rng = random.Random(seed)
     flipped = []

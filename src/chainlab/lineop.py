@@ -126,13 +126,6 @@ class FunctionOnLine(NamedTuple):
         return max((abs(v) for v in self.values.values()), default=Fraction(0))
 
 
-class ExtendedFunction(NamedTuple):
-    """A function on the carrier together with its values on the ground."""
-
-    on_carrier: FunctionOnLine
-    on_ground: dict[int, Fraction]
-
-
 def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
     """First-entry / first-exit / first-re-entry points for every ground element.
 
@@ -162,10 +155,9 @@ def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
     return TripleTable(model.carrier, tuple(ranks))
 
 
-def apply_operator(f: FunctionOnLine, triples: TripleTable) -> ExtendedFunction:
-    """Extend f to the ground by the signed sum over each element's triple."""
-    on_ground = {n: triples.signed_sum(f, n) for n in range(len(triples))}
-    return ExtendedFunction(on_carrier=f, on_ground=on_ground)
+def apply_operator(f: FunctionOnLine, triples: TripleTable) -> dict[int, Fraction]:
+    """Ef on the ground: {n: the signed sum of f over n's triple}."""
+    return {n: triples.signed_sum(f, n) for n in range(len(triples))}
 
 
 def triple_pattern(triple: tuple[IndexValue, IndexValue, IndexValue]) -> str:
@@ -224,18 +216,17 @@ def limit_eval_point(x0: IndexValue, x1: IndexValue, x2: IndexValue) -> IndexVal
 class HarnessStep(NamedTuple):
     stage: int
     ground_element: int
-    triple: tuple[IndexValue, IndexValue, IndexValue]
+    ranks: tuple[int, int, int]
     operator_value: Fraction
 
 
 class HarnessReport(NamedTuple):
-    """Trajectory of operator values along a schedule, with its limit verdict."""
+    """Operator values along a schedule, with its limit verdict; steps hold ranks into `points`."""
 
+    points: tuple[IndexValue, ...]
     steps: tuple[HarnessStep, ...]
-    final_triple: tuple[IndexValue, IndexValue, IndexValue]
     limit_point: IndexValue
     limit_value: Fraction
-    final_operator_value: Fraction
     identity_holds: bool
 
 
@@ -268,21 +259,14 @@ def continuity_harness(
     # named is the one a step-by-step signed sum would meet first.
     value = {r: f.value_at(at(r)) for r in dict.fromkeys(chain.from_iterable(ranks))}
     steps = tuple(
-        HarnessStep(stage, n, tuple(map(at, t)), _signed_sum(value.__getitem__, t))
+        HarnessStep(stage, n, t, _signed_sum(value.__getitem__, t))
         for (n, stage), t in zip(schedule, ranks)
     )
     final = steps[-1]
     # Points, not ranks, so that a strict final triple is named by its points.
-    z = limit_eval_point(*final.triple)
+    z = limit_eval_point(*map(at, final.ranks))
     limit_value = f.value_at(z)
-    return HarnessReport(
-        steps=steps,
-        final_triple=final.triple,
-        limit_point=z,
-        limit_value=limit_value,
-        final_operator_value=final.operator_value,
-        identity_holds=final.operator_value == limit_value,
-    )
+    return HarnessReport(table.points, steps, z, limit_value, final.operator_value == limit_value)
 
 
 def coincident_schedule(table: TripleTable) -> tuple[tuple[int, int], ...]:
@@ -310,25 +294,27 @@ def coincident_schedule(table: TripleTable) -> tuple[tuple[int, int], ...]:
 # --- textual formats ----------------------------------------------------------
 
 
+def _triple_rows(points: tuple[IndexValue, ...], rows: Iterable[tuple[object, tuple]]) -> list[str]:
+    """Tab-separated `head, x0, x1, x2, pattern` per (head, ranks), each point named once."""
+    names = [format_index(p) for p in points]
+    return [
+        f"{head}\t{names[t[0]]}\t{names[t[1]]}\t{names[t[2]]}\t{triple_pattern(t)}"
+        for head, t in rows
+    ]
+
+
 def triple_table_to_text(table: TripleTable) -> str:
     """Tab-separated rows: ground element, the three points, coincidence tag."""
-    names = [format_index(p) for p in table.points]
-    lines = ["# n\tx0\tx1\tx2\tpattern"]
-    for n, t in enumerate(table.ranks):
-        lines.append(f"{n}\t{names[t[0]]}\t{names[t[1]]}\t{names[t[2]]}\t{triple_pattern(t)}")
-    return "\n".join(lines) + "\n"
+    rows = _triple_rows(table.points, enumerate(table.ranks))
+    return "\n".join(["# n\tx0\tx1\tx2\tpattern", *rows]) + "\n"
 
 
 def harness_report_to_text(report: HarnessReport) -> str:
     """Tab-separated trajectory rows followed by the limit verdict rows."""
+    steps = report.steps
+    rows = _triple_rows(report.points, ((f"{s.stage}\t{s.ground_element}", s.ranks) for s in steps))
     lines = ["# stage\tn\tx0\tx1\tx2\tpattern\tEf"]
-    for step in report.steps:
-        # Names are equal exactly when points are, so the tag reads the names.
-        t = [format_index(p) for p in step.triple]
-        lines.append(
-            f"{step.stage}\t{step.ground_element}\t{t[0]}\t{t[1]}\t{t[2]}"
-            f"\t{triple_pattern(t)}\t{step.operator_value}"
-        )
+    lines += (f"{row}\t{s.operator_value}" for row, s in zip(rows, steps))
     lines.append(f"# z\t{format_index(report.limit_point)}")
     lines.append(f"# f(z)\t{report.limit_value}")
     lines.append(f"# identity\t{'ok' if report.identity_holds else 'FAIL'}")

@@ -146,8 +146,9 @@ def brute_harness_text(triples, schedule, values) -> str:
 
 def brute_fourth_flip_witness(family: ChainFamily, triples):
     """Least (n, y) with y > x2_n and n outside the set at y, by full scan."""
+    points = triples.triples
     for n in family.ground.elements():
-        x2 = triples.triples[n][2]
+        x2 = points[n][2]
         for i, y in enumerate(family.indices):
             if y > x2 and not family.masks[i] >> n & 1:
                 return (n, y)
@@ -198,9 +199,9 @@ def brute_chain_witness(family: ChainFamily):
 def brute_defect_report(family: ChainFamily, budget: int):
     """Largest |A_x \\ A_y| over x < y, and the pairs over `budget`, by a per-pair loop.
 
-    Returns (maximum, {(x, y): size}) with the pairs in (x, y) order.
+    Returns (maximum, {(i, j): size}), keyed by the positions i < j of x and y,
+    with the pairs in (x, y) order.
     """
-    indices = family.indices
     masks = family.masks
     over = {}
     worst = 0
@@ -210,8 +211,13 @@ def brute_defect_report(family: ChainFamily, budget: int):
             if size > worst:
                 worst = size
             if size > budget:
-                over[(indices[i], indices[j])] = size
+                over[(i, j)] = size
     return worst, over
+
+
+def flagged_sizes(report) -> list:
+    """((i, j), size) for each over-budget pair of a DefectReport, in its row order."""
+    return [((i, j), d) for i, js, ds in report.flagged_rows for j, d in zip(js, ds)]
 
 
 def counter_inputs(masks) -> tuple[list[int], int]:

@@ -269,6 +269,20 @@ def test_sweep_refuses_an_empty_grid_up_front(capsys, argv, flag):
     assert err == f"input-error: sweep needs {flag}\n"
 
 
+def test_sweep_refuses_too_many_flips_before_building_any_cell(capsys, monkeypatch):
+    from chainlab import generators
+
+    built = []
+    real = generators.family_from_config
+    monkeypatch.setattr(generators, "family_from_config", lambda cfg: built.append(cfg) or real(cfg))
+    code, out, err = run_cli(
+        capsys, "sweep", "--kind", "perturbed", "--ground-size", "4", "--count", "3",
+        "--flips", "5", "--reps", "1",
+    )
+    assert (code, out, built) == (1, "", [])
+    assert err == "input-error: cannot flip 5 distinct bits in a ground of 4\n"
+
+
 def test_marciszewski_sweep_runs(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--kind", "marciszewski", "--seed", "3",

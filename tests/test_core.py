@@ -38,8 +38,10 @@ from chainlab.generators import BitIndex, DyadicGround, family_from_config, marc
 from oracles import (
     brute_alternation_witness,
     brute_chain_witness,
+    brute_defect_report,
     build_family,
     counter_inputs,
+    flagged_sizes,
     mixed_corpus,
     removal_makes_chain,
 )
@@ -201,7 +203,8 @@ def test_validate_almost_chain():
     )
     report = validate_almost_chain(fam, 1)
     assert report.max_defect_size == 2
-    assert report.flagged_pairs == ((F(1, 4), F(1, 2)),)
+    assert flagged_sizes(report) == [((0, 1), 2)] == list(brute_defect_report(fam, 1)[1].items())
+    assert report.flagged_pairs == ((0, 1),)
     assert not report.ok
     assert validate_almost_chain(fam, 2).ok
     with pytest.raises(InputError):
@@ -210,12 +213,16 @@ def test_validate_almost_chain():
 
 def test_defect_scan_matches_pairwise_defects():
     for fam in mixed_corpus(4242, 300, 9, 12):
-        sizes = {(x, y): defect(fam, x, y).bit_count() for x, y in combinations(fam.indices, 2)}
+        sizes = {
+            (i, j): defect(fam, x, y).bit_count()
+            for (i, x), (j, y) in combinations(enumerate(fam.indices), 2)
+        }
         for budget in (0, 1, 2):
             report = validate_almost_chain(fam, budget)
+            over = [(p, d) for p, d in sizes.items() if d > budget]
             assert report.max_defect_size == max(sizes.values(), default=0)
-            assert report.over_budget == {p: d for p, d in sizes.items() if d > budget}
-            assert report.flagged_pairs == tuple(p for p, d in sizes.items() if d > budget)
+            assert flagged_sizes(report) == over == list(brute_defect_report(fam, budget)[1].items())
+            assert report.flagged_pairs == tuple(p for p, _ in over)
 
 
 def test_chain_defect_set_examples():

@@ -100,14 +100,13 @@ def test_operator_constant_function_stays_constant():
     table = compute_triples(fam, MODEL3)
     f = FunctionOnLine({p: F(7, 3) for p in MODEL3.carrier})
     out = apply_operator(f, table)
-    assert all(v == F(7, 3) for v in out.on_ground.values())
-    assert out.on_carrier is f
+    assert out == dict.fromkeys(range(len(table)), F(7, 3))
 
 
 def test_operator_cancellation_when_first_two_coincide():
     table = TripleTable((F(1, 2), F(3, 4)), ((0, 0, 1),))
     f = FunctionOnLine({F(1, 2): F(5), F(3, 4): F(-2)})
-    assert apply_operator(f, table).on_ground[0] == F(-2)
+    assert apply_operator(f, table) == {0: F(-2)}
 
 
 def test_operator_step_function_substitution():
@@ -116,7 +115,7 @@ def test_operator_step_function_substitution():
     f = FunctionOnLine(
         {p: (F(1) if p <= F(1, 2) else F(0)) for p in MODEL3.carrier}
     )
-    assert apply_operator(f, table).on_ground[0] == F(1) - F(0) + F(0)
+    assert apply_operator(f, table) == {0: F(1) - F(0) + F(0)}
 
 
 def test_operator_requires_values_at_triple_points():
@@ -137,9 +136,9 @@ def test_operator_is_linear():
         combo = FunctionOnLine(
             {p: a * f.values[p] + b * g.values[p] for p in MODEL3.carrier}
         )
-        lhs = apply_operator(combo, table).on_ground
-        ef = apply_operator(f, table).on_ground
-        eg = apply_operator(g, table).on_ground
+        lhs = apply_operator(combo, table)
+        ef = apply_operator(f, table)
+        eg = apply_operator(g, table)
         assert lhs == {n: a * ef[n] + b * eg[n] for n in lhs}
 
 
@@ -154,7 +153,7 @@ def test_norm_is_three_with_a_strict_triple():
     n, f = norm_witness(mixed)
     assert n == 1
     assert f.sup_norm() == 1
-    assert apply_operator(f, mixed).on_ground[1] == 3
+    assert apply_operator(f, mixed)[1] == 3
 
 
 def test_norm_bounds_every_unit_function():
@@ -173,7 +172,7 @@ def test_norm_bounds_every_unit_function():
         )
         sup_f = f.sup_norm()
         out = apply_operator(f, table)
-        assert all(abs(v) <= norm * sup_f for v in out.on_ground.values())
+        assert all(abs(v) <= norm * sup_f for v in out.values())
 
 
 def test_chain_family_collapses_to_norm_one():
@@ -250,9 +249,10 @@ def test_harness_final_coincidence_cancels():
     fam = _family3("011")  # triple (1/2, 1, 1): evaluation lands at 1/2
     f = FunctionOnLine({p: 3 * p for p in MODEL3.carrier})
     report = continuity_harness(fam, MODEL3, [(0, 0)], f)
-    assert report.final_triple == (F(1, 2), F(1), F(1))
+    final = report.steps[-1]
+    assert [report.points[r] for r in final.ranks] == [F(1, 2), F(1), F(1)]
     assert report.limit_point == F(1, 2)
-    assert report.final_operator_value == f.values[F(1, 2)]
+    assert final.operator_value == f.values[F(1, 2)]
     assert report.identity_holds
 
 
@@ -318,7 +318,7 @@ def test_coincident_schedules_from_adjusted_families_never_flag():
         report = continuity_harness(adjusted, model, schedule, f)
         assert report.identity_holds
         for step in report.steps:
-            assert triple_pattern(step.triple) != "x0<x1<x2"
+            assert triple_pattern(step.ranks) != "x0<x1<x2"
     assert runs > 30
 
 

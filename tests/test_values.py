@@ -20,7 +20,6 @@ from chainlab.lineop import (
     FunctionOnLine,
     LineModel,
     TripleTable,
-    apply_operator,
     compute_triples,
     continuity_harness,
 )
@@ -63,7 +62,6 @@ def _one_of_each_value_type():
         report,
         validate_almost_chain(fam, 0),
         f,
-        apply_operator(f, table),
         continuity_harness(fam, model, ((0, 0),), f),
     ]
 
