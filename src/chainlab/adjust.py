@@ -147,23 +147,23 @@ def adjust_family(
     family that is already a chain is returned unchanged at zero cost,
     whatever the order.
     """
-    position = {x: i for i, x in enumerate(family.indices)}
-    order = family.indices if order is None else tuple(order)
-    if len(order) != len(position) or position.keys() != set(order):
-        raise InputError("order is not a permutation of the family's indices")
-    ground, masks = family.ground, family.masks
-    cond = ChainFamily(ground, (), ())
+    indices, masks = family.indices, family.masks
+    ranks = range(len(indices))
+    if order is not None:
+        position = dict(zip(indices, ranks))
+        ranks = [position.get(x, -1) for x in order]
+        if len(ranks) != len(indices) or -1 in ranks or len(set(ranks)) != len(ranks):
+            raise InputError("order is not a permutation of the family's indices")
+    # The condition is indexed by ranks, so every bisect compares ints.
+    name = dict(enumerate(indices)).get  # rank -> point, None (no neighbour) -> None
+    cond = ChainFamily._trusted(family.ground, (), ())
     receipts = []
-    for x in order:
-        cond, receipt = insert_point(cond, x, masks[position[x]])
-        receipts.append(receipt)
+    for r in ranks:
+        cond, (_, produced, below, above, delta) = insert_point(cond, r, masks[r])
+        receipts.append(InsertionReceipt(name(r), produced, name(below), name(above), delta))
     costs = [r.cost for r in receipts]
-    report = AdjustmentReport(
-        receipts=tuple(receipts),
-        total_cost=sum(costs),
-        max_cost=max(costs, default=0),
-    )
-    return cond, report
+    report = AdjustmentReport(tuple(receipts), sum(costs), max(costs, default=0))
+    return ChainFamily._trusted(family.ground, indices, cond.masks), report
 
 
 def merge_conditions(c1: ChainFamily, c2: ChainFamily) -> ChainFamily:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress, count, repeat
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Exact rational index of a set in a family.  Fraction already guarantees the
 # lowest-terms, positive-denominator normal form and exact total order.
@@ -50,16 +50,26 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of a non-negative mask, in increasing order.
+    """Positions of the set bits of a non-negative mask, in increasing order."""
+    flags = _digit_flags(mask)
+    return _low_bits(mask) if flags is None else compress(count(), flags)
 
-    A sparse mask is walked low bit by low bit; any other takes one C-level
-    pass over its binary digits.  Each low-bit step costs full-width int
-    operations, so the walk wins only under one set bit per 64 digits and
-    under 256 set bits in all.
+
+def select_bits(mask: int, items: Sequence) -> Iterator:
+    """items[n] for each set bit n of the mask, in increasing n; no int per digit."""
+    flags = _digit_flags(mask)
+    return map(items.__getitem__, _low_bits(mask)) if flags is None else compress(items, flags)
+
+
+def _digit_flags(mask: int) -> bytes | None:
+    """Per binary digit, lowest first, 1 if set else 0; None when walking low bits wins.
+
+    Each low-bit step costs full-width int operations, so the walk wins only
+    under one set bit per 64 digits and under 256 set bits in all.
     """
     if mask.bit_count() * 64 < min(mask.bit_length(), 1 << 14):
-        return _low_bits(mask)
-    return compress(count(), bin(mask)[:1:-1].encode("ascii").translate(_BIT_FLAGS))
+        return None
+    return bin(mask)[:1:-1].encode("ascii").translate(_BIT_FLAGS)
 
 
 def _low_bits(mask: int) -> Iterator[int]:
@@ -549,7 +559,7 @@ def family_to_text(family: ChainFamily) -> str:
     lines = [f"\n        {n}" for n in range(family.ground.size)]
     entries = []
     for x, m in zip(family.indices, family.masks):
-        elems = ",".join(map(lines.__getitem__, iter_bits(m)))
+        elems = ",".join(select_bits(m, lines))
         body = f"[{elems}\n      ]" if elems else "[]"
         entries.append(
             f'\n    {{\n      "index": "{format_index(x)}",\n      "set": {body}\n    }}'

@@ -178,6 +178,25 @@ def uniform_positions(size: int) -> tuple[IndexValue, ...]:
     return tuple(Fraction(n + 1, size + 1) for n in range(size))
 
 
+def uniform_segment_masks(size: int, xs: Sequence[IndexValue]) -> list[int]:
+    """The masks of `initial_segment_chain(uniform_positions(size), xs)`, in closed form.
+
+    With scaled, rem = divmod(p*(size+1), q), the positions m/(size+1) below
+    a cut p/q are those with 1 <= m <= scaled, except that a zero rem puts
+    the cut on position `scaled`: an error when that is one of 1..size.
+    """
+    for a, b in zip(xs, xs[1:]):
+        if not a < b:
+            raise InputError(f"cut indices not strictly increasing at {a} >= {b}")
+    masks = []
+    for x in xs:
+        scaled, rem = divmod(x.numerator * (size + 1), x.denominator)
+        if rem == 0 and 1 <= scaled <= size:
+            raise InputError(f"cut index {x} coincides with a ground position")
+        masks.append((1 << min(max(scaled, 0), size)) - 1)
+    return masks
+
+
 def check_count(count: int) -> None:
     """Refuse a count of indices below 0 or above MAX_FAMILY_SIZE."""
     if count < 0:
@@ -233,14 +252,15 @@ def perturbed_chain(
     index order, so the output is a deterministic function of its arguments.
     """
     check_flips(flips_per_set, size)
-    base = initial_segment_chain(uniform_positions(size), cut_indices)
+    ground, xs = GroundSet(size), tuple(cut_indices)
     rng = random.Random(seed)
     flipped = []
-    for mask in base.masks:
+    for mask in uniform_segment_masks(size, xs):
         for n in rng.sample(range(size), flips_per_set):
             mask ^= 1 << n
         flipped.append(mask)
-    return ChainFamily(base.ground, base.indices, tuple(flipped))
+    # The cuts were checked in order and every flip lies in the ground.
+    return ChainFamily._trusted(ground, xs, tuple(flipped))
 
 
 def from_sign_matrix(
@@ -249,6 +269,8 @@ def from_sign_matrix(
     """Family A_y = {n : h(y, n) < 0} from a dense matrix of rationals."""
     if len(indices) != len(rows):
         raise InputError(f"{len(indices)} indices but {len(rows)} matrix rows")
+    if not rows:
+        raise InputError("sign matrix has no rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputError(f"matrix is ragged, row lengths {sorted(widths)}")
@@ -312,10 +334,10 @@ def family_from_config(cfg: dict) -> ChainFamily:
             _check_keys(cfg, {"kind", "points", "X"}, {"kind", "points", "X"})
             return initial_segment_chain(parse_index_list(cfg["points"]), parse_index_list(cfg["X"]))
         _check_keys(cfg, {"kind", "seed", "ground_size", "count"}, {"kind", "ground_size", "count"})
-        size = GroundSet(_int_field(cfg, "ground_size")).size
+        ground = GroundSet(_int_field(cfg, "ground_size"))
         rng = random.Random(_int_field(cfg, "seed", 0))
-        xs = sample_cut_indices(rng, size, _int_field(cfg, "count"))
-        return initial_segment_chain(uniform_positions(size), xs)
+        xs = sample_cut_indices(rng, ground.size, _int_field(cfg, "count"))
+        return ChainFamily._trusted(ground, xs, tuple(uniform_segment_masks(ground.size, xs)))
     if kind == "marciszewski":
         if "xs" in cfg:
             _check_keys(cfg, {"kind", "depth", "xs"}, {"kind", "depth", "xs"})
@@ -347,12 +369,11 @@ def family_from_config(cfg: dict) -> ChainFamily:
             _check_keys(cfg, {"kind", "Y", "rows"}, {"kind", "Y", "rows"})
             return from_sign_matrix(parse_index_list(cfg["Y"]), _matrix_rows(cfg["rows"]))
         _check_keys(cfg, {"kind", "seed", "ground_size", "count"}, {"kind", "ground_size", "count"})
-        size = GroundSet(_int_field(cfg, "ground_size")).size
+        ground = GroundSet(_int_field(cfg, "ground_size"))
         rng = random.Random(_int_field(cfg, "seed", 0))
-        ys = sample_cut_indices(rng, size, _int_field(cfg, "count"))
-        rows = [
-            tuple(rng.choice((Fraction(-1), Fraction(1))) for _ in range(size))
-            for _ in ys
-        ]
-        return from_sign_matrix(ys, rows)
+        ys = sample_cut_indices(rng, ground.size, _int_field(cfg, "count"))
+        # Each entry h(y, n) is rng.choice((-1, 1)); n is in A_y when it drew -1.
+        masks = (ground.mask_of(n for n in ground.elements() if rng.choice((True, False)))
+                 for _ in ys)
+        return ChainFamily(ground, ys, tuple(masks))
     raise InputError(f"unknown generator kind {kind!r}")

@@ -55,6 +55,9 @@ class LineModel(Frozen):
         for a, b in zip(carrier, carrier[1:]):
             if not a < b:
                 raise InputError(f"carrier not strictly increasing at {a} >= {b}")
+        if dense_points is carrier:  # from_dense: checked above, ranked by position
+            self._fill(carrier, dense_points, tuple(range(len(carrier))))
+            return
         rank = {p: r for r, p in enumerate(carrier)}
         for a, b in zip(dense_points, dense_points[1:]):
             if not a < b:
@@ -67,7 +70,7 @@ class LineModel(Frozen):
 
     @classmethod
     def from_dense(cls, dense_points: Sequence[IndexValue]) -> LineModel:
-        """Smallest model: the carrier is the dense set itself."""
+        """Smallest model: the carrier is the dense set itself, each point its own rank."""
         pts = tuple(dense_points)
         return cls(pts, pts)
 

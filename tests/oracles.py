@@ -9,10 +9,12 @@ is meaningful.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 from chainlab.core import ChainFamily, GroundSet, InputError
+from chainlab.generators import check_flips, initial_segment_chain, uniform_positions
 
 
 def build_family(traces: list[str], indices=None) -> ChainFamily:
@@ -329,6 +331,38 @@ def brute_insert_point(family: ChainFamily, x, candidate: int):
         g, [(y, mask_from(s)) for y, s in below + [(x, produced)] + above]
     )
     return extended, mask_from(produced), mask_from(produced ^ cand), predecessor, successor
+
+
+def brute_perturbed_chain(seed: int, size: int, cut_indices, flips_per_set: int) -> ChainFamily:
+    """The seeded perturbation by its definition: the initial segments below each
+    cut, found by comparing the cut with every uniform position (the general
+    `initial_segment_chain`), then `flips_per_set` seeded flips per set in index
+    order.  This is the construction the closed form of `perturbed_chain` replaced.
+    """
+    check_flips(flips_per_set, size)
+    base = initial_segment_chain(uniform_positions(size), cut_indices)
+    rng = random.Random(seed)
+    flipped = []
+    for mask in base.masks:
+        for n in rng.sample(range(size), flips_per_set):
+            mask ^= 1 << n
+        flipped.append(mask)
+    return ChainFamily(base.ground, base.indices, tuple(flipped))
+
+
+FRACTION_OPS = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__")
+
+
+def count_fraction_ops(monkeypatch) -> Counter:
+    """Count every Fraction comparison and hash from now until the monkeypatch undoes."""
+    counts: Counter = Counter()
+    for name in FRACTION_OPS:
+        def counted(*args, _name=name, _original=getattr(Fraction, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return counts
 
 
 def receipts_respect_bound(family, adjusted, report) -> bool:

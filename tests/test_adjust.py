@@ -29,9 +29,21 @@ from chainlab.core import (
     is_barely_alternating,
     is_chain,
 )
-from chainlab.generators import DyadicGround, marciszewski_family, random_bit_indices
+from chainlab.generators import (
+    DyadicGround,
+    marciszewski_family,
+    perturbed_chain,
+    random_bit_indices,
+    sample_cut_indices,
+)
 
-from oracles import brute_alternation_witness, brute_sunflower, build_family, mixed_corpus
+from oracles import (
+    brute_alternation_witness,
+    brute_sunflower,
+    build_family,
+    count_fraction_ops,
+    mixed_corpus,
+)
 
 
 def _mask_at(fam, x):
@@ -193,6 +205,23 @@ def test_adjust_rejects_non_permutation_order():
         adjust_family(fam, (fam.indices[0],))
     with pytest.raises(InputError):
         adjust_family(fam, (fam.indices[0], fam.indices[0]))
+    wide = build_family(["0110", "1001"])
+    x0, x1, x2, x3 = wide.indices
+    for order in ((x0, x1, x2, F(7, 8)), (x3, x1, x2, x1)):  # a foreign index; a repeat
+        with pytest.raises(InputError, match="order is not a permutation of the family's"):
+            adjust_family(wide, order)
+
+
+def test_adjust_orders_by_rank_without_fraction_work(monkeypatch):
+    fam = perturbed_chain(3, 24, sample_cut_indices(random.Random(5), 24, 40), 3)
+    order = list(fam.indices)
+    random.Random(6).shuffle(order)
+    counts = count_fraction_ops(monkeypatch)
+    adjust_family(fam)
+    assert counts == {}
+    adjust_family(fam, order)
+    # One hash per index to build the position dict and one per lookup.
+    assert counts == {"__hash__": 2 * len(fam)}
 
 
 def test_receipts_obey_structural_bound():

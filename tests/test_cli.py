@@ -10,6 +10,8 @@ import pytest
 
 from chainlab.cli import main
 
+from oracles import count_fraction_ops
+
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
     code = main(list(args))
@@ -214,6 +216,22 @@ def test_generate_from_config_file(tmp_path, capsys):
     assert doc["entries"][0] == {"index": "1/4", "set": [0]}
 
 
+@pytest.mark.parametrize("kind", ["sign", "chain", "perturbed", "marciszewski"])
+def test_generate_count_zero_writes_an_empty_family(capsys, kind):
+    code, out, err = run_cli(capsys, "generate", "--kind", kind, "--count", "0",
+                             "--ground-size", "2")
+    assert (code, err) == (0, "")
+    size = 31 if kind == "marciszewski" else 2  # the default depth 5 fixes the ground
+    assert json.loads(out) == {"ground_size": size, "entries": []}
+
+
+def test_sign_matrix_config_without_rows_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "sign-matrix", "Y": [], "rows": []}))
+    code, out, err = run_cli(capsys, "generate", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "input-error: sign matrix has no rows\n")
+
+
 def test_order_flag_changes_insertion_order_not_validity(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     run_cli(
@@ -281,6 +299,18 @@ def test_sweep_refuses_too_many_flips_before_building_any_cell(capsys, monkeypat
     )
     assert (code, out, built) == (1, "", [])
     assert err == "input-error: cannot flip 5 distinct bits in a ground of 4\n"
+
+
+def test_sweep_compares_each_index_at_most_twice_and_hashes_none(capsys, monkeypatch):
+    # Cuts and words are ordered once by the generator and once by the line
+    # model; generation, the defect scan, adjust and triples work on ranks.
+    counts = count_fraction_ops(monkeypatch)
+    for argv in (("--ground-size", "16", "--count", "20", "--flips", "2"),  # 3 x 20 indices
+                 ("--kind", "marciszewski", "--depth", "5", "--count", "20")):  # 7 + 15 + 20
+        code, _, _ = run_cli(capsys, "sweep", "--seed", "3", "--reps", "1", *argv)
+        assert code == 0
+    assert set(counts) == {"__lt__"}
+    assert counts["__lt__"] <= 2 * (3 * 20 + 7 + 15 + 20)
 
 
 def test_marciszewski_sweep_runs(capsys):

@@ -31,7 +31,7 @@ from chainlab.lineop import (
     triple_table_to_text,
 )
 
-from oracles import brute_fourth_flip_witness, build_family, mixed_corpus
+from oracles import brute_fourth_flip_witness, build_family, count_fraction_ops, mixed_corpus
 
 Y3 = (F(1, 4), F(1, 2), F(3, 4))
 MODEL3 = LineModel(carrier=Y3 + (F(1),), dense_points=Y3)
@@ -93,6 +93,21 @@ def test_model_shape_is_validated():
         LineModel(carrier=(F(1), F(1)), dense_points=())
     with pytest.raises(InputError):
         LineModel(carrier=(F(1),), dense_points=(F(2),))
+    for points, message in (((), "carrier must be nonempty"),
+                            ((F(1), F(1)), "carrier not strictly increasing at 1 >= 1")):
+        with pytest.raises(InputError, match=message):
+            LineModel.from_dense(points)
+
+
+def test_from_dense_checks_order_once_and_hashes_nothing(monkeypatch):
+    points = tuple(F(n, 41) for n in range(1, 41))
+    counts = count_fraction_ops(monkeypatch)
+    model = LineModel.from_dense(points)
+    assert counts == {"__lt__": len(points) - 1}
+    assert model.dense_ranks == tuple(range(len(points)))
+    general = LineModel(points, tuple(list(points)))  # equal points, another tuple
+    assert (model, hash(model), repr(model)) == (general, hash(general), repr(general))
+    assert model.dense_ranks == general.dense_ranks
 
 
 def test_operator_constant_function_stays_constant():

@@ -35,6 +35,7 @@ from chainlab.core import (
     iter_bits,
     membership_steps,
     membership_trace,
+    select_bits,
     validate_almost_chain,
 )
 from chainlab.generators import (
@@ -44,6 +45,7 @@ from chainlab.generators import (
     excluded_dyadics,
     initial_segment_chain,
     marciszewski_family,
+    perturbed_chain,
 )
 from chainlab.lineop import (
     FunctionOnLine,
@@ -69,6 +71,7 @@ from oracles import (
     brute_insert_point,
     brute_marciszewski_family,
     brute_norm_witness,
+    brute_perturbed_chain,
     brute_triple_table_text,
     brute_triples,
     counter_inputs,
@@ -234,6 +237,37 @@ def test_initial_segment_chain_rejects_cut_on_a_position(position_grid, cut_grid
             initial_segment_chain(positions, cuts)
     else:
         initial_segment_chain(positions, cuts)
+
+
+@st.composite
+def perturbed_arguments(draw):
+    """Seed, ground size, cuts and flips; cuts fall on, between, below and above the grid."""
+    size = draw(st.integers(0, 20))
+    scale = 2 * (size + 1) * draw(st.integers(1, 3))
+    off_grid = st.integers(-4, scale + 4).map(lambda r: F(2 * r + 1, scale))  # odd / even
+    cuts = draw(st.lists(off_grid, max_size=12))
+    if draw(st.integers(0, 2)) == 0:  # one grid value: a position, 0, 1 or outside [0, 1]
+        cuts.append(F(draw(st.integers(-2, size + 3)), size + 1))
+    if draw(st.integers(0, 3)):  # mostly sorted, so that most draws build a family
+        cuts = sorted(set(cuts))
+    return draw(st.integers(0, 2**32)), size, tuple(cuts), draw(st.integers(0, size + 1))
+
+
+@CHECK
+@example((5, 4, (F(-1, 3), F(0), F(1, 7), F(1), F(9, 4)), 2))  # cuts <= 0 and >= 1
+@example((5, 4, (F(1, 10), F(3, 5)), 1))  # 3/5 is the position of element 2
+@example((5, 4, (F(3, 5), F(1, 10)), 1))  # unsorted before coincident
+@example((5, 1, (F(1, 2),), 0))  # the one position of a one-element ground
+@given(perturbed_arguments())
+def test_perturbed_chain_matches_the_positional_construction(args):
+    try:
+        expected = brute_perturbed_chain(*args)
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            perturbed_chain(*args)
+        assert str(info.value) == str(exc)
+    else:
+        assert perturbed_chain(*args) == expected
 
 
 @CHECK
@@ -441,6 +475,8 @@ def threshold_masks(draw):
 ))
 def test_iter_bits_matches_binary_digits(mask):
     assert list(iter_bits(mask)) == _bin_bits(mask)
+    items = range(7, 7 + mask.bit_length())
+    assert list(select_bits(mask, items)) == [items[n] for n in _bin_bits(mask)]
 
 
 @CHECK
