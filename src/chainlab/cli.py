@@ -43,23 +43,12 @@ def _load_family(path: str) -> core.ChainFamily:
     return core.family_from_text(_read_text(path))
 
 
-def _chain_verdict(witness: core.ChainWitness | None) -> str:
+def _verdict(witness: core.ChainWitness | core.AlternationWitness | None) -> str:
+    """`ok`, or the witness's element and each index named by its field."""
     if witness is None:
         return "ok"
-    return (
-        f"witness n={witness.n} x={core.format_index(witness.x)} "
-        f"y={core.format_index(witness.y)}"
-    )
-
-
-def _alternation_verdict(witness: core.AlternationWitness | None) -> str:
-    if witness is None:
-        return "ok"
-    xs = " ".join(
-        f"x{i}={core.format_index(x)}"
-        for i, x in enumerate((witness.x1, witness.x2, witness.x3, witness.x4), 1)
-    )
-    return f"witness n={witness.n} {xs}"
+    xs = (f"{name}={core.format_index(x)}" for name, x in zip(witness._fields[1:], witness[1:]))
+    return f"witness n={witness.n} {' '.join(xs)}"
 
 
 # --- commands ------------------------------------------------------------------
@@ -95,8 +84,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for j, size in zip(js, sizes)
     )
     lines = [
-        f"chain: {_chain_verdict(core.chain_witness(family))}",
-        f"barely_alternating: {_alternation_verdict(core.alternation_witness(family))}",
+        f"chain: {_verdict(core.chain_witness(family))}",
+        f"barely_alternating: {_verdict(core.alternation_witness(family))}",
         f"max_defect: {report.max_defect_size}",
         f"budget: {args.budget}",
         f"over_budget: {flagged or 'none'}",
@@ -134,7 +123,7 @@ def _cmd_compat(args: argparse.Namespace) -> int:
     if witness is None:
         _write_text(args.output, "compatible\n")
     else:
-        _write_text(args.output, _alternation_verdict(witness) + "\n")
+        _write_text(args.output, _verdict(witness) + "\n")
     return 0
 
 
@@ -186,7 +175,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 
 def _model_for(family: core.ChainFamily, args: argparse.Namespace) -> lineop.LineModel:
     if args.model is None:
-        return lineop.LineModel.from_dense(family.indices)
+        return lineop.LineModel._of_family(family)
     return lineop.model_from_text(_read_text(args.model))
 
 
@@ -242,7 +231,7 @@ def _sweep_cell(args: argparse.Namespace, param: int, rep: int) -> str:
     defects = core.validate_almost_chain(family, family.ground.size)
     adjusted, report = adj.adjust_family(family)
     # compute_triples refuses a family that is not barely alternating: rows read "yes".
-    table = lineop.compute_triples(adjusted, lineop.LineModel.from_dense(adjusted.indices))
+    table = lineop.compute_triples(adjusted, lineop.LineModel._of_family(adjusted))
     norm = lineop.operator_norm(table)
     return (
         f"{args.kind}\t{param}\t{rep}\t{seed}\t{family.ground.size}\t{len(family)}"

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, count, repeat
-from operator import or_
+from operator import lt, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Exact rational index of a set in a family.  Fraction already guarantees the
@@ -186,7 +186,7 @@ class ChainFamily(Frozen):
     def _trusted(
         cls, ground: GroundSet, indices: tuple[IndexValue, ...], masks: tuple[int, ...]
     ) -> ChainFamily:
-        """Build without the shape checks, which the caller guarantees; hot in `insert_point`."""
+        """Build without the shape checks, which the caller guarantees."""
         family = object.__new__(cls)
         family._fill(ground, indices, masks)
         return family
@@ -449,7 +449,7 @@ def chain_defect_set(family: ChainFamily) -> int:
 # with entries sorted by index and each set listed in increasing order.  The
 # writer is canonical, so write -> parse -> write is byte-identical.
 
-_INDEX_RE = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+_INDEX_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 def format_index(x: IndexValue) -> str:
@@ -457,11 +457,13 @@ def format_index(x: IndexValue) -> str:
 
 
 def parse_index(text: str) -> IndexValue:
-    if not isinstance(text, str) or not _INDEX_RE.fullmatch(text):
+    match = _INDEX_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise InputError(f"malformed index {text!r}, expected 'p/q'")
-    if any(len(part) > MAX_INDEX_DIGITS for part in text.lstrip("-").split("/")):
+    sign, p, q = match.groups()
+    if len(p) > MAX_INDEX_DIGITS or len(q or "") > MAX_INDEX_DIGITS:
         raise InputError(f"index numerator or denominator exceeds {MAX_INDEX_DIGITS} digits")
-    return Fraction(text)
+    return Fraction(int(sign + p), int(q or 1))
 
 
 def parse_index_list(values: object) -> tuple[IndexValue, ...]:
@@ -485,32 +487,43 @@ def parse_json(text: str, what: str) -> object:
 
 
 def _stray_element(elems: list, size: int) -> object:
-    """First element that is not an exact int in [0, size), or None.
-
-    Raises for a non-integer or a non-increasing list.  Exact ints increasing
-    from 0 are settled in one pass, with the range check on the last one.
-    """
-    prev = -1
-    for n in elems:
-        if type(n) is not int or n <= prev:
-            break
-        prev = n
-    else:
-        return None if prev < size else elems[bisect_left(elems, size)]
+    """First element that is not an exact int in [0, size), or None; raises on shape."""
     if any(not isinstance(n, int) for n in elems):
         raise InputError(f"set must be a list of integers: {elems!r}")
     if any(not a < b for a, b in zip(elems, elems[1:])):
         raise InputError(f"set elements must be strictly increasing: {elems!r}")
-    return next(n for n in elems if type(n) is not int or not 0 <= n < size)
+    return next((n for n in elems if type(n) is not int or not 0 <= n < size), None)
 
 
-def _family_document(text: str) -> tuple[int, list[tuple[IndexValue, list]], object]:
-    """Parse the family document in file order, checking all but the ground range.
+def _set_mask(elems: list, limit: int) -> int | None:
+    """Mask of a nonempty strictly increasing list of exact ints in [0, limit), else None.
 
-    Returns the declared ground size, the entries as (index, element list)
-    and the first element, in file order, outside [0, size) (None if none).
-    Range errors are left to the caller so that they are reported after
-    every shape error and after the ground size check.
+    One loop checks the order and writes a digit per element into a buffer
+    from the first element to the last.  Non-ints raise TypeError on the way,
+    and a bool in an increasing list from 0 up can only be one of the first two.
+    """
+    low, top = elems[0], elems[-1]
+    try:
+        if not 0 <= low <= top < limit or bool in map(type, elems[:2]):
+            return None
+        digits = bytearray(b"0") * (top - low + 1)
+        prev = low - 1
+        for n in elems:
+            if not prev < n:
+                return None
+            digits[top - n] = 49  # ord("1"); bit n is digit top-n
+            prev = n
+    except (TypeError, IndexError):
+        return None
+    return int(digits, 2) << low
+
+
+def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
+    """Parse the family document; also return its indices in file order.
+
+    Errors come in order: shape errors entry by entry (set, then index), the
+    ground size, the first element outside [0, size) in file order, a repeated
+    index.  No set buffer is made for a ground size over the cap.
     """
     doc = parse_json(text, "family document")
     if not isinstance(doc, dict) or set(doc) != {"ground_size", "entries"}:
@@ -520,7 +533,9 @@ def _family_document(text: str) -> tuple[int, list[tuple[IndexValue, list]], obj
         raise InputError(f"bad ground_size {size!r}")
     if not isinstance(doc["entries"], list):
         raise InputError("entries must be a list")
-    entries: list[tuple[IndexValue, list]] = []
+    limit = size if type(size) is int and size <= MAX_GROUND_SIZE else 0
+    indices: list[IndexValue] = []
+    masks: list[int] = []
     stray = None
     for entry in doc["entries"]:
         if not isinstance(entry, dict) or set(entry) != {"index", "set"}:
@@ -528,21 +543,20 @@ def _family_document(text: str) -> tuple[int, list[tuple[IndexValue, list]], obj
         elems = entry["set"]
         if not isinstance(elems, list):
             raise InputError(f"set must be a list of integers: {elems!r}")
-        bad = _stray_element(elems, size)
-        entries.append((parse_index(entry["index"]), elems))
-        if stray is None:
-            stray = bad
-    return size, entries, stray
-
-
-def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
-    """Parse the family document; also return its indices in file order."""
-    size, entries, stray = _family_document(text)
+        mask = _set_mask(elems, limit) if elems else 0
+        if mask is None:
+            bad = _stray_element(elems, size)
+            if stray is None:
+                stray = bad
+        indices.append(parse_index(entry["index"]))
+        masks.append(mask)
     ground = GroundSet(size)
     if stray is not None:
         ground.check_element(stray)
-    family = ChainFamily.from_pairs(ground, ((x, _mask_of(size, elems)) for x, elems in entries))
-    return family, tuple(x for x, _ in entries)
+    order = tuple(indices)
+    if all(map(lt, order, order[1:])):  # each mask lies in the ground by construction
+        return ChainFamily._trusted(ground, order, tuple(masks)), order
+    return ChainFamily.from_pairs(ground, zip(order, masks)), order
 
 
 def family_from_text(text: str) -> ChainFamily:
@@ -553,10 +567,10 @@ def family_to_text(family: ChainFamily) -> str:
     """The canonical document, byte for byte `json.dumps(doc, indent=2) + "\n"`.
 
     Written directly: indices and elements are digits, '-' and '/', so
-    nothing needs escaping.  Each element's line is formatted once and
-    shared by every set that holds it.
+    nothing needs escaping.  Each element's line is formatted once, up to
+    the largest element held, and shared by every set that holds it.
     """
-    lines = [f"\n        {n}" for n in range(family.ground.size)]
+    lines = [f"\n        {n}" for n in range(reduce(or_, family.masks, 0).bit_length())]
     entries = []
     for x, m in zip(family.indices, family.masks):
         elems = ",".join(select_bits(m, lines))

@@ -170,7 +170,8 @@ def marciszewski_family(xs: Iterable[BitIndex], ground: DyadicGround) -> ChainFa
         sets[word] = ((1 << head) - 1) ^ _excluded(head)
     words = sorted(sets)
     indices = tuple(Fraction(int(w, 2), 1 << len(w)) for w in words)
-    return ChainFamily(ground.ground, indices, tuple(map(sets.__getitem__, words)))
+    # Distinct words sort as their values, and each mask lies below 2^depth - 1.
+    return ChainFamily._trusted(ground.ground, indices, tuple(map(sets.__getitem__, words)))
 
 
 def uniform_positions(size: int) -> tuple[IndexValue, ...]:

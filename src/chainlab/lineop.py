@@ -74,6 +74,15 @@ class LineModel(Frozen):
         pts = tuple(dense_points)
         return cls(pts, pts)
 
+    @classmethod
+    def _of_family(cls, family: ChainFamily) -> LineModel:
+        """`from_dense(family.indices)`, without checking the order the family holds."""
+        if not family.indices:
+            return cls.from_dense(())  # refused: the carrier must be nonempty
+        model = object.__new__(cls)
+        model._fill(family.indices, family.indices, tuple(range(len(family))))
+        return model
+
     @property
     def max_point(self) -> IndexValue:
         return self.carrier[-1]
@@ -261,8 +270,10 @@ def continuity_harness(
     # f is read once per rank, in step order, so the first undefined point
     # named is the one a step-by-step signed sum would meet first.
     value = {r: f.value_at(at(r)) for r in dict.fromkeys(chain.from_iterable(ranks))}
+    # A step with r1 == r2 sums to f(x0) exactly.  compute_triples never makes
+    # r0 == r1 < r2: x1 equals x0 only when x1 is the fallback max(K), as x2 then is.
     steps = tuple(
-        HarnessStep(stage, n, t, _signed_sum(value.__getitem__, t))
+        HarnessStep(stage, n, t, value[t[0]] if t[1] == t[2] else _signed_sum(value.__getitem__, t))
         for (n, stage), t in zip(schedule, ranks)
     )
     final = steps[-1]

@@ -9,11 +9,20 @@ is meaningful.
 from __future__ import annotations
 
 import random
+import re
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from chainlab.core import ChainFamily, GroundSet, InputError
+from chainlab.core import (
+    MAX_INDEX_DIGITS,
+    ChainFamily,
+    GroundSet,
+    InputError,
+    _mask_of,
+    parse_json,
+)
 from chainlab.generators import check_flips, initial_segment_chain, uniform_positions
 
 
@@ -348,6 +357,67 @@ def brute_perturbed_chain(seed: int, size: int, cut_indices, flips_per_set: int)
             mask ^= 1 << n
         flipped.append(mask)
     return ChainFamily(base.ground, base.indices, tuple(flipped))
+
+
+_TWO_PASS_INDEX_RE = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _two_pass_index(text) -> Fraction:
+    if not isinstance(text, str) or not _TWO_PASS_INDEX_RE.fullmatch(text):
+        raise InputError(f"malformed index {text!r}, expected 'p/q'")
+    if any(len(part) > MAX_INDEX_DIGITS for part in text.lstrip("-").split("/")):
+        raise InputError(f"index numerator or denominator exceeds {MAX_INDEX_DIGITS} digits")
+    return Fraction(text)
+
+
+def _two_pass_stray_element(elems: list, size: int):
+    """First element that is not an exact int in [0, size), or None; raises on shape."""
+    prev = -1
+    for n in elems:
+        if type(n) is not int or n <= prev:
+            break
+        prev = n
+    else:
+        return None if prev < size else elems[bisect_left(elems, size)]
+    if any(not isinstance(n, int) for n in elems):
+        raise InputError(f"set must be a list of integers: {elems!r}")
+    if any(not a < b for a, b in zip(elems, elems[1:])):
+        raise InputError(f"set elements must be strictly increasing: {elems!r}")
+    return next(n for n in elems if type(n) is not int or not 0 <= n < size)
+
+
+def two_pass_family_with_file_order(text: str):
+    """The family reader that walks each set twice: one pass checks types,
+    order and range, a second writes an N-digit buffer per set, and
+    `from_pairs` sorts, checks duplicates and builds a checked family.
+    Returns the family and its indices in file order, or raises InputError
+    with the message the single-pass reader must give.
+    """
+    doc = parse_json(text, "family document")
+    if not isinstance(doc, dict) or set(doc) != {"ground_size", "entries"}:
+        raise InputError("family document must have exactly ground_size and entries")
+    size = doc["ground_size"]
+    if not isinstance(size, int) or size < 1:
+        raise InputError(f"bad ground_size {size!r}")
+    if not isinstance(doc["entries"], list):
+        raise InputError("entries must be a list")
+    entries = []
+    stray = None
+    for entry in doc["entries"]:
+        if not isinstance(entry, dict) or set(entry) != {"index", "set"}:
+            raise InputError(f"entry must have exactly index and set: {entry!r}")
+        elems = entry["set"]
+        if not isinstance(elems, list):
+            raise InputError(f"set must be a list of integers: {elems!r}")
+        bad = _two_pass_stray_element(elems, size)
+        entries.append((_two_pass_index(entry["index"]), elems))
+        if stray is None:
+            stray = bad
+    ground = GroundSet(size)
+    if stray is not None:
+        ground.check_element(stray)
+    family = ChainFamily.from_pairs(ground, ((x, _mask_of(size, elems)) for x, elems in entries))
+    return family, tuple(x for x, _ in entries)
 
 
 FRACTION_OPS = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__")

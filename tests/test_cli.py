@@ -301,16 +301,20 @@ def test_sweep_refuses_too_many_flips_before_building_any_cell(capsys, monkeypat
     assert err == "input-error: cannot flip 5 distinct bits in a ground of 4\n"
 
 
-def test_sweep_compares_each_index_at_most_twice_and_hashes_none(capsys, monkeypatch):
-    # Cuts and words are ordered once by the generator and once by the line
-    # model; generation, the defect scan, adjust and triples work on ranks.
+def test_sweep_compares_only_the_perturbed_cuts_once_and_hashes_none(capsys, monkeypatch):
+    # The perturbed generator checks its k cuts in order, k - 1 comparisons
+    # per cell; Marciszewski words are ordered as bytes, and generation, the
+    # defect scan, adjust, the line model and triples work on ranks.
     counts = count_fraction_ops(monkeypatch)
-    for argv in (("--ground-size", "16", "--count", "20", "--flips", "2"),  # 3 x 20 indices
-                 ("--kind", "marciszewski", "--depth", "5", "--count", "20")):  # 7 + 15 + 20
-        code, _, _ = run_cli(capsys, "sweep", "--seed", "3", "--reps", "1", *argv)
-        assert code == 0
-    assert set(counts) == {"__lt__"}
-    assert counts["__lt__"] <= 2 * (3 * 20 + 7 + 15 + 20)
+    code, _, _ = run_cli(capsys, "sweep", "--seed", "3", "--reps", "1",
+                         "--ground-size", "16", "--count", "20", "--flips", "2")
+    assert code == 0
+    assert counts == {"__lt__": 3 * (20 - 1)}  # flips 0, 1 and 2
+    counts.clear()
+    code, _, _ = run_cli(capsys, "sweep", "--seed", "3", "--reps", "1",
+                         "--kind", "marciszewski", "--depth", "5", "--count", "20")
+    assert code == 0
+    assert counts == {}
 
 
 def test_marciszewski_sweep_runs(capsys):
@@ -507,11 +511,16 @@ def _family_doc(size, *sets, indices=None):
         (_family_doc(4, [0], [9], indices=["1/2", "2/4"]),
          "element 9 outside ground range [0, 4)"),
         (_family_doc(4, [0], [1], indices=["1/2", "2/4"]), "duplicate index 1/2"),
+        (_family_doc(4, [0, 1.0]), "set must be a list of integers: [0, 1.0]"),
+        (_family_doc(4, [5, 1]), "set elements must be strictly increasing: [5, 1]"),
+        (_family_doc(4, [[0]]), "set must be a list of integers: [[0]]"),
+        (_family_doc(4, ["0"]), "set must be a list of integers: ['0']"),
     ],
     ids=["first-offender-not-max", "later-entry", "negative", "bool", "bool-after-int",
          "decreasing", "repeated", "non-int-before-order", "bool-out-of-order",
          "shape-before-range", "index-before-range", "ground-size-before-range",
-         "range-before-duplicate", "duplicate-index"],
+         "range-before-duplicate", "duplicate-index", "float-after-int",
+         "last-in-range-but-unsorted", "nested-list", "string"],
 )
 def test_family_parse_error_messages(tmp_path, capsys, doc, message):
     fam = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
 import tracemalloc
@@ -40,6 +41,7 @@ from oracles import (
     brute_chain_witness,
     brute_defect_report,
     build_family,
+    count_fraction_ops,
     counter_inputs,
     flagged_sizes,
     mixed_corpus,
@@ -474,6 +476,32 @@ def test_serialization_round_trip_is_bit_exact():
         again = family_from_text(text)
         assert again == fam
         assert family_to_text(again) == text
+
+
+def test_sparse_wide_document_reads_and_writes_in_small_memory():
+    # 500 one-element sets over 2^20 elements: each set's buffer ends at its
+    # last element and the writer formats lines up to the largest one held.
+    doc = {"ground_size": MAX_GROUND_SIZE,
+           "entries": [{"index": f"{2 * i + 1}/1024", "set": [i]} for i in range(500)]}
+    text = json.dumps(doc)
+    fam, peak = _peak_bytes(lambda: family_from_text(text))
+    assert fam.masks == tuple(1 << i for i in range(500))
+    assert peak < 4 << 20
+    out, peak = _peak_bytes(lambda: family_to_text(fam))
+    assert peak < 4 << 20
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_reading_an_in_order_document_compares_each_index_once(monkeypatch):
+    fam = family_from_config(
+        {"kind": "perturbed", "seed": 2, "ground_size": 32, "count": 50, "flips": 2})
+    text = family_to_text(fam)
+    counts = count_fraction_ops(monkeypatch)
+    parsed = family_from_text(text)
+    seen = dict(counts)
+    monkeypatch.undo()
+    assert seen == {"__lt__": len(fam) - 1}
+    assert parsed == fam
 
 
 @pytest.mark.parametrize(

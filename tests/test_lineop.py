@@ -287,6 +287,18 @@ def test_harness_flags_strict_final_triple():
         continuity_harness(fam, MODEL3, [(0, 0)], f)
 
 
+def test_harness_sums_a_strict_step_before_a_coincident_limit():
+    # Element 0 reads (1/4, 1/2, 3/4), strict; element 1 is never in: (1, 1, 1).
+    fam = _family3("101", "000")
+    f = FunctionOnLine({F(1, 4): F(2), F(1, 2): F(-3), F(3, 4): F(5, 2), F(1): F(7)})
+    report = continuity_harness(fam, MODEL3, [(0, 0), (1, 1)], f)
+    table = compute_triples(fam, MODEL3)
+    assert [triple_pattern(s.ranks) for s in report.steps] == ["x0<x1<x2", "x0=x1=x2"]
+    assert [s.operator_value for s in report.steps] == [F(15, 2), F(7)]
+    assert [s.operator_value for s in report.steps] == [table.signed_sum(f, n) for n in (0, 1)]
+    assert (report.limit_point, report.limit_value, report.identity_holds) == (F(1), F(7), True)
+
+
 class _CountingValues(dict):
     """Function values that count their lookups."""
 

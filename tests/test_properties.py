@@ -76,6 +76,7 @@ from oracles import (
     brute_triples,
     counter_inputs,
     flagged_sizes,
+    two_pass_family_with_file_order,
 )
 
 
@@ -284,6 +285,55 @@ def test_family_text_is_the_indent_2_json_dump(fam):
     text = family_to_text(fam)
     assert text == json.dumps(doc, indent=2) + "\n"
     assert family_from_text(text) == fam
+
+
+_ODD_ELEMENTS = st.one_of(
+    st.integers(-3, 70), st.booleans(), st.sampled_from([0.0, 1.0, 1.5, -0.5]),
+    st.sampled_from(["0", "a"]), st.none(), st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def _document_sets(draw):
+    """Mostly increasing ints that may overrun the ground, some with one odd element."""
+    elems = sorted(draw(st.sets(st.integers(0, 40), max_size=8)))
+    kind = draw(st.sampled_from(["increasing"] * 6 + ["odd", "repeat", "swap", "anything"]))
+    if kind == "odd":
+        elems.insert(draw(st.integers(0, len(elems))), draw(_ODD_ELEMENTS))
+    elif kind == "repeat" and elems:
+        elems.insert(draw(st.integers(0, len(elems))), draw(st.sampled_from(elems)))
+    elif kind == "swap" and len(elems) > 1:
+        i = draw(st.integers(0, len(elems) - 2))
+        elems[i], elems[i + 1] = elems[i + 1], elems[i]
+    elif kind == "anything":
+        elems = draw(st.lists(_ODD_ELEMENTS, max_size=6))
+    return elems
+
+
+@CHECK
+@given(
+    st.sampled_from([True, 0, MAX_GROUND_SIZE + 1, *range(1, 65)]),
+    st.lists(st.tuples(st.sampled_from([*(f"{v}/8" for v in range(-9, 10)), "1/2", "x"]),
+                       _document_sets()), max_size=6),
+)
+@example(4, [("1/2", [0, 1.0])])
+@example(4, [("1/2", [5, 1])])
+@example(4, [("1/2", [True])])
+@example(4, [("1/2", [False, 1])])
+@example(4, [("1/2", [0, True, 2])])
+@example(4, [("1/2", [0, 2]), ("1/4", [1]), ("3/4", [7])])
+@example(MAX_GROUND_SIZE + 1, [("1/2", [MAX_GROUND_SIZE])])
+def test_family_reader_matches_the_two_pass_reader(ground_size, entries):
+    text = json.dumps({"ground_size": ground_size,
+                       "entries": [{"index": x, "set": s} for x, s in entries]})
+
+    def outcome(read):
+        try:
+            return read(text)
+        except InputError as exc:
+            return str(exc)
+
+    assert outcome(core.family_with_file_order) == outcome(two_pass_family_with_file_order)
 
 
 def test_family_text_of_empty_family_and_empty_sets():
