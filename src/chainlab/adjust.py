@@ -182,10 +182,6 @@ def compatibility_witness(c1: ChainFamily, c2: ChainFamily) -> AlternationWitnes
     return alternation_witness(merge_conditions(c1, c2))
 
 
-def conditions_compatible(c1: ChainFamily, c2: ChainFamily) -> bool:
-    return compatibility_witness(c1, c2) is None
-
-
 def _build_decomposition(
     sets: list[frozenset[IndexValue]], root: frozenset[IndexValue], members: list[int]
 ) -> SunflowerDecomposition:

@@ -10,7 +10,7 @@ how far a family is from being a chain.
 All values are immutable after construction and all arithmetic is exact:
 indices are `fractions.Fraction`, sets are int bit masks (bit n = element n)
 everywhere, in and out of the library.  `ChainFamily(ground, indices, masks)`
-holds one mask per index, and `defect` and `chain_defect_set` return masks.
+holds one mask per index, and `chain_defect_set` returns a mask.
 `GroundSet.check_mask` is the one check that a mask lies in the ground;
 `mask_of` and `iter_bits` convert between element lists and masks.
 Witnesses returned by the checkers are lexicographically least (least ground
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, count, repeat
@@ -205,13 +204,6 @@ class ChainFamily(Frozen):
     def __len__(self) -> int:
         return len(self.indices)
 
-    def position(self, x: IndexValue) -> int:
-        """Position of index x, or InputError when absent."""
-        i = bisect_left(self.indices, x)
-        if i == len(self.indices) or self.indices[i] != x:
-            raise InputError(f"index {x} not in family")
-        return i
-
 
 class AlternationWitness(NamedTuple):
     """Least (n, x1 < x2 < x3 < x4) with n in A_x1, out of A_x2, in A_x3, out of A_x4."""
@@ -229,18 +221,6 @@ class ChainWitness(NamedTuple):
     n: int
     x: IndexValue
     y: IndexValue
-
-
-def membership_trace(family: ChainFamily, n: int) -> str:
-    """Bit string over the sorted indices: character i is 1 iff n is in masks[i]."""
-    family.ground.check_element(n)
-    return "".join("1" if m >> n & 1 else "0" for m in family.masks)
-
-
-def flip_count(family: ChainFamily, n: int) -> int:
-    """Number of adjacent membership changes of n along the sorted indices."""
-    trace = membership_trace(family, n)
-    return sum(1 for a, b in zip(trace, trace[1:]) if a != b)
 
 
 def membership_steps(family: ChainFamily) -> list[tuple[int, int, int, int]]:
@@ -302,17 +282,6 @@ def chain_witness(family: ChainFamily) -> ChainWitness | None:
     return _least_witness(family, ChainWitness)
 
 
-def is_chain(family: ChainFamily) -> bool:
-    return chain_witness(family) is None
-
-
-def defect(family: ChainFamily, x: IndexValue, y: IndexValue) -> int:
-    """The mask of the witness set A_x \\ A_y for indices x < y of the family."""
-    if not x < y:
-        raise InputError(f"defect requires x < y, got {x} >= {y}")
-    return family.masks[family.position(x)] & ~family.masks[family.position(y)]
-
-
 class DefectReport(NamedTuple):
     """The largest pairwise defect of a family and the pairs over a budget.
 
@@ -326,10 +295,6 @@ class DefectReport(NamedTuple):
     def flagged_pairs(self) -> tuple[tuple[int, int], ...]:
         """Position pairs (i, j) whose defect exceeds the budget, in row order."""
         return tuple((i, j) for i, js, _ in self.flagged_rows for j in js)
-
-    @property
-    def ok(self) -> bool:
-        return not self.flagged_rows
 
 
 def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:

@@ -25,7 +25,6 @@ from .core import (
     IndexValue,
     InputError,
     _mask_of,
-    iter_bits,
     parse_index,
     parse_index_list,
     parse_json,
@@ -44,11 +43,6 @@ class DyadicGround(Frozen):
         if depth >= (MAX_GROUND_SIZE + 1).bit_length():
             raise InputError(f"depth {depth} puts the ground above the cap {MAX_GROUND_SIZE}")
         self._fill(depth, GroundSet((1 << depth) - 1))
-
-    def point(self, n: int) -> IndexValue:
-        """Numeric value of ground element n."""
-        self.ground.check_element(n)
-        return Fraction(n + 1, 1 << self.depth)
 
 
 _BITS_OF_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -96,20 +90,6 @@ def _excluded(head: int) -> int:
         excluded |= 1 << (t - 1)
         t &= t - 1
     return excluded
-
-
-def excluded_dyadics(x: BitIndex, depth: int) -> tuple[IndexValue, ...]:
-    """Truncations of x at the positions where its expansion carries a 1.
-
-    For every position n < depth whose next bit is 1, the truncation to n bits
-    (the value of the word with that 1 zeroed out) is a dyadic lying just
-    below x; truncations equal to 0 fall outside the open-interval ground and
-    are dropped.
-    """
-    if len(x.bits) < depth:
-        raise InputError(f"bit word of length {len(x.bits)} is shorter than depth {depth}")
-    excluded = _excluded(int(x.digits()[:depth], 2))
-    return tuple(Fraction(n + 1, 1 << depth) for n in iter_bits(excluded))
 
 
 def initial_segment_chain(
@@ -174,13 +154,8 @@ def marciszewski_family(xs: Iterable[BitIndex], ground: DyadicGround) -> ChainFa
     return ChainFamily._trusted(ground.ground, indices, tuple(map(sets.__getitem__, words)))
 
 
-def uniform_positions(size: int) -> tuple[IndexValue, ...]:
-    """Evenly spaced ground positions (n+1)/(size+1) inside (0, 1)."""
-    return tuple(Fraction(n + 1, size + 1) for n in range(size))
-
-
 def uniform_segment_masks(size: int, xs: Sequence[IndexValue]) -> list[int]:
-    """The masks of `initial_segment_chain(uniform_positions(size), xs)`, in closed form.
+    """The masks of `initial_segment_chain` over positions (n+1)/(size+1), in closed form.
 
     With scaled, rem = divmod(p*(size+1), q), the positions m/(size+1) below
     a cut p/q are those with 1 <= m <= scaled, except that a zero rem puts
@@ -227,17 +202,13 @@ def sample_cut_indices(rng: random.Random, size: int, count: int) -> tuple[Index
     return tuple(Fraction(2 * r + 1, 2 * slots) for r in sorted(draws))
 
 
-def random_bit_indices(
-    rng: random.Random, depth: int, count: int, extra_bits: int = 8
-) -> tuple[BitIndex, ...]:
-    """Draw distinct bit words of length depth+extra_bits, final bit forced to 1.
+def random_bit_indices(rng: random.Random, depth: int, count: int) -> tuple[BitIndex, ...]:
+    """Draw distinct bit words of length depth+8, final bit forced to 1.
 
     The forced tail bit keeps every value off the depth-`depth` dyadic grid.
     """
     check_count(count)
-    if extra_bits < 1:
-        raise InputError(f"extra_bits must be positive, got {extra_bits}")
-    length = depth + extra_bits
+    length = depth + 8
     if count > (1 << (length - 1)):
         raise InputError(f"cannot draw {count} distinct words of length {length}")
     prefixes = rng.sample(range(1 << (length - 1)), count)

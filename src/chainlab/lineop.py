@@ -17,7 +17,6 @@ an upstream violation.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -83,10 +82,6 @@ class LineModel(Frozen):
         model._fill(family.indices, family.indices, tuple(range(len(family))))
         return model
 
-    @property
-    def max_point(self) -> IndexValue:
-        return self.carrier[-1]
-
 
 class TripleTable(Frozen):
     """Per ground element n, the ranks of x0_n <= x1_n <= x2_n in the carrier `points`."""
@@ -105,12 +100,6 @@ class TripleTable(Frozen):
 
     def __len__(self) -> int:
         return len(self.ranks)
-
-    @property
-    def triples(self) -> tuple[tuple[IndexValue, IndexValue, IndexValue], ...]:
-        """The same triples as carrier points."""
-        at = self.points.__getitem__
-        return tuple(tuple(map(at, r)) for r in self.ranks)
 
     def signed_sum(self, f: FunctionOnLine, n: int) -> Fraction:
         """Ef(n) = f(x0_n) - f(x1_n) + f(x2_n)."""
@@ -133,9 +122,6 @@ class FunctionOnLine(NamedTuple):
             return self.values[p]
         except KeyError:
             raise InputError(f"function not defined at carrier point {p}") from None
-
-    def sup_norm(self) -> Fraction:
-        return max((abs(v) for v in self.values.values()), default=Fraction(0))
 
 
 def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
@@ -335,16 +321,6 @@ def harness_report_to_text(report: HarnessReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def function_to_text(f: FunctionOnLine) -> str:
-    doc = {
-        "values": {
-            format_index(p): format_index(v)
-            for p, v in sorted(f.values.items())
-        }
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def function_from_text(text: str) -> FunctionOnLine:
     doc = parse_json(text, "function document")
     if not isinstance(doc, dict) or set(doc) != {"values"} or not isinstance(doc["values"], dict):
@@ -352,14 +328,6 @@ def function_from_text(text: str) -> FunctionOnLine:
     return FunctionOnLine(
         {parse_index(p): parse_index(v) for p, v in doc["values"].items()}
     )
-
-
-def model_to_text(model: LineModel) -> str:
-    doc = {
-        "carrier": [format_index(p) for p in model.carrier],
-        "dense": [format_index(p) for p in model.dense_points],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def model_from_text(text: str) -> LineModel:

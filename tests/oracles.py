@@ -23,7 +23,7 @@ from chainlab.core import (
     _mask_of,
     parse_json,
 )
-from chainlab.generators import check_flips, initial_segment_chain, uniform_positions
+from chainlab.generators import check_flips, initial_segment_chain
 
 
 def build_family(traces: list[str], indices=None) -> ChainFamily:
@@ -51,6 +51,27 @@ def elements_of(mask: int) -> frozenset[int]:
 def mask_from(elements) -> int:
     """The mask of a set of elements, one bit per element."""
     return sum(1 << n for n in elements)
+
+
+def membership_trace(family: ChainFamily, n: int) -> str:
+    """Bit string over the sorted indices: character i is 1 iff n is in masks[i]."""
+    return "".join("1" if m >> n & 1 else "0" for m in family.masks)
+
+
+def flip_count(family: ChainFamily, n: int) -> int:
+    """Number of adjacent membership changes of n along the sorted indices."""
+    trace = membership_trace(family, n)
+    return sum(a != b for a, b in zip(trace, trace[1:]))
+
+
+def uniform_positions(size: int) -> tuple[Fraction, ...]:
+    """Evenly spaced ground positions (n+1)/(size+1) inside (0, 1)."""
+    return tuple(Fraction(n + 1, size + 1) for n in range(size))
+
+
+def point_triples(table) -> tuple:
+    """A TripleTable's rank triples read as carrier points."""
+    return tuple(tuple(table.points[r] for r in t) for t in table.ranks)
 
 
 def brute_alternation_witness(family: ChainFamily):
@@ -157,7 +178,7 @@ def brute_harness_text(triples, schedule, values) -> str:
 
 def brute_fourth_flip_witness(family: ChainFamily, triples):
     """Least (n, y) with y > x2_n and n outside the set at y, by full scan."""
-    points = triples.triples
+    points = point_triples(triples)
     for n in family.ground.elements():
         x2 = points[n][2]
         for i, y in enumerate(family.indices):
@@ -272,9 +293,7 @@ def min_chain_edit_distance(family: ChainFamily) -> int:
     monotone = ["0" * (width - k) + "1" * k for k in range(width + 1)]
     total = 0
     for n in family.ground.elements():
-        trace = "".join(
-            "1" if m >> n & 1 else "0" for m in family.masks
-        )
+        trace = membership_trace(family, n)
         total += min(
             sum(a != b for a, b in zip(trace, m)) for m in monotone
         )

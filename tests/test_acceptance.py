@@ -20,15 +20,13 @@ from pathlib import Path
 import pytest
 
 import chainlab
-from chainlab.adjust import adjust_family, compatibility_witness, conditions_compatible
+from chainlab.adjust import adjust_family, compatibility_witness
 from chainlab.core import (
     ChainFamily,
     GroundSet,
     alternation_witness,
-    flip_count,
+    chain_witness,
     is_barely_alternating,
-    is_chain,
-    membership_trace,
 )
 from chainlab.generators import (
     DyadicGround,
@@ -36,7 +34,6 @@ from chainlab.generators import (
     perturbed_chain,
     random_bit_indices,
     sample_cut_indices,
-    uniform_positions,
     initial_segment_chain,
 )
 from chainlab.adjust import gap_exceptions, insert_point
@@ -55,9 +52,13 @@ from chainlab.lineop import (
 from oracles import (
     brute_alternation_witness,
     brute_fourth_flip_witness,
+    flip_count,
+    membership_trace,
     mixed_corpus,
+    point_triples,
     random_family,
     receipts_respect_bound,
+    uniform_positions,
 )
 
 
@@ -192,12 +193,12 @@ def test_c04_density_step_law():
             new_cond, receipt = insert_point(cond, x, candidate)
             calls += 1
             below = (
-                base.masks[base.position(receipt.predecessor)]
+                base.masks[base.indices.index(receipt.predecessor)]
                 if receipt.predecessor is not None
                 else 0
             )
             above = (
-                base.masks[base.position(receipt.successor)]
+                base.masks[base.indices.index(receipt.successor)]
                 if receipt.successor is not None
                 else base.ground.full_mask
             )
@@ -225,7 +226,7 @@ def test_c05_compatibility_kernel():
             pairs = list(zip(adjusted.indices, adjusted.masks))
             left = ChainFamily.from_pairs(adjusted.ground, pairs[: split + 1])
             right = ChainFamily.from_pairs(adjusted.ground, pairs[split:])
-            if not conditions_compatible(left, right):
+            if compatibility_witness(left, right) is not None:
                 misclassified += 1
         assert done == 100
         for trial in range(20):
@@ -285,13 +286,13 @@ def test_c07_operator_norm():
             model = LineModel.from_dense(adjusted.indices)
             table = compute_triples(adjusted, model)
             assert operator_norm(table) <= 3
-            assert is_chain(adjusted) and operator_norm(table) == 1
+            assert chain_witness(adjusted) is None and operator_norm(table) == 1
         rng = random.Random(80808)
         for _ in range(25):
             size = rng.randint(4, 32)
             cuts = sample_cut_indices(rng, size, rng.randint(1, 20))
             chain = initial_segment_chain(uniform_positions(size), cuts)
-            assert is_chain(chain)
+            assert chain_witness(chain) is None
             table = compute_triples(chain, LineModel.from_dense(chain.indices))
             assert operator_norm(table) == 1
         # strict triples come from families that validate as barely
@@ -308,7 +309,7 @@ def test_c07_operator_norm():
                 continue
             strict_seen += 1
             n, f = witness
-            assert f.sup_norm() == 1
+            assert max(map(abs, f.values.values())) == 1
             assert abs(apply_operator(f, table)[n]) == 3
             assert norm == 3
         assert strict_seen >= 50
@@ -353,7 +354,7 @@ def test_c09_triple_soundness():
         for fam in validated:
             model = LineModel.from_dense(fam.indices)
             table = compute_triples(fam, model)
-            for x0, x1, x2 in table.triples:
+            for x0, x1, x2 in point_triples(table):
                 assert x0 <= x1 <= x2
             assert brute_fourth_flip_witness(fam, table) is None
             schedule = coincident_schedule(table)

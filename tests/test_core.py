@@ -22,19 +22,21 @@ from chainlab.core import (
     alternation_witness,
     chain_defect_set,
     chain_witness,
-    defect,
     family_from_text,
     family_to_text,
-    flip_count,
     format_index,
     iter_bits,
     is_barely_alternating,
-    is_chain,
-    membership_trace,
     parse_index,
     validate_almost_chain,
 )
-from chainlab.generators import BitIndex, DyadicGround, family_from_config, marciszewski_family
+from chainlab.generators import (
+    BitIndex,
+    DyadicGround,
+    _excluded,
+    family_from_config,
+    marciszewski_family,
+)
 
 from oracles import (
     brute_alternation_witness,
@@ -44,6 +46,8 @@ from oracles import (
     count_fraction_ops,
     counter_inputs,
     flagged_sizes,
+    flip_count,
+    membership_trace,
     mixed_corpus,
     removal_makes_chain,
 )
@@ -54,6 +58,7 @@ def test_trace_of_empty_sets_is_all_zero():
     fam = ChainFamily.from_pairs(g, [(F(i + 1, 4), 0) for i in range(3)])
     for n in range(4):
         assert membership_trace(fam, n) == "000"
+    assert core.membership_steps(fam) == [(0, 0, 0, 0)] * 3
 
 
 def test_trace_direct_read_off():
@@ -68,14 +73,16 @@ def test_trace_direct_read_off():
     )
     assert membership_trace(fam, 0) == "101"
     assert membership_trace(fam, 1) == "000"
+    assert chain_witness(fam) == (0, F(1, 4), F(1, 2))
+    assert alternation_witness(fam) is None
 
 
 def test_trace_rejects_out_of_range_element():
-    fam = build_family(["01"])
-    with pytest.raises(InputError):
-        membership_trace(fam, 1)
-    with pytest.raises(InputError):
-        membership_trace(fam, -1)
+    ground = build_family(["01"]).ground
+    ground.check_element(0)
+    for n in (1, -1, True, 0.0):
+        with pytest.raises(InputError, match=rf"element {n!r} outside ground range \[0, 1\)"):
+            ground.check_element(n)
 
 
 def test_trace_marciszewski_depth3_frozen():
@@ -98,8 +105,13 @@ def test_trace_marciszewski_depth3_frozen():
     "trace,expected", [("0000", 0), ("0101", 3), ("1010", 3), ("1", 0), ("0110110", 4)]
 )
 def test_flip_count(trace, expected):
+    # A trace is a chain's when it flips at most once, upward; the family is
+    # barely alternating unless it flips three times from a 1 or four times.
     fam = build_family([trace])
     assert flip_count(fam, 0) == expected
+    assert (chain_witness(fam) is None) == ("10" not in trace)
+    barely = expected < 3 or expected == 3 and trace.startswith("0")
+    assert (alternation_witness(fam) is None) == barely == is_barely_alternating(fam)
 
 
 def test_barely_alternating_accepts_0101_traces():
@@ -126,7 +138,7 @@ def test_barely_alternating_witness_positions_in_long_trace():
 
 def test_chain_verdicts():
     good = build_family(["0011", "0001"])
-    assert is_chain(good)
+    assert chain_witness(good) is None
     g = GroundSet(1)
     bad = ChainFamily.from_pairs(
         g, [(F(1, 4), g.mask_of([0])), (F(1, 2), 0)]
@@ -147,7 +159,7 @@ def test_monotone_traces_characterize_chains():
             flip_count(fam, n) <= 1 and "10" not in membership_trace(fam, n)
             for n in range(fam.ground.size)
         )
-        assert is_chain(fam) == monotone
+        assert (chain_witness(fam) is None) == monotone
         expected = brute_chain_witness(fam)
         got = chain_witness(fam)
         assert (got is None) == (expected is None)
@@ -164,7 +176,10 @@ def test_defect_examples_and_errors():
             (F(1, 2), g.mask_of([1])),
         ],
     )
-    assert tuple(iter_bits(defect(fam, F(1, 4), F(1, 2)))) == (0, 3)
+    report = validate_almost_chain(fam, 0)
+    assert report.max_defect_size == 2 and flagged_sizes(report) == [((0, 1), 2)]
+    assert tuple(iter_bits(fam.masks[0] & ~fam.masks[1])) == (0, 3)
+    assert chain_witness(fam) == (0, F(1, 4), F(1, 2))
     nested = ChainFamily.from_pairs(
         g,
         [
@@ -172,24 +187,20 @@ def test_defect_examples_and_errors():
             (F(1, 2), g.mask_of([0, 1, 3])),
         ],
     )
-    assert defect(nested, F(1, 4), F(1, 2)) == 0
-    with pytest.raises(InputError):
-        defect(fam, F(1, 2), F(1, 4))
-    with pytest.raises(InputError):
-        defect(fam, F(1, 4), F(3, 4))
+    assert validate_almost_chain(nested, 0) == (0, ())
+    assert brute_defect_report(nested, 0) == (0, {})
+    with pytest.raises(InputError, match="budget must be non-negative, got -1"):
+        validate_almost_chain(fam, -1)
 
 
 def test_defect_marciszewski_contained_in_excluded_dyadics():
-    from chainlab.generators import excluded_dyadics
-
     ground = DyadicGround(3)
     xs = [BitIndex.from_string(w) for w in ("0101", "0111", "1011", "1101")]
     fam = marciszewski_family(xs, ground)
-    by_value = {x.value: x for x in xs}
-    for x, y in combinations(fam.indices, 2):
-        d = defect(fam, x, y)
-        allowed = set(excluded_dyadics(by_value[y], 3))
-        assert all(ground.point(n) in allowed for n in iter_bits(d))
+    heads = {x.value: int(x.digits()[:3], 2) for x in xs}
+    for i, j in combinations(range(len(fam)), 2):
+        d = fam.masks[i] & ~fam.masks[j]
+        assert d & ~_excluded(heads[fam.indices[j]]) == 0
 
 
 def test_validate_almost_chain():
@@ -207,8 +218,8 @@ def test_validate_almost_chain():
     assert report.max_defect_size == 2
     assert flagged_sizes(report) == [((0, 1), 2)] == list(brute_defect_report(fam, 1)[1].items())
     assert report.flagged_pairs == ((0, 1),)
-    assert not report.ok
-    assert validate_almost_chain(fam, 2).ok
+    assert report.flagged_rows
+    assert not validate_almost_chain(fam, 2).flagged_rows
     with pytest.raises(InputError):
         validate_almost_chain(fam, -1)
 
@@ -216,8 +227,8 @@ def test_validate_almost_chain():
 def test_defect_scan_matches_pairwise_defects():
     for fam in mixed_corpus(4242, 300, 9, 12):
         sizes = {
-            (i, j): defect(fam, x, y).bit_count()
-            for (i, x), (j, y) in combinations(enumerate(fam.indices), 2)
+            (i, j): (fam.masks[i] & ~fam.masks[j]).bit_count()
+            for i, j in combinations(range(len(fam)), 2)
         }
         for budget in (0, 1, 2):
             report = validate_almost_chain(fam, budget)
@@ -271,7 +282,7 @@ def test_empty_and_singleton_families_are_vacuously_fine():
     empty = ChainFamily(g, (), ())
     single = ChainFamily.from_pairs(g, [(F(1, 2), g.mask_of([0, 2]))])
     for fam in (empty, single):
-        assert is_chain(fam)
+        assert chain_witness(fam) is None
         assert is_barely_alternating(fam)
         assert chain_defect_set(fam) == 0
 
@@ -352,7 +363,7 @@ def test_defect_scan_memory_does_not_grow_with_the_ground():
     # sets over 2^20 elements need no 2^20-bit mask on either.
     fam = ChainFamily(GroundSet(MAX_GROUND_SIZE), tuple(F(i) for i in range(256)), (0,) * 256)
     report, peak = _peak_bytes(lambda: validate_almost_chain(fam, 0))
-    assert report.ok and report.max_defect_size == 0
+    assert report == (0, ())
     assert peak < 1 << 20
     inputs = counter_inputs(fam.masks)
     for run in (lambda: core._scan_rows(fam.masks, 0),
@@ -383,7 +394,7 @@ def test_defect_scan_memory_stays_flat_when_one_wide_set_toggles_all():
     k, wide = 2048, (1 << (1 << 16)) - 1
     fam = ChainFamily(GroundSet(1 << 16), tuple(F(i) for i in range(k)), (0,) * (k - 1) + (wide,))
     report, peak = _peak_bytes(lambda: validate_almost_chain(fam, 0))
-    assert report.ok and report.max_defect_size == 0
+    assert report == (0, ())
     assert peak < 1 << 20
 
 
@@ -402,9 +413,9 @@ def test_engine_rule_follows_the_toggles(monkeypatch):
     # Few toggles, but all 1000 elements enter at the last of 256 sets: the
     # counters' columns would take 256 times the bits of the masks.
     late = ChainFamily(GroundSet(1000), near.indices[:256], (0,) * 255 + ((1 << 1000) - 1,))
-    assert validate_almost_chain(near, 256).ok
-    assert validate_almost_chain(scattered, 256).ok
-    assert validate_almost_chain(late, 0).ok
+    assert not validate_almost_chain(near, 256).flagged_rows
+    assert not validate_almost_chain(scattered, 256).flagged_rows
+    assert not validate_almost_chain(late, 0).flagged_rows
     assert picked == ["_counter_rows", "_scan_rows", "_scan_rows"]
 
 
@@ -457,17 +468,20 @@ def test_chain_implies_barely_alternating():
             tuple(F(i + 1, width + 1) for i in range(width)),
             tuple(masks),
         )
-        assert is_chain(fam)
+        assert chain_witness(fam) is None
         assert is_barely_alternating(fam)
 
 
 def test_defect_matches_trace_coordinates():
+    # The scan's defect sizes count the elements whose trace reads 1 at x, 0 at y.
     for fam in mixed_corpus(seed=303, count=60, max_indices=6, max_ground=8):
-        for (i, x), (j, y) in combinations(enumerate(fam.indices), 2):
-            d = defect(fam, x, y)
-            for n in range(fam.ground.size):
-                trace = membership_trace(fam, n)
+        traces = [membership_trace(fam, n) for n in range(fam.ground.size)]
+        sizes = dict(flagged_sizes(validate_almost_chain(fam, 0)))
+        for i, j in combinations(range(len(fam)), 2):
+            d = fam.masks[i] & ~fam.masks[j]
+            for n, trace in enumerate(traces):
                 assert bool(d >> n & 1) == (trace[i] == "1" and trace[j] == "0")
+            assert sizes.get((i, j), 0) == sum(t[i] + t[j] == "10" for t in traces)
 
 
 def test_serialization_round_trip_is_bit_exact():

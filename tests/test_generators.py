@@ -12,16 +12,15 @@ import pytest
 from chainlab.core import (
     MAX_FAMILY_SIZE,
     InputError,
-    defect,
-    is_chain,
+    chain_witness,
     iter_bits,
     validate_almost_chain,
 )
 from chainlab.generators import (
     BitIndex,
     DyadicGround,
+    _excluded,
     check_count,
-    excluded_dyadics,
     family_from_config,
     from_sign_matrix,
     generator_config_from_text,
@@ -30,8 +29,9 @@ from chainlab.generators import (
     perturbed_chain,
     random_bit_indices,
     sample_cut_indices,
-    uniform_positions,
 )
+
+from oracles import brute_excluded_dyadics, uniform_positions
 
 
 def test_initial_segment_chain_frozen():
@@ -39,7 +39,7 @@ def test_initial_segment_chain_frozen():
         [F(1, 8), F(3, 8), F(5, 8)], [F(1, 4), F(1, 2), F(3, 4)]
     )
     assert [tuple(iter_bits(m)) for m in fam.masks] == [(0,), (0, 1), (0, 1, 2)]
-    assert is_chain(fam)
+    assert chain_witness(fam) is None
 
 
 def test_initial_segment_chain_below_all_positions():
@@ -65,7 +65,7 @@ def test_initial_segment_chain_is_always_a_chain():
         )
         cuts = sample_cut_indices(rng, size, rng.randint(0, 50))
         cuts = tuple(x for x in cuts if x not in set(points))
-        assert is_chain(initial_segment_chain(points, cuts))
+        assert chain_witness(initial_segment_chain(points, cuts)) is None
 
 
 # OR-ing in one element at a time copies the growing mask every time, so one
@@ -86,11 +86,13 @@ def test_initial_segment_chain_is_linear_in_the_ground():
     assert large < 1.0 and large < 6 * small + 0.02
 
 def test_dyadic_ground_enumeration():
+    # Element n is the dyadic (n+1)/8: the largest ground point below (n+1)/8 + 1/16.
     dg = DyadicGround(3)
     assert dg.ground.size == 7
-    assert [dg.point(n) for n in range(7)] == [F(k, 8) for k in range(1, 8)]
-    with pytest.raises(InputError):
-        dg.point(7)
+    for n in range(7):
+        x = BitIndex.from_string(format(n + 1, "03b") + "1")
+        assert x.value == F(n + 1, 8) + F(1, 16)
+        assert marciszewski_family([x], dg).masks[0].bit_length() == n + 1
     with pytest.raises(InputError):
         DyadicGround(0)
     with pytest.raises(InputError):
@@ -101,12 +103,16 @@ def test_excluded_dyadics_frozen_example():
     # word 0,1,1,0,1: the step at the second bit truncates to 0 and is
     # dropped; the other two steps give 0.010 = 1/4 and 0.01100 = 3/8
     x = BitIndex.from_string("01101")
-    assert excluded_dyadics(x, 5) == (F(1, 4), F(3, 8))
+    excluded = _excluded(int(x.digits()[:5], 2))
+    assert tuple(iter_bits(excluded)) == (7, 11)
+    assert tuple(F(n + 1, 32) for n in iter_bits(excluded)) == (F(1, 4), F(3, 8))
+    assert brute_excluded_dyadics(x.bits, 5) == (F(1, 4), F(3, 8))
 
 
 def test_excluded_dyadics_all_zero_prefix():
     x = BitIndex.from_string("0000001")
-    assert excluded_dyadics(x, 6) == ()
+    assert _excluded(int(x.digits()[:6], 2)) == 0
+    assert brute_excluded_dyadics(x.bits, 6) == ()
     fam = marciszewski_family([x], DyadicGround(6))
     assert fam.masks[0] == 0  # the index sits below every ground point
 
@@ -143,7 +149,7 @@ def test_marciszewski_defects_fit_depth_budget():
     for depth in (3, 5, 8):
         xs = random_bit_indices(rng, depth, min(20, (1 << depth) - 1))
         fam = marciszewski_family(xs, DyadicGround(depth))
-        assert validate_almost_chain(fam, depth).ok
+        assert not validate_almost_chain(fam, depth).flagged_rows
 
 
 def test_marciszewski_defects_sit_in_the_excluded_set():
@@ -152,11 +158,9 @@ def test_marciszewski_defects_sit_in_the_excluded_set():
     dg = DyadicGround(depth)
     xs = random_bit_indices(rng, depth, 12)
     fam = marciszewski_family(xs, dg)
-    by_value = {x.value: x for x in xs}
-    for x, y in combinations(fam.indices, 2):
-        allowed = set(excluded_dyadics(by_value[y], depth))
-        for n in iter_bits(defect(fam, x, y)):
-            assert dg.point(n) in allowed
+    heads = {x.value: int(x.digits()[:depth], 2) for x in xs}
+    for i, j in combinations(range(len(fam)), 2):
+        assert fam.masks[i] & ~fam.masks[j] & ~_excluded(heads[fam.indices[j]]) == 0
 
 
 def test_marciszewski_matches_per_element_oracle():
@@ -168,11 +172,9 @@ def test_marciszewski_matches_per_element_oracle():
     by_value = {x.value: x for x in xs}
     for v, m in zip(fam.indices, fam.masks):
         x = by_value[v]
-        banned = set(excluded_dyadics(x, depth))
-        expected = tuple(
-            n for n in range(dg.ground.size)
-            if dg.point(n) < v and dg.point(n) not in banned
-        )
+        banned = set(brute_excluded_dyadics(x.bits, depth))
+        points = [F(n + 1, 1 << depth) for n in range(dg.ground.size)]
+        expected = tuple(n for n, p in enumerate(points) if p < v and p not in banned)
         assert tuple(iter_bits(m)) == expected
 
 
@@ -206,7 +208,7 @@ def test_marciszewski_needs_genuine_modification():
     rng = random.Random(14)
     floors = []
     for depth in (3, 4, 5):
-        xs = random_bit_indices(rng, depth, (1 << depth) - 1, extra_bits=4)
+        xs = random_bit_indices(rng, depth, (1 << depth) - 1)
         fam = marciszewski_family(xs, DyadicGround(depth))
         floor = min_chain_edit_distance(fam)
         floors.append(floor)
@@ -221,7 +223,7 @@ def test_perturbed_chain_zero_flips_is_the_plain_chain():
     cuts = sample_cut_indices(random.Random(1), 16, 8)
     fam = perturbed_chain(42, 16, cuts, 0)
     assert fam == initial_segment_chain(uniform_positions(16), cuts)
-    assert is_chain(fam)
+    assert chain_witness(fam) is None
 
 
 def test_perturbed_chain_is_deterministic_and_flips_exactly():
@@ -242,7 +244,7 @@ def test_perturbed_chain_budget_observation():
     for seed in range(20):
         cuts = sample_cut_indices(random.Random(seed + 100), 16, 8)
         fam = perturbed_chain(seed, 16, cuts, 2)
-        if not validate_almost_chain(fam, 4).ok:
+        if validate_almost_chain(fam, 4).flagged_rows:
             exceeded += 1
     print(f"perturbed budget-4 exceedances: {exceeded}/20")
 

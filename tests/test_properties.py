@@ -34,7 +34,6 @@ from chainlab.core import (
     is_barely_alternating,
     iter_bits,
     membership_steps,
-    membership_trace,
     select_bits,
     validate_almost_chain,
 )
@@ -42,7 +41,7 @@ from chainlab.generators import (
     GENERATOR_KINDS,
     BitIndex,
     DyadicGround,
-    excluded_dyadics,
+    _excluded,
     initial_segment_chain,
     marciszewski_family,
     perturbed_chain,
@@ -76,6 +75,8 @@ from oracles import (
     brute_triples,
     counter_inputs,
     flagged_sizes,
+    membership_trace,
+    point_triples,
     two_pass_family_with_file_order,
 )
 
@@ -125,7 +126,7 @@ def _model(draw, dense, min_extra=0):
 def test_triples_match_brute_force_on_barely_alternating(data, fam):
     model = _model(data.draw, fam.indices)
     table = compute_triples(fam, model)
-    assert table.triples == brute_triples(fam, model.max_point)
+    assert point_triples(table) == brute_triples(fam, model.carrier[-1])
 
 
 @CHECK
@@ -135,7 +136,7 @@ def test_triples_match_brute_force_on_adjusted_families(data, fam):
     adjusted, _ = adjust_family(fam, order)
     model = _model(data.draw, adjusted.indices)
     table = compute_triples(adjusted, model)
-    assert table.triples == brute_triples(adjusted, model.max_point)
+    assert point_triples(table) == brute_triples(adjusted, model.carrier[-1])
 
 
 @CHECK
@@ -145,7 +146,7 @@ def test_rank_path_matches_point_triples(data, fam):
     # dense point, so an absent element's fallback must collapse onto it.
     model = _model(data.draw, fam.indices)
     table = compute_triples(fam, model)
-    triples = brute_triples(fam, model.max_point)
+    triples = brute_triples(fam, model.carrier[-1])
     schedule = coincident_schedule(table)
     assert schedule == brute_coincident_schedule(triples)
     witness = brute_norm_witness(triples, model.carrier)
@@ -224,7 +225,9 @@ def test_marciszewski_family_matches_the_fraction_oracle(case):
     fam = marciszewski_family(xs, DyadicGround(depth))
     assert (fam.indices, fam.masks) == (expected.indices, expected.masks)
     for x in xs:
-        assert excluded_dyadics(x, depth) == brute_excluded_dyadics(x.bits, depth)
+        excluded = _excluded(int(x.digits()[:depth], 2))
+        points = tuple(F(n + 1, 1 << depth) for n in iter_bits(excluded))
+        assert points == brute_excluded_dyadics(x.bits, depth)
 
 
 @CHECK
@@ -412,7 +415,7 @@ def test_adjust_family_is_iterated_insert_point(fam_and_order):
     cond = ChainFamily(fam.ground, (), ())
     receipts = []
     for x in order:
-        cond, receipt = insert_point(cond, x, fam.masks[fam.position(x)])
+        cond, receipt = insert_point(cond, x, fam.masks[fam.indices.index(x)])
         receipts.append(receipt)
     assert adjusted == cond
     assert report.receipts == tuple(receipts)
@@ -491,7 +494,7 @@ def test_defect_scan_matches_brute_force(budget_of, fam):
     assert report.max_defect_size == worst
     assert flagged_sizes(report) == list(over.items())
     assert report.flagged_pairs == tuple(over)
-    assert report.ok == (not over)
+    assert (not report.flagged_rows) == (not over)
     # Both row engines, whichever the rule picks, give the checked rows.
     rows = (worst, list(report.flagged_rows))
     assert core._scan_rows(fam.masks, budget) == rows

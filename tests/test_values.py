@@ -120,7 +120,7 @@ def test_value_types_construct_by_keyword():
     model = LineModel(carrier=(F(1, 2), F(1)), dense_points=(F(1, 2),))
     assert model.dense_ranks == (0,)
     table = TripleTable(points=(F(1, 2), F(1)), ranks=((0, 1, 1),))
-    assert table.triples == ((F(1, 2), F(1), F(1)),)
+    assert table.points == (F(1, 2), F(1)) and table.ranks == ((0, 1, 1),)
     assert DyadicGround(depth=3).ground == GroundSet(7)
     assert BitIndex(bits=(0, 1)).value == F(1, 4)
     sunflower = SunflowerDecomposition(root=(F(1),), petals=((F(2),),), members=(0,))
