@@ -24,9 +24,9 @@ import json
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import lt, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 # Exact rational index of a set in a family.  Fraction already guarantees the
 # lowest-terms, positive-denominator normal form and exact total order.
@@ -45,28 +45,26 @@ MAX_FAMILY_SIZE = 1 << 16
 # signed sum of three such values prints within Python's 4300-digit limit.
 MAX_INDEX_DIGITS = 1000
 
+# A set of up to 2^14 digits with over this many elements per run edge (bit of
+# m ^ (m << 1)) is written run by run: `iter_bits` walks such edges bit by bit.
+_ELEMENTS_PER_EDGE = 64
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of a non-negative mask, in increasing order."""
-    flags = _digit_flags(mask)
+    flags = _digit_flags(mask, mask.bit_count())
     return _low_bits(mask) if flags is None else compress(count(), flags)
 
 
-def select_bits(mask: int, items: Sequence) -> Iterator:
-    """items[n] for each set bit n of the mask, in increasing n; no int per digit."""
-    flags = _digit_flags(mask)
-    return map(items.__getitem__, _low_bits(mask)) if flags is None else compress(items, flags)
-
-
-def _digit_flags(mask: int) -> bytes | None:
+def _digit_flags(mask: int, held: int) -> bytes | None:
     """Per binary digit, lowest first, 1 if set else 0; None when walking low bits wins.
 
-    Each low-bit step costs full-width int operations, so the walk wins only
-    under one set bit per 64 digits and under 256 set bits in all.
+    `held` is the mask's bit count.  Each low-bit step costs full-width int
+    operations, so the walk wins only under one set bit per 64 digits and
+    under 256 set bits in all.
     """
-    if mask.bit_count() * 64 < min(mask.bit_length(), 1 << 14):
+    if held * 64 < min(mask.bit_length(), 1 << 14):
         return None
     return bin(mask)[:1:-1].encode("ascii").translate(_BIT_FLAGS)
 
@@ -486,9 +484,43 @@ def _set_mask(elems: list, limit: int) -> int | None:
 def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
     """Parse the family document; also return its indices in file order.
 
-    Errors come in order: shape errors entry by entry (set, then index), the
-    ground size, the first element outside [0, size) in file order, a repeated
-    index.  No set buffer is made for a ground size over the cap.
+    One decode reads a well-formed document with increasing indices; any
+    other text is read again by `_checked_family`, which names the error.
+    """
+    return _decoded_family(text) or _checked_family(text)
+
+
+def _decoded_family(text: str) -> tuple[ChainFamily, tuple[IndexValue, ...]] | None:
+    """The family of a well-formed document with increasing indices, else None."""
+    try:
+        doc = json.loads(text, object_hook=_entry_pair)
+        shaped = type(doc) is dict and doc.keys() == {"ground_size", "entries"}
+        size, entries = (doc["ground_size"], doc["entries"]) if shaped else (0, None)
+        if not (type(size) is int and 0 < size <= MAX_GROUND_SIZE and type(entries) is list
+                and set(map(type, entries)) <= {tuple}):
+            return None
+        texts, masks = tuple(zip(*entries)) or ((), ())
+        order = tuple(map(parse_index, texts))
+    except (ValueError, RecursionError):  # InputError from parse_index is a ValueError
+        return None
+    # `_entry_pair` could not see the ground size, decoded last, so it used the cap.
+    if all(map(lt, order, order[1:])) and max(map(int.bit_length, masks), default=0) <= size:
+        return ChainFamily._trusted(GroundSet(size), order, masks), order
+    return None
+
+
+def _entry_pair(obj: dict) -> object:
+    """`object_hook`: (index, mask) for an entry whose set is a mask under the cap, else obj."""
+    elems = obj.get("set") if len(obj) == 2 and "index" in obj else None
+    mask = (_set_mask(elems, MAX_GROUND_SIZE) if elems else 0) if type(elems) is list else None
+    return obj if mask is None else (obj["index"], mask)
+
+
+def _checked_family(text: str) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
+    """Read any document entry by entry; errors come in order: shape errors
+    entry by entry (set, then index), the ground size, the first element
+    outside [0, size) in file order, a repeated index.  No set buffer is made
+    for a ground size over the cap.
     """
     doc = parse_json(text, "family document")
     if not isinstance(doc, dict) or set(doc) != {"ground_size", "entries"}:
@@ -518,10 +550,7 @@ def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ..
     ground = GroundSet(size)
     if stray is not None:
         ground.check_element(stray)
-    order = tuple(indices)
-    if all(map(lt, order, order[1:])):  # each mask lies in the ground by construction
-        return ChainFamily._trusted(ground, order, tuple(masks)), order
-    return ChainFamily.from_pairs(ground, zip(order, masks)), order
+    return ChainFamily.from_pairs(ground, zip(indices, masks)), tuple(indices)
 
 
 def family_from_text(text: str) -> ChainFamily:
@@ -533,15 +562,31 @@ def family_to_text(family: ChainFamily) -> str:
 
     Written directly: indices and elements are digits, '-' and '/', so
     nothing needs escaping.  Each element's line is formatted once, up to
-    the largest element held, and shared by every set that holds it.
+    the largest element held, and shared by every set that holds it.  A set
+    selects its lines by its digit flags, or low bit by low bit when sparse
+    (`_digit_flags`); a set of long runs copies a slice of the joined lines
+    per run instead.
     """
-    lines = [f"\n        {n}" for n in range(reduce(or_, family.masks, 0).bit_length())]
-    entries = []
+    lines = [f"\n        {n}" for n in range(max(map(int.bit_length, family.masks), default=0))]
+    table = starts = None
+    parts = [f'{{\n  "ground_size": {family.ground.size},\n  "entries": [']
+    sep = ""
     for x, m in zip(family.indices, family.masks):
-        elems = ",".join(select_bits(m, lines))
+        held = m.bit_count()
+        if (2 * _ELEMENTS_PER_EDGE < held and m.bit_length() <= 1 << 14
+                and (edges := m ^ (m << 1)).bit_count() * _ELEMENTS_PER_EDGE < held):
+            if table is None:
+                table = ",".join(lines)
+                starts = list(accumulate((len(line) + 1 for line in lines), initial=0))
+            bits = iter_bits(edges)
+            elems = ",".join([table[starts[a]:starts[b] - 1] for a, b in zip(bits, bits)])
+        elif (flags := _digit_flags(m, held)) is None:
+            elems = ",".join(map(lines.__getitem__, _low_bits(m)))
+        else:
+            elems = ",".join(compress(lines, flags))
         body = f"[{elems}\n      ]" if elems else "[]"
-        entries.append(
-            f'\n    {{\n      "index": "{format_index(x)}",\n      "set": {body}\n    }}'
-        )
-    listing = f"[{','.join(entries)}\n  ]" if entries else "[]"
-    return f'{{\n  "ground_size": {family.ground.size},\n  "entries": {listing}\n}}\n'
+        parts.append(
+            f'{sep}\n    {{\n      "index": "{format_index(x)}",\n      "set": {body}\n    }}')
+        sep = ","
+    parts.append("\n  ]\n}\n" if sep else "]\n}\n")
+    return "".join(parts)

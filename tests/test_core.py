@@ -506,6 +506,45 @@ def test_sparse_wide_document_reads_and_writes_in_small_memory():
     assert out == json.dumps(doc, indent=2) + "\n"
 
 
+def test_sparse_high_document_is_the_indent_2_json_dump():
+    # One-element sets at the top of the widest ground: the writer formats
+    # every line below them and picks one per set.
+    top = MAX_GROUND_SIZE - 500
+    doc = {"ground_size": MAX_GROUND_SIZE,
+           "entries": [{"index": f"{2 * i + 1}/1024", "set": [top + i]} for i in range(500)]}
+    fam = family_from_text(json.dumps(doc))
+    assert fam.masks == tuple(1 << (top + i) for i in range(500))
+    assert family_to_text(fam) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_reading_a_wide_document_holds_masks_not_element_lists():
+    # Each set becomes its mask inside the decode, so the document's lists of
+    # ints, over 6 MiB here, are never held at once; the masks take 50 KiB.
+    fam = family_from_config(
+        {"kind": "perturbed", "seed": 1, "ground_size": 2048, "count": 200, "flips": 2})
+    text = family_to_text(fam)
+    parsed, peak = _peak_bytes(lambda: family_from_text(text))
+    assert parsed == fam
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "initial-chain", "seed": 4, "ground_size": 300, "count": 40},
+    {"kind": "marciszewski", "seed": 4, "depth": 6, "count": 30},
+    {"kind": "perturbed", "seed": 4, "ground_size": 300, "count": 40, "flips": 3},
+    {"kind": "sign-matrix", "seed": 4, "ground_size": 300, "count": 40},
+])
+def test_sorted_documents_of_every_generator_read_in_one_decode(config, monkeypatch):
+    fam = family_from_config(config)
+    text = family_to_text(fam)
+
+    def refuse(text):
+        raise AssertionError("a well-formed sorted document reached the checked reader")
+
+    monkeypatch.setattr(core, "_checked_family", refuse)
+    assert core.family_with_file_order(text) == (fam, fam.indices)
+
+
 def test_reading_an_in_order_document_compares_each_index_once(monkeypatch):
     fam = family_from_config(
         {"kind": "perturbed", "seed": 2, "ground_size": 32, "count": 50, "flips": 2})

@@ -31,7 +31,12 @@ from chainlab.generators import (
     sample_cut_indices,
 )
 
-from oracles import brute_excluded_dyadics, uniform_positions
+from oracles import (
+    brute_defect_report,
+    brute_excluded_dyadics,
+    flagged_sizes,
+    uniform_positions,
+)
 
 
 def test_initial_segment_chain_frozen():
@@ -238,15 +243,15 @@ def test_perturbed_chain_is_deterministic_and_flips_exactly():
 
 
 def test_perturbed_chain_budget_observation():
-    # small flip counts tend to stay within a matching defect budget; this is
-    # recorded, not promised, so only log the exceedances
-    exceeded = 0
+    # Two flips per set tend to stay within a defect budget of 4; that is not
+    # promised, so each verdict, at 4 and at 3, is the oracle's.
     for seed in range(20):
         cuts = sample_cut_indices(random.Random(seed + 100), 16, 8)
         fam = perturbed_chain(seed, 16, cuts, 2)
-        if validate_almost_chain(fam, 4).flagged_rows:
-            exceeded += 1
-    print(f"perturbed budget-4 exceedances: {exceeded}/20")
+        for budget in (3, 4):
+            report = validate_almost_chain(fam, budget)
+            worst, over = brute_defect_report(fam, budget)
+            assert (report.max_defect_size, flagged_sizes(report)) == (worst, list(over.items()))
 
 
 def test_perturbed_chain_errors():
@@ -277,7 +282,9 @@ def test_sign_matrix_random_signs_judged_by_the_validator():
     rows = [[rng.choice((-1, 1)) for _ in range(8)] for _ in ys]
     fam = from_sign_matrix(ys, rows)
     report = validate_almost_chain(fam, 2)
-    assert report.max_defect_size >= 0  # verdict itself is the oracle here
+    worst, over = brute_defect_report(fam, 2)
+    assert (report.max_defect_size, flagged_sizes(report)) == (worst, list(over.items()))
+    assert worst > 2  # this seed's signs break the budget, so pairs are flagged
 
 
 def test_sign_matrix_rejects_ragged_rows():
