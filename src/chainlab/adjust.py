@@ -36,6 +36,7 @@ from .core import (
     IndexValue,
     InputError,
     alternation_witness,
+    format_index,
     iter_bits,
 )
 
@@ -294,9 +295,6 @@ def adjustment_report_to_text(report: AdjustmentReport) -> str:
     lines = ["# index\tcost\tdelta"]
     for r in report.receipts:
         elems = " ".join(map(str, iter_bits(r.delta_from_input))) or "-"
-        lines.append(
-            f"{r.inserted_index.numerator}/{r.inserted_index.denominator}"
-            f"\t{r.cost}\t{elems}"
-        )
+        lines.append(f"{format_index(r.inserted_index)}\t{r.cost}\t{elems}")
     lines.append(f"# total_cost={report.total_cost} max_cost={report.max_cost}")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ always goes to a file while the receipt report goes to stdout).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -29,13 +30,20 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+    """Write a file, or stdout for None or "-", flushed; a failed write is an InputError."""
     try:
+        if path is None or path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
+        if path is None or path == "-":
+            path = "stdout"
+            # Closing drops what the failed flush left buffered, so exit has nothing to write.
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
         raise core.InputError(f"cannot write {path}: {exc}") from exc
 
 
@@ -111,7 +119,7 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
         random.Random(args.seed).shuffle(order)
     adjusted, report = adj.adjust_family(family, order)
     _write_text(args.output, core.family_to_text(adjusted))
-    sys.stdout.write(adj.adjustment_report_to_text(report))
+    _write_text(None, adj.adjustment_report_to_text(report))
     return 0
 
 

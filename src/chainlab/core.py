@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, count, repeat
 from operator import lt, or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Exact rational index of a set in a family.  Fraction already guarantees the
 # lowest-terms, positive-denominator normal form and exact total order.
@@ -76,13 +76,22 @@ def _low_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _mask_of(size: int, elements: Iterable[int]) -> int:
-    """Mask of elements already known to lie in [0, size), via a digit string."""
-    digits = bytearray(b"0") * size
-    top = size - 1
+def _mask_of(elements: Sequence[int]) -> int:
+    """Mask of non-negative int elements, via a digit string over their span [min, max]."""
+    if not elements:
+        return 0
+    low, top = min(elements), max(elements)
+    digits = bytearray(b"0") * (top - low + 1)
     for n in elements:
-        digits[top - n] = 49  # ord("1"); bit n is digit size-1-n
-    return int(digits, 2)
+        digits[top - n] = 49  # ord("1"); bit n is digit top-n
+    return int(digits, 2) << low
+
+
+def check_increasing(values: Sequence, noun: str) -> None:
+    """Refuse values that do not strictly increase, naming the first pair that does not."""
+    for a, b in zip(values, values[1:]):
+        if not a < b:
+            raise InputError(f"{noun} not strictly increasing at {a} >= {b}")
 
 
 class Frozen:
@@ -154,7 +163,7 @@ class GroundSet(Frozen):
         elems = list(elements)
         for n in elems:
             self.check_element(n)
-        return _mask_of(self.size, elems)
+        return _mask_of(elems)
 
 
 class ChainFamily(Frozen):
@@ -172,9 +181,7 @@ class ChainFamily(Frozen):
     ) -> None:
         if len(indices) != len(masks):
             raise InputError(f"{len(indices)} indices but {len(masks)} masks")
-        for a, b in zip(indices, indices[1:]):
-            if not a < b:
-                raise InputError(f"indices not strictly increasing at {a} >= {b}")
+        check_increasing(indices, "indices")
         for i, m in enumerate(masks):
             ground.check_mask(m, f"mask {i}")
         self._fill(ground, indices, masks)
@@ -449,15 +456,6 @@ def parse_json(text: str, what: str) -> object:
         raise InputError(f"{what} cannot be parsed: {exc}") from exc
 
 
-def _stray_element(elems: list, size: int) -> object:
-    """First element that is not an exact int in [0, size), or None; raises on shape."""
-    if any(not isinstance(n, int) for n in elems):
-        raise InputError(f"set must be a list of integers: {elems!r}")
-    if any(not a < b for a, b in zip(elems, elems[1:])):
-        raise InputError(f"set elements must be strictly increasing: {elems!r}")
-    return next((n for n in elems if type(n) is not int or not 0 <= n < size), None)
-
-
 def _set_mask(elems: list, limit: int) -> int | None:
     """Mask of a nonempty strictly increasing list of exact ints in [0, limit), else None.
 
@@ -484,29 +482,16 @@ def _set_mask(elems: list, limit: int) -> int | None:
 def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
     """Parse the family document; also return its indices in file order.
 
-    One decode reads a well-formed document with increasing indices; any
-    other text is read again by `_checked_family`, which names the error.
+    One decode turns each well-formed entry into an (index, mask) pair
+    (`_entry_pair`), and `_walk_family` reads the result.  Only if that
+    raises is the text decoded again without the hook and walked, so the
+    error names every object as the document wrote it.
     """
-    return _decoded_family(text) or _checked_family(text)
-
-
-def _decoded_family(text: str) -> tuple[ChainFamily, tuple[IndexValue, ...]] | None:
-    """The family of a well-formed document with increasing indices, else None."""
     try:
-        doc = json.loads(text, object_hook=_entry_pair)
-        shaped = type(doc) is dict and doc.keys() == {"ground_size", "entries"}
-        size, entries = (doc["ground_size"], doc["entries"]) if shaped else (0, None)
-        if not (type(size) is int and 0 < size <= MAX_GROUND_SIZE and type(entries) is list
-                and set(map(type, entries)) <= {tuple}):
-            return None
-        texts, masks = tuple(zip(*entries)) or ((), ())
-        order = tuple(map(parse_index, texts))
-    except (ValueError, RecursionError):  # InputError from parse_index is a ValueError
-        return None
-    # `_entry_pair` could not see the ground size, decoded last, so it used the cap.
-    if all(map(lt, order, order[1:])) and max(map(int.bit_length, masks), default=0) <= size:
-        return ChainFamily._trusted(GroundSet(size), order, masks), order
-    return None
+        return _walk_family(json.loads(text, object_hook=_entry_pair))
+    except (ValueError, RecursionError):  # InputError is a ValueError
+        pass  # leaving the handler frees the hooked document before the second decode
+    return _walk_family(parse_json(text, "family document"))
 
 
 def _entry_pair(obj: dict) -> object:
@@ -516,13 +501,14 @@ def _entry_pair(obj: dict) -> object:
     return obj if mask is None else (obj["index"], mask)
 
 
-def _checked_family(text: str) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
-    """Read any document entry by entry; errors come in order: shape errors
+def _walk_family(doc: object) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
+    """Read a decoded document entry by entry; errors come in order: shape errors
     entry by entry (set, then index), the ground size, the first element
-    outside [0, size) in file order, a repeated index.  No set buffer is made
-    for a ground size over the cap.
+    outside [0, size) in file order, a repeated index.  An entry is a dict,
+    or an `_entry_pair` whose mask, built under the cap, must fit the ground.
+    No set buffer is made for a ground size over the cap.  Increasing
+    indices build the family with no second check, others via `from_pairs`.
     """
-    doc = parse_json(text, "family document")
     if not isinstance(doc, dict) or set(doc) != {"ground_size", "entries"}:
         raise InputError("family document must have exactly ground_size and entries")
     size = doc["ground_size"]
@@ -535,22 +521,34 @@ def _checked_family(text: str) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
     masks: list[int] = []
     stray = None
     for entry in doc["entries"]:
-        if not isinstance(entry, dict) or set(entry) != {"index", "set"}:
-            raise InputError(f"entry must have exactly index and set: {entry!r}")
-        elems = entry["set"]
-        if not isinstance(elems, list):
-            raise InputError(f"set must be a list of integers: {elems!r}")
-        mask = _set_mask(elems, limit) if elems else 0
-        if mask is None:
-            bad = _stray_element(elems, size)
-            if stray is None:
-                stray = bad
-        indices.append(parse_index(entry["index"]))
+        if type(entry) is tuple:
+            x, mask = entry
+            if mask.bit_length() > limit:  # the plain walk names the stray element
+                raise InputError("a set holds an element outside the ground")
+        else:
+            if not isinstance(entry, dict) or set(entry) != {"index", "set"}:
+                raise InputError(f"entry must have exactly index and set: {entry!r}")
+            x, elems = entry["index"], entry["set"]
+            if not isinstance(elems, list):
+                raise InputError(f"set must be a list of integers: {elems!r}")
+            mask = _set_mask(elems, limit) if elems else 0
+            if mask is None:
+                if any(not isinstance(n, int) for n in elems):
+                    raise InputError(f"set must be a list of integers: {elems!r}")
+                if any(not a < b for a, b in zip(elems, elems[1:])):
+                    raise InputError(f"set elements must be strictly increasing: {elems!r}")
+                if stray is None:
+                    stray = next((n for n in elems if type(n) is not int or not 0 <= n < size),
+                                 None)
+        indices.append(parse_index(x))
         masks.append(mask)
     ground = GroundSet(size)
     if stray is not None:
         ground.check_element(stray)
-    return ChainFamily.from_pairs(ground, zip(indices, masks)), tuple(indices)
+    order = tuple(indices)
+    if all(map(lt, order, order[1:])):
+        return ChainFamily._trusted(ground, order, tuple(masks)), order
+    return ChainFamily.from_pairs(ground, zip(order, masks)), order
 
 
 def family_from_text(text: str) -> ChainFamily:

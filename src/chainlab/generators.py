@@ -24,7 +24,9 @@ from .core import (
     GroundSet,
     IndexValue,
     InputError,
+    _BIT_FLAGS,
     _mask_of,
+    check_increasing,
     parse_index,
     parse_index_list,
     parse_json,
@@ -45,7 +47,6 @@ class DyadicGround(Frozen):
         self._fill(depth, GroundSet((1 << depth) - 1))
 
 
-_BITS_OF_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _DIGITS_OF_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -66,7 +67,7 @@ class BitIndex(Frozen):
     def from_string(cls, word: str) -> BitIndex:
         if not isinstance(word, str) or not word or set(word) - {"0", "1"}:
             raise InputError(f"bit word must be nonempty over 0/1, got {word!r}")
-        return cls(tuple(word.encode("ascii").translate(_BITS_OF_DIGITS)))
+        return cls(tuple(word.encode("ascii").translate(_BIT_FLAGS)))
 
     @property
     def value(self) -> IndexValue:
@@ -105,9 +106,7 @@ def initial_segment_chain(
     positions = tuple(points)
     ground = GroundSet(len(positions))
     xs = tuple(cut_indices)
-    for a, b in zip(xs, xs[1:]):
-        if not a < b:
-            raise InputError(f"cut indices not strictly increasing at {a} >= {b}")
+    check_increasing(xs, "cut indices")
     ranked = sorted(range(ground.size), key=positions.__getitem__)
     masks = []
     mask = below = 0
@@ -117,10 +116,7 @@ def initial_segment_chain(
             below += 1
         if below < ground.size and positions[ranked[below]] == x:
             raise InputError(f"cut index {x} coincides with a ground position")
-        if below > start:
-            passed = ranked[start:below]
-            low = min(passed)
-            mask |= _mask_of(max(passed) - low + 1, [n - low for n in passed]) << low
+        mask |= _mask_of(ranked[start:below])
         masks.append(mask)
     return ChainFamily(ground, xs, tuple(masks))
 
@@ -161,9 +157,7 @@ def uniform_segment_masks(size: int, xs: Sequence[IndexValue]) -> list[int]:
     a cut p/q are those with 1 <= m <= scaled, except that a zero rem puts
     the cut on position `scaled`: an error when that is one of 1..size.
     """
-    for a, b in zip(xs, xs[1:]):
-        if not a < b:
-            raise InputError(f"cut indices not strictly increasing at {a} >= {b}")
+    check_increasing(xs, "cut indices")
     masks = []
     for x in xs:
         scaled, rem = divmod(x.numerator * (size + 1), x.denominator)

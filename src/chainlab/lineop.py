@@ -27,6 +27,7 @@ from .core import (
     IndexValue,
     InputError,
     alternation_witness,
+    check_increasing,
     format_index,
     iter_bits,
     membership_steps,
@@ -51,16 +52,12 @@ class LineModel(Frozen):
     ) -> None:
         if not carrier:
             raise InputError("carrier must be nonempty")
-        for a, b in zip(carrier, carrier[1:]):
-            if not a < b:
-                raise InputError(f"carrier not strictly increasing at {a} >= {b}")
+        check_increasing(carrier, "carrier")
         if dense_points is carrier:  # from_dense: checked above, ranked by position
             self._fill(carrier, dense_points, tuple(range(len(carrier))))
             return
         rank = {p: r for r, p in enumerate(carrier)}
-        for a, b in zip(dense_points, dense_points[1:]):
-            if not a < b:
-                raise InputError(f"dense points not strictly increasing at {a} >= {b}")
+        check_increasing(dense_points, "dense points")
         ranks = tuple(rank.get(y, -1) for y in dense_points)
         missing = [y for y, r in zip(dense_points, ranks) if r < 0]
         if missing:

@@ -20,7 +20,6 @@ from chainlab.core import (
     ChainFamily,
     GroundSet,
     InputError,
-    _mask_of,
     parse_json,
 )
 from chainlab.generators import check_flips, initial_segment_chain
@@ -405,6 +404,13 @@ def _two_pass_stray_element(elems: list, size: int):
     return next(n for n in elems if type(n) is not int or not 0 <= n < size)
 
 
+def _two_pass_mask(size: int, elems: list) -> int:
+    digits = bytearray(b"0") * size
+    for n in elems:
+        digits[size - 1 - n] = 49  # ord("1"); bit n is digit size-1-n
+    return int(digits, 2)
+
+
 def two_pass_family_with_file_order(text: str):
     """The family reader that walks each set twice: one pass checks types,
     order and range, a second writes an N-digit buffer per set, and
@@ -435,7 +441,7 @@ def two_pass_family_with_file_order(text: str):
     ground = GroundSet(size)
     if stray is not None:
         ground.check_element(stray)
-    family = ChainFamily.from_pairs(ground, ((x, _mask_of(size, elems)) for x, elems in entries))
+    family = ChainFamily.from_pairs(ground, ((x, _two_pass_mask(size, elems)) for x, elems in entries))
     return family, tuple(x for x, _ in entries)
 
 

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import chainlab
 from chainlab.cli import main
 
 from oracles import count_fraction_ops
@@ -515,12 +520,14 @@ def _family_doc(size, *sets, indices=None):
         (_family_doc(4, [5, 1]), "set elements must be strictly increasing: [5, 1]"),
         (_family_doc(4, [[0]]), "set must be a list of integers: [[0]]"),
         (_family_doc(4, ["0"]), "set must be a list of integers: ['0']"),
+        ({"ground_size": 4, "entries": [{"index": "x", "set": [0]}, {"index": "1/2"}]},
+         "malformed index 'x', expected 'p/q'"),
     ],
     ids=["first-offender-not-max", "later-entry", "negative", "bool", "bool-after-int",
          "decreasing", "repeated", "non-int-before-order", "bool-out-of-order",
          "shape-before-range", "index-before-range", "ground-size-before-range",
          "range-before-duplicate", "duplicate-index", "float-after-int",
-         "last-in-range-but-unsorted", "nested-list", "string"],
+         "last-in-range-but-unsorted", "nested-list", "string", "index-before-later-entry"],
 )
 def test_family_parse_error_messages(tmp_path, capsys, doc, message):
     fam = tmp_path / "bad.json"
@@ -633,3 +640,25 @@ def test_function_values_over_the_digit_cap_are_refused(tmp_path, capsys):
     code, out, err = run_cli(capsys, "operator", "--input", str(fam), "--function", str(f))
     assert (code, out) == (1, "")
     assert err == "input-error: index numerator or denominator exceeds 1000 digits\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["check", "--input", "{family}"],
+    ["generate", "--kind", "perturbed", "--ground-size", "512", "--count", "200"],
+    ["triples", "--input", "{family}"],
+    ["adjust", "--input", "{family}", "--output", "{adjusted}"],
+], ids=["check", "generate", "triples", "adjust-receipts"])
+def test_a_failed_stdout_write_is_one_input_error_line(tmp_path, argv):
+    # The output is flushed where the error is caught: nothing is left for exit to fail on.
+    family = tmp_path / "f.json"
+    family.write_text(json.dumps(_family_doc(3, [0], [1], [0, 1, 2])))
+    args = [a.format(family=family, adjusted=tmp_path / "a.json") for a in argv]
+    env = dict(os.environ)
+    src = str(Path(chainlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "chainlab.cli", *args],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == "input-error: cannot write stdout: [Errno 28] No space left on device\n"

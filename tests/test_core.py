@@ -358,6 +358,15 @@ def _peak_bytes(run):
         tracemalloc.stop()
 
 
+def test_mask_of_builds_over_the_span_of_its_elements():
+    # Rows of a gap instance below 300 on a 2^20 ground: no 2^20-digit buffer.
+    ground = GroundSet(MAX_GROUND_SIZE)
+    mask, peak = _peak_bytes(lambda: ground.mask_of([299, 5, 7, 5]))
+    assert mask == 1 << 299 | 1 << 7 | 1 << 5
+    assert peak < 64 << 10
+    assert ground.mask_of([]) == 0
+
+
 def test_defect_scan_memory_does_not_grow_with_the_ground():
     # Neither engine builds a complement within the ground, so 256 empty
     # sets over 2^20 elements need no 2^20-bit mask on either.
@@ -547,6 +556,33 @@ def test_sorted_documents_of_every_generator_read_in_one_decode(config, monkeypa
     text = family_to_text(fam)
     monkeypatch.setattr(core, "parse_json", _refuse_plain_decode)
     assert core.family_with_file_order(text) == (fam, fam.indices)
+
+
+@pytest.mark.parametrize("config", _GENERATOR_CONFIGS)
+def test_unsorted_documents_of_every_generator_read_in_one_decode(config, monkeypatch):
+    fam = family_from_config(config)
+    doc = json.loads(family_to_text(fam))
+    random.Random(6).shuffle(doc["entries"])
+    order = tuple(parse_index(entry["index"]) for entry in doc["entries"])
+    assert order != fam.indices
+    monkeypatch.setattr(core, "parse_json", _refuse_plain_decode)
+    assert core.family_with_file_order(json.dumps(doc)) == (fam, order)
+
+
+def test_an_error_document_is_not_held_twice():
+    # Unsorted sets stay lists in the hooked decode, which is freed before
+    # the plain decode that names the error.
+    doc = {"ground_size": 2048, "entries": [
+        {"index": f"{i + 1}/100", "set": list(range(2047, 0, -2))} for i in range(100)]}
+    text = json.dumps(doc)
+    _, plain = _peak_bytes(lambda: json.loads(text))
+
+    def read():
+        with pytest.raises(InputError, match="set elements must be strictly increasing"):
+            family_from_text(text)
+
+    _, peak = _peak_bytes(read)
+    assert peak < 1.5 * plain
 
 
 def test_reading_an_in_order_document_compares_each_index_once(monkeypatch):
