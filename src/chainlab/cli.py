@@ -208,7 +208,7 @@ def _cmd_operator(args: argparse.Namespace) -> int:
     if args.function is not None:
         f = lineop.function_from_text(_read_text(args.function))
     else:
-        f = lineop.FunctionOnLine({p: p for p in model.carrier})
+        f = {p: p for p in model.carrier}
     schedule = lineop.coincident_schedule(table)
     lines.append(f"harness_steps: {len(schedule)}")
     if schedule:
@@ -256,7 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     elif args.depth < 3:
         raise core.InputError("sweep needs --depth of at least 3")
     else:
-        generators.DyadicGround(args.depth)
+        generators.dyadic_ground(args.depth)
         grid = range(3, args.depth + 1)
     if not grid:
         raise core.InputError("sweep needs --flips of at least 0")

@@ -20,11 +20,9 @@ from .core import (
     MAX_GROUND_SIZE,
     MAX_INDEX_DIGITS,
     ChainFamily,
-    Frozen,
     GroundSet,
     IndexValue,
     InputError,
-    _BIT_FLAGS,
     _mask_of,
     check_increasing,
     parse_index,
@@ -33,49 +31,24 @@ from .core import (
 )
 
 
-class DyadicGround(Frozen):
-    """Ground set enumerating the dyadics k/2^depth inside (0, 1) in order."""
-
-    __slots__ = ("depth", "ground")
-    _fields = ("depth",)
-
-    def __init__(self, depth: int) -> None:
-        if type(depth) is not int or depth < 1:
-            raise InputError(f"depth must be a positive integer, got {depth!r}")
-        if depth >= (MAX_GROUND_SIZE + 1).bit_length():
-            raise InputError(f"depth {depth} puts the ground above the cap {MAX_GROUND_SIZE}")
-        self._fill(depth, GroundSet((1 << depth) - 1))
+def dyadic_ground(depth: int) -> GroundSet:
+    """The ground of the dyadics k/2^depth inside (0, 1), in order: 2^depth - 1 points."""
+    if type(depth) is not int or depth < 1:
+        raise InputError(f"depth must be a positive integer, got {depth!r}")
+    if depth >= (MAX_GROUND_SIZE + 1).bit_length():
+        raise InputError(f"depth {depth} puts the ground above the cap {MAX_GROUND_SIZE}")
+    return GroundSet((1 << depth) - 1)
 
 
-_DIGITS_OF_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-class BitIndex(Frozen):
-    """An index given by a finite binary expansion 0.b1 b2 ... bL."""
-
-    __slots__ = _fields = ("bits",)
-
-    def __init__(self, bits: tuple[int, ...]) -> None:
-        # Exact ints only: the type test keeps 1.0, True and unhashables out.
-        if not bits or set(map(type, bits)) != {int} or not set(bits) <= {0, 1}:
-            raise InputError(f"bits must be a nonempty 0/1 word, got {bits!r}")
-        if len(bits) > MAX_INDEX_DIGITS:
-            raise InputError(f"bit word of {len(bits)} bits exceeds the cap {MAX_INDEX_DIGITS}")
-        self._fill(bits)
-
-    @classmethod
-    def from_string(cls, word: str) -> BitIndex:
-        if not isinstance(word, str) or not word or set(word) - {"0", "1"}:
-            raise InputError(f"bit word must be nonempty over 0/1, got {word!r}")
-        return cls(tuple(word.encode("ascii").translate(_BIT_FLAGS)))
-
-    @property
-    def value(self) -> IndexValue:
-        return Fraction(int(self.digits(), 2), 1 << len(self.bits))
-
-    def digits(self) -> bytes:
-        """The word as ASCII binary digits: int(x.digits(), 2) / 2^L is the value."""
-        return bytes(self.bits).translate(_DIGITS_OF_BITS)
+def check_bit_words(words: Iterable[str]) -> tuple[str, ...]:
+    """The words, each a nonempty string of binary digits 0.b1 b2 ... bL within the cap."""
+    words = tuple(words)
+    for w in words:
+        if not isinstance(w, str) or not w or set(w) - {"0", "1"}:
+            raise InputError(f"bit word must be nonempty over 0/1, got {w!r}")
+        if len(w) > MAX_INDEX_DIGITS:
+            raise InputError(f"bit word of {len(w)} bits exceeds the cap {MAX_INDEX_DIGITS}")
+    return words
 
 
 def _excluded(head: int) -> int:
@@ -121,33 +94,41 @@ def initial_segment_chain(
     return ChainFamily(ground, xs, tuple(masks))
 
 
-def marciszewski_family(xs: Iterable[BitIndex], ground: DyadicGround) -> ChainFamily:
+def marciszewski_family(words: Iterable[str], depth: int) -> ChainFamily:
     """Family A'_x = {q in ground : q < x, q not an excluded truncation of x}.
 
-    Each x must carry at least `depth` bits and must not itself be a dyadic of
-    depth <= `depth`, so that every comparison with a ground point is strict.
-    The words are read once, in integer arithmetic.  With its trailing zeros
-    dropped, a word names its value exactly and sorts as it does; read as the
-    integer w of L bits, the ground points below it are the first
-    `w >> (L - depth)`.  Each index becomes one Fraction at the end.
+    Each x is a bit word 0.b1 b2 ... bL over the ground `dyadic_ground(depth)`.
+    Every word's shape is checked first, then the depth.  Each word must
+    carry at least `depth` bits and must not itself be a dyadic of depth
+    <= `depth`, so that every comparison with a ground point is strict.  The
+    words are read in integer arithmetic.  With its trailing zeros dropped, a
+    word names its value exactly and sorts as it does; read as the integer w
+    of L bits, the ground points below it are the first `w >> (L - depth)`.
+    Each index becomes one Fraction at the end.
     """
-    d = ground.depth
-    sets: dict[bytes, int] = {}  # word without trailing zeros -> mask
-    for x in xs:
-        digits = x.digits()
-        if len(digits) < d:
-            raise InputError(f"bit word of length {len(digits)} is shorter than depth {d}")
-        word = digits.rstrip(b"0")
-        if len(word) <= d:  # no 1-bit past the first d: x is on the grid
-            raise InputError(f"{x.value} is a depth-{d} dyadic; comparisons would be ambiguous")
+    words = check_bit_words(words)
+    ground = dyadic_ground(depth)
+    sets: dict[str, int] = {}  # word without trailing zeros -> mask
+    for digits in words:
+        if len(digits) < depth:
+            raise InputError(f"bit word of length {len(digits)} is shorter than depth {depth}")
+        word = digits.rstrip("0")
+        if len(word) <= depth:  # no 1-bit past the first depth: x is on the grid
+            raise InputError(f"{_word_value(digits)} is a depth-{depth} dyadic; "
+                             "comparisons would be ambiguous")
         if word in sets:
-            raise InputError(f"duplicate index value {x.value}")
-        head = int(word, 2) >> (len(word) - d)
+            raise InputError(f"duplicate index value {_word_value(digits)}")
+        head = int(word, 2) >> (len(word) - depth)
         sets[word] = ((1 << head) - 1) ^ _excluded(head)
-    words = sorted(sets)
-    indices = tuple(Fraction(int(w, 2), 1 << len(w)) for w in words)
+    ordered = sorted(sets)
     # Distinct words sort as their values, and each mask lies below 2^depth - 1.
-    return ChainFamily._trusted(ground.ground, indices, tuple(map(sets.__getitem__, words)))
+    return ChainFamily._trusted(ground, tuple(map(_word_value, ordered)),
+                                tuple(map(sets.__getitem__, ordered)))
+
+
+def _word_value(word: str) -> IndexValue:
+    """The value of the bit word 0.b1 b2 ... bL."""
+    return Fraction(int(word, 2), 1 << len(word))
 
 
 def uniform_segment_masks(size: int, xs: Sequence[IndexValue]) -> list[int]:
@@ -196,7 +177,7 @@ def sample_cut_indices(rng: random.Random, size: int, count: int) -> tuple[Index
     return tuple(Fraction(2 * r + 1, 2 * slots) for r in sorted(draws))
 
 
-def random_bit_indices(rng: random.Random, depth: int, count: int) -> tuple[BitIndex, ...]:
+def random_bit_indices(rng: random.Random, depth: int, count: int) -> tuple[str, ...]:
     """Draw distinct bit words of length depth+8, final bit forced to 1.
 
     The forced tail bit keeps every value off the depth-`depth` dyadic grid.
@@ -206,7 +187,7 @@ def random_bit_indices(rng: random.Random, depth: int, count: int) -> tuple[BitI
     if count > (1 << (length - 1)):
         raise InputError(f"cannot draw {count} distinct words of length {length}")
     prefixes = rng.sample(range(1 << (length - 1)), count)
-    return tuple(BitIndex.from_string(format(2 * p + 1, f"0{length}b")) for p in prefixes)
+    return tuple(format(2 * p + 1, f"0{length}b") for p in prefixes)
 
 
 def perturbed_chain(
@@ -310,14 +291,13 @@ def family_from_config(cfg: dict) -> ChainFamily:
             words = cfg["xs"]
             if not isinstance(words, list):
                 raise InputError(f"'xs' must be a list of bit words, got {words!r}")
-            xs = tuple(BitIndex.from_string(w) for w in words)
-            ground = DyadicGround(_int_field(cfg, "depth"))
-        else:
-            _check_keys(cfg, {"kind", "depth", "seed", "count"}, {"kind", "depth", "count"})
-            ground = DyadicGround(_int_field(cfg, "depth"))
-            rng = random.Random(_int_field(cfg, "seed", 0))
-            xs = random_bit_indices(rng, ground.depth, _int_field(cfg, "count"))
-        return marciszewski_family(xs, ground)
+            # A bad word is named before a bad depth.
+            return marciszewski_family(check_bit_words(words), _int_field(cfg, "depth"))
+        _check_keys(cfg, {"kind", "depth", "seed", "count"}, {"kind", "depth", "count"})
+        depth = _int_field(cfg, "depth")
+        dyadic_ground(depth)
+        rng = random.Random(_int_field(cfg, "seed", 0))
+        return marciszewski_family(random_bit_indices(rng, depth, _int_field(cfg, "count")), depth)
     if kind == "perturbed":
         allowed = {"kind", "seed", "ground_size", "flips", "X", "count"}
         _check_keys(cfg, allowed, {"kind", "ground_size", "flips"})

@@ -18,6 +18,7 @@ an upstream violation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -98,9 +99,9 @@ class TripleTable(Frozen):
     def __len__(self) -> int:
         return len(self.ranks)
 
-    def signed_sum(self, f: FunctionOnLine, n: int) -> Fraction:
+    def signed_sum(self, f: Mapping[IndexValue, Fraction], n: int) -> Fraction:
         """Ef(n) = f(x0_n) - f(x1_n) + f(x2_n)."""
-        return _signed_sum(f.value_at, map(self.points.__getitem__, self.ranks[n]))
+        return _signed_sum(partial(_value_at, f), map(self.points.__getitem__, self.ranks[n]))
 
 
 def _signed_sum(value: Callable[..., Fraction], triple: Iterable) -> Fraction:
@@ -109,16 +110,12 @@ def _signed_sum(value: Callable[..., Fraction], triple: Iterable) -> Fraction:
     return v0 - v1 + v2
 
 
-class FunctionOnLine(NamedTuple):
-    """Rational-valued function given pointwise on carrier points."""
-
-    values: Mapping[IndexValue, Fraction]
-
-    def value_at(self, p: IndexValue) -> Fraction:
-        try:
-            return self.values[p]
-        except KeyError:
-            raise InputError(f"function not defined at carrier point {p}") from None
+def _value_at(f: Mapping[IndexValue, Fraction], p: IndexValue) -> Fraction:
+    """f(p) for a function given pointwise on carrier points."""
+    try:
+        return f[p]
+    except KeyError:
+        raise InputError(f"function not defined at carrier point {p}") from None
 
 
 def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
@@ -150,7 +147,7 @@ def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
     return TripleTable(model.carrier, tuple(ranks))
 
 
-def apply_operator(f: FunctionOnLine, triples: TripleTable) -> dict[int, Fraction]:
+def apply_operator(f: Mapping[IndexValue, Fraction], triples: TripleTable) -> dict[int, Fraction]:
     """Ef on the ground: {n: the signed sum of f over n's triple}."""
     return {n: triples.signed_sum(f, n) for n in range(len(triples))}
 
@@ -177,7 +174,7 @@ def operator_norm(triples: TripleTable) -> Fraction:
     return Fraction(3) if strict else Fraction(1)
 
 
-def norm_witness(triples: TripleTable) -> tuple[int, FunctionOnLine] | None:
+def norm_witness(triples: TripleTable) -> tuple[int, dict[IndexValue, Fraction]] | None:
     """Sup-norm-1 function on the carrier scoring 3 at the first strict triple, if any."""
     for n, (r0, r1, r2) in enumerate(triples.ranks):
         if r0 < r1 < r2:
@@ -185,7 +182,7 @@ def norm_witness(triples: TripleTable) -> tuple[int, FunctionOnLine] | None:
             values[triples.points[r0]] = Fraction(1)
             values[triples.points[r1]] = Fraction(-1)
             values[triples.points[r2]] = Fraction(1)
-            return n, FunctionOnLine(values)
+            return n, values
     return None
 
 
@@ -229,7 +226,7 @@ def continuity_harness(
     family: ChainFamily,
     model: LineModel,
     schedule: Sequence[tuple[int, int]],
-    f: FunctionOnLine,
+    f: Mapping[IndexValue, Fraction],
 ) -> HarnessReport:
     """Follow Ef along a schedule of ground elements and settle its limit.
 
@@ -252,7 +249,7 @@ def continuity_harness(
     at = table.points.__getitem__
     # f is read once per rank, in step order, so the first undefined point
     # named is the one a step-by-step signed sum would meet first.
-    value = {r: f.value_at(at(r)) for r in dict.fromkeys(chain.from_iterable(ranks))}
+    value = {r: _value_at(f, at(r)) for r in dict.fromkeys(chain.from_iterable(ranks))}
     # A step with r1 == r2 sums to f(x0) exactly.  compute_triples never makes
     # r0 == r1 < r2: x1 equals x0 only when x1 is the fallback max(K), as x2 then is.
     steps = tuple(
@@ -262,7 +259,7 @@ def continuity_harness(
     final = steps[-1]
     # Points, not ranks, so that a strict final triple is named by its points.
     z = limit_eval_point(*map(at, final.ranks))
-    limit_value = f.value_at(z)
+    limit_value = _value_at(f, z)
     return HarnessReport(table.points, steps, z, limit_value, final.operator_value == limit_value)
 
 
@@ -318,13 +315,11 @@ def harness_report_to_text(report: HarnessReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def function_from_text(text: str) -> FunctionOnLine:
+def function_from_text(text: str) -> dict[IndexValue, Fraction]:
     doc = parse_json(text, "function document")
     if not isinstance(doc, dict) or set(doc) != {"values"} or not isinstance(doc["values"], dict):
         raise InputError("function document must have exactly a 'values' object")
-    return FunctionOnLine(
-        {parse_index(p): parse_index(v) for p, v in doc["values"].items()}
-    )
+    return {parse_index(p): parse_index(v) for p, v in doc["values"].items()}
 
 
 def model_from_text(text: str) -> LineModel:
