@@ -299,17 +299,22 @@ def min_chain_edit_distance(family: ChainFamily) -> int:
     return total
 
 
-def brute_excluded_dyadics(bits, depth: int) -> tuple[Fraction, ...]:
-    """Truncations 0.b1...bn (n < depth) before each 1-bit b(n+1), dropping 0.
+def word_value(word: str) -> Fraction:
+    """The value of the bit word 0.b1 b2 ... bL, summed bit by bit."""
+    return sum((Fraction(int(b), 1 << (i + 1)) for i, b in enumerate(word)), Fraction(0))
+
+
+def brute_excluded_dyadics(word: str, depth: int) -> tuple[Fraction, ...]:
+    """Truncations 0.b1...bn (n < depth) before each 1-bit b(n+1) of a bit word, dropping 0.
 
     A per-bit walk that adds up the truncation one Fraction at a time.
     """
     values = []
     t = Fraction(0)
     for n in range(depth):
-        if bits[n] == 1 and t > 0:
+        if word[n] == "1" and t > 0:
             values.append(t)
-        t += Fraction(bits[n], 1 << (n + 1))
+        t += Fraction(int(word[n]), 1 << (n + 1))
     return tuple(values)
 
 
@@ -323,15 +328,14 @@ def brute_marciszewski_family(words, depth: int) -> ChainFamily:
     points = [Fraction(n + 1, 1 << depth) for n in range((1 << depth) - 1)]
     sets = {}
     for word in words:
-        bits = [int(c) for c in word]
-        x = sum((Fraction(b, 1 << (i + 1)) for i, b in enumerate(bits)), Fraction(0))
-        if len(bits) < depth:
-            raise InputError(f"bit word of length {len(bits)} is shorter than depth {depth}")
+        x = word_value(word)
+        if len(word) < depth:
+            raise InputError(f"bit word of length {len(word)} is shorter than depth {depth}")
         if (x * (1 << depth)).denominator == 1:
             raise InputError(f"{x} is a depth-{depth} dyadic; comparisons would be ambiguous")
         if x in sets:
             raise InputError(f"duplicate index value {x}")
-        banned = brute_excluded_dyadics(bits, depth)
+        banned = brute_excluded_dyadics(word, depth)
         sets[x] = mask_from(n for n, p in enumerate(points) if p < x and p not in banned)
     indices = tuple(sorted(sets))
     return ChainFamily(GroundSet(len(points)), indices, tuple(sets[x] for x in indices))

@@ -29,7 +29,6 @@ from chainlab.core import (
     is_barely_alternating,
 )
 from chainlab.generators import (
-    DyadicGround,
     marciszewski_family,
     perturbed_chain,
     random_bit_indices,
@@ -38,7 +37,6 @@ from chainlab.generators import (
 )
 from chainlab.adjust import gap_exceptions, insert_point
 from chainlab.lineop import (
-    FunctionOnLine,
     InconsistencyError,
     LineModel,
     apply_operator,
@@ -86,7 +84,7 @@ def adjustment_corpus() -> tuple[ChainFamily, ...]:
         depth = 4 + i % 7
         count = min((1 << depth) - 1, 10 + (i * 7) % 91)
         xs = random_bit_indices(rng, depth, count)
-        instances.append(marciszewski_family(xs, DyadicGround(depth)))
+        instances.append(marciszewski_family(xs, depth))
     for i in range(100):
         size = 8 + (i * 3) % 57
         count = min(size, 5 + (i * 11) % 36)
@@ -309,7 +307,7 @@ def test_c07_operator_norm():
                 continue
             strict_seen += 1
             n, f = witness
-            assert max(map(abs, f.values.values())) == 1
+            assert max(map(abs, f.values())) == 1
             assert abs(apply_operator(f, table)[n]) == 3
             assert norm == 3
         assert strict_seen >= 50
@@ -324,9 +322,7 @@ def test_c08_extension_and_linearity():
         ]
 
         def rand_f(model_points):
-            return FunctionOnLine(
-                {p: F(rng.randint(-9, 9), rng.randint(1, 9)) for p in model_points}
-            )
+            return {p: F(rng.randint(-9, 9), rng.randint(1, 9)) for p in model_points}
 
         checked = 0
         while checked < 100:
@@ -336,9 +332,7 @@ def test_c08_extension_and_linearity():
             a = F(rng.randint(-6, 6), rng.randint(1, 6))
             b = F(rng.randint(-6, 6), rng.randint(1, 6))
             ef = apply_operator(f, table)
-            combo = FunctionOnLine(
-                {p: a * f.values[p] + b * g_fn.values[p] for p in points}
-            )
+            combo = {p: a * f[p] + b * g_fn[p] for p in points}
             lhs = apply_operator(combo, table)
             eg = apply_operator(g_fn, table)
             assert lhs == {n: a * ef[n] + b * eg[n] for n in lhs}
@@ -360,19 +354,14 @@ def test_c09_triple_soundness():
             schedule = coincident_schedule(table)
             if not schedule:
                 continue
-            f = FunctionOnLine(
-                {p: F(rng.randint(-9, 9), rng.randint(1, 9)) for p in model.carrier}
-            )
+            f = {p: F(rng.randint(-9, 9), rng.randint(1, 9)) for p in model.carrier}
             try:
                 report = continuity_harness(fam, model, schedule, f)
             except InconsistencyError as exc:  # pragma: no cover - must not happen
                 raise AssertionError(f"limit table rejected a derived triple: {exc}")
             assert report.identity_holds
             x0, x1, x2 = (report.points[r] for r in report.steps[-1].ranks)
-            assert (
-                report.steps[-1].operator_value
-                == f.value_at(x0) - f.value_at(x1) + f.value_at(x2)
-            )
+            assert report.steps[-1].operator_value == f[x0] - f[x1] + f[x2]
             schedules_run += 1
         assert schedules_run >= 200
 

@@ -29,7 +29,6 @@ from chainlab.core import (
     is_barely_alternating,
 )
 from chainlab.generators import (
-    DyadicGround,
     marciszewski_family,
     perturbed_chain,
     random_bit_indices,
@@ -246,7 +245,7 @@ def test_receipts_obey_structural_bound():
 
 def test_adjust_marciszewski_instance():
     xs = random_bit_indices(random.Random(11), depth=6, count=20)
-    fam = marciszewski_family(xs, DyadicGround(6))
+    fam = marciszewski_family(xs, 6)
     out, _ = adjust_family(fam)
     assert is_barely_alternating(out)
     assert brute_alternation_witness(out) is None

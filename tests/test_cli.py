@@ -308,7 +308,7 @@ def test_sweep_refuses_too_many_flips_before_building_any_cell(capsys, monkeypat
 
 def test_sweep_compares_only_the_perturbed_cuts_once_and_hashes_none(capsys, monkeypatch):
     # The perturbed generator checks its k cuts in order, k - 1 comparisons
-    # per cell; Marciszewski words are ordered as bytes, and generation, the
+    # per cell; Marciszewski words are ordered as strings, and generation, the
     # defect scan, adjust, the line model and triples work on ranks.
     counts = count_fraction_ops(monkeypatch)
     code, _, _ = run_cli(capsys, "sweep", "--seed", "3", "--reps", "1",

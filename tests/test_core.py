@@ -31,9 +31,8 @@ from chainlab.core import (
     validate_almost_chain,
 )
 from chainlab.generators import (
-    BitIndex,
-    DyadicGround,
     _excluded,
+    dyadic_ground,
     family_from_config,
     marciszewski_family,
 )
@@ -50,6 +49,7 @@ from oracles import (
     membership_trace,
     mixed_corpus,
     removal_makes_chain,
+    word_value,
 )
 
 
@@ -90,10 +90,7 @@ def test_trace_marciszewski_depth3_frozen():
     #   0.0101 -> 5/16,  nothing excluded,    set {1/8, 1/4}
     #   0.1011 -> 11/16, excludes 1/2,        set {1/8, 1/4, 3/8, 5/8}
     #   0.1101 -> 13/16, excludes 1/2,        set {1/8, 1/4, 3/8, 5/8, 3/4}
-    fam = marciszewski_family(
-        [BitIndex.from_string(w) for w in ("0101", "1011", "1101")],
-        DyadicGround(3),
-    )
+    fam = marciszewski_family(["0101", "1011", "1101"], 3)
     assert fam.indices == (F(5, 16), F(11, 16), F(13, 16))
     assert [tuple(iter_bits(m)) for m in fam.masks] == [(0, 1), (0, 1, 2, 4), (0, 1, 2, 4, 5)]
     assert membership_trace(fam, 1) == "111"  # ground element of 1/4
@@ -194,10 +191,9 @@ def test_defect_examples_and_errors():
 
 
 def test_defect_marciszewski_contained_in_excluded_dyadics():
-    ground = DyadicGround(3)
-    xs = [BitIndex.from_string(w) for w in ("0101", "0111", "1011", "1101")]
-    fam = marciszewski_family(xs, ground)
-    heads = {x.value: int(x.digits()[:3], 2) for x in xs}
+    xs = ["0101", "0111", "1011", "1101"]
+    fam = marciszewski_family(xs, 3)
+    heads = {word_value(x): int(x[:3], 2) for x in xs}
     for i, j in combinations(range(len(fam)), 2):
         d = fam.masks[i] & ~fam.masks[j]
         assert d & ~_excluded(heads[fam.indices[j]]) == 0
@@ -434,9 +430,9 @@ def test_index_digit_cap():
     for over in ("1" * (MAX_INDEX_DIGITS + 1), "1/" + "3" * (MAX_INDEX_DIGITS + 1)):
         with pytest.raises(InputError, match=f"exceeds {MAX_INDEX_DIGITS} digits"):
             parse_index(over)
-    assert len(BitIndex.from_string("1" * MAX_INDEX_DIGITS).bits) == MAX_INDEX_DIGITS
+    assert len(marciszewski_family(["1" * MAX_INDEX_DIGITS], 1)) == 1
     with pytest.raises(InputError, match=f"exceeds the cap {MAX_INDEX_DIGITS}"):
-        BitIndex.from_string("1" * (MAX_INDEX_DIGITS + 1))
+        marciszewski_family(["1" * (MAX_INDEX_DIGITS + 1)], 1)
 
 
 def test_automaton_agrees_with_quantifier_definition():
@@ -619,6 +615,6 @@ def test_ground_size_cap():
     assert GroundSet(MAX_GROUND_SIZE).full_mask == (1 << MAX_GROUND_SIZE) - 1
     with pytest.raises(InputError, match=f"ground size {MAX_GROUND_SIZE + 1} exceeds the cap"):
         GroundSet(MAX_GROUND_SIZE + 1)
-    assert DyadicGround(20).ground.size == MAX_GROUND_SIZE - 1
+    assert dyadic_ground(20).size == MAX_GROUND_SIZE - 1
     with pytest.raises(InputError, match="depth 21 puts the ground above the cap"):
-        DyadicGround(21)
+        dyadic_ground(21)

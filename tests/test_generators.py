@@ -11,16 +11,16 @@ import pytest
 
 from chainlab.core import (
     MAX_FAMILY_SIZE,
+    MAX_INDEX_DIGITS,
     InputError,
     chain_witness,
     iter_bits,
     validate_almost_chain,
 )
 from chainlab.generators import (
-    BitIndex,
-    DyadicGround,
     _excluded,
     check_count,
+    dyadic_ground,
     family_from_config,
     from_sign_matrix,
     generator_config_from_text,
@@ -36,6 +36,7 @@ from oracles import (
     brute_excluded_dyadics,
     flagged_sizes,
     uniform_positions,
+    word_value,
 )
 
 
@@ -92,78 +93,98 @@ def test_initial_segment_chain_is_linear_in_the_ground():
 
 def test_dyadic_ground_enumeration():
     # Element n is the dyadic (n+1)/8: the largest ground point below (n+1)/8 + 1/16.
-    dg = DyadicGround(3)
-    assert dg.ground.size == 7
+    assert dyadic_ground(3).size == 7
     for n in range(7):
-        x = BitIndex.from_string(format(n + 1, "03b") + "1")
-        assert x.value == F(n + 1, 8) + F(1, 16)
-        assert marciszewski_family([x], dg).masks[0].bit_length() == n + 1
-    with pytest.raises(InputError):
-        DyadicGround(0)
-    with pytest.raises(InputError):
-        DyadicGround(True)  # a bool is not an exact int depth
+        x = format(n + 1, "03b") + "1"
+        assert word_value(x) == F(n + 1, 8) + F(1, 16)
+        assert marciszewski_family([x], 3).masks[0].bit_length() == n + 1
+    with pytest.raises(InputError, match="depth must be a positive integer, got 0"):
+        dyadic_ground(0)
+    with pytest.raises(InputError, match="got True"):
+        dyadic_ground(True)  # a bool is not an exact int depth
 
 
 def test_excluded_dyadics_frozen_example():
     # word 0,1,1,0,1: the step at the second bit truncates to 0 and is
     # dropped; the other two steps give 0.010 = 1/4 and 0.01100 = 3/8
-    x = BitIndex.from_string("01101")
-    excluded = _excluded(int(x.digits()[:5], 2))
+    excluded = _excluded(int("01101", 2))
     assert tuple(iter_bits(excluded)) == (7, 11)
     assert tuple(F(n + 1, 32) for n in iter_bits(excluded)) == (F(1, 4), F(3, 8))
-    assert brute_excluded_dyadics(x.bits, 5) == (F(1, 4), F(3, 8))
+    assert brute_excluded_dyadics("01101", 5) == (F(1, 4), F(3, 8))
 
 
 def test_excluded_dyadics_all_zero_prefix():
-    x = BitIndex.from_string("0000001")
-    assert _excluded(int(x.digits()[:6], 2)) == 0
-    assert brute_excluded_dyadics(x.bits, 6) == ()
-    fam = marciszewski_family([x], DyadicGround(6))
+    x = "0000001"
+    assert _excluded(int(x[:6], 2)) == 0
+    assert brute_excluded_dyadics(x, 6) == ()
+    fam = marciszewski_family([x], 6)
     assert fam.masks[0] == 0  # the index sits below every ground point
 
 
 def test_marciszewski_rejects_bad_indices():
-    dg = DyadicGround(4)
-    with pytest.raises(InputError):
-        marciszewski_family([BitIndex.from_string("011")], dg)  # too short
-    with pytest.raises(InputError):
-        marciszewski_family([BitIndex.from_string("0110")], dg)  # on the grid
-    with pytest.raises(InputError):
-        marciszewski_family([BitIndex.from_string("01101")], DyadicGround(5))
-    x = BitIndex.from_string("011011")
-    with pytest.raises(InputError):
-        marciszewski_family([x, x], DyadicGround(5))  # duplicate value
+    with pytest.raises(InputError, match="length 3 is shorter than depth 4"):
+        marciszewski_family(["011"], 4)
+    with pytest.raises(InputError, match="3/8 is a depth-4 dyadic"):
+        marciszewski_family(["0110"], 4)
+    with pytest.raises(InputError, match="13/32 is a depth-5 dyadic"):
+        marciszewski_family(["01101"], 5)
+    with pytest.raises(InputError, match="duplicate index value 27/64"):
+        marciszewski_family(["011011", "0110110"], 5)  # one value, two spellings
 
 
 @pytest.mark.parametrize(
-    "bits", [(), (0, 2), (0, -1), (1.0, 0), (True, 0), ([0],), ("1",)]
+    "word, message",
+    [
+        (5, "bit word must be nonempty over 0/1, got 5"),
+        ("", "bit word must be nonempty over 0/1, got ''"),
+        ("012", "bit word must be nonempty over 0/1, got '012'"),
+        ("0-1", "bit word must be nonempty over 0/1, got '0-1'"),
+        (True, "bit word must be nonempty over 0/1, got True"),
+        (["0", "1"], "bit word must be nonempty over 0/1, got ['0', '1']"),
+        (b"01", "bit word must be nonempty over 0/1, got b'01'"),
+        ("1" * (MAX_INDEX_DIGITS + 1),
+         f"bit word of {MAX_INDEX_DIGITS + 1} bits exceeds the cap {MAX_INDEX_DIGITS}"),
+    ],
+    ids=["int", "empty", "digit-2", "minus", "bool", "list", "bytes", "over-the-cap"],
 )
-def test_bit_index_bits_are_exact_ints(bits):
-    with pytest.raises(InputError, match="bits must be a nonempty 0/1 word"):
-        BitIndex(bits)
+def test_bit_words_are_nonempty_binary_strings_under_the_cap(word, message):
+    with pytest.raises(InputError) as info:
+        marciszewski_family(["0101", word], 3)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("depth", [0, 21, True, "3"])
+def test_a_bad_word_is_named_before_a_bad_depth(depth):
+    word_error = "bit word must be nonempty over 0/1, got '0120'"
+    with pytest.raises(InputError, match=word_error):
+        marciszewski_family(["0101", "0120"], depth)
+    config = {"kind": "marciszewski", "depth": depth, "xs": ["0101", "0120"]}
+    with pytest.raises(InputError, match=word_error):
+        family_from_config(config)
+    # Every word is checked before the depth, and the depth before each word's value.
+    with pytest.raises(InputError, match="positive integer|puts the ground above the cap"):
+        marciszewski_family(["0101", "0"], depth)
 
 
 def test_marciszewski_reads_its_words_in_one_pass():
     xs = random_bit_indices(random.Random(31), 6, 24)
-    dg = DyadicGround(6)
-    assert marciszewski_family((x for x in xs), dg) == marciszewski_family(xs, dg)
+    assert marciszewski_family((x for x in xs), 6) == marciszewski_family(xs, 6)
 
 
 def test_marciszewski_defects_fit_depth_budget():
     rng = random.Random(99)
     for depth in (3, 5, 8):
         xs = random_bit_indices(rng, depth, min(20, (1 << depth) - 1))
-        fam = marciszewski_family(xs, DyadicGround(depth))
+        fam = marciszewski_family(xs, depth)
         assert not validate_almost_chain(fam, depth).flagged_rows
 
 
 def test_marciszewski_defects_sit_in_the_excluded_set():
     rng = random.Random(5)
     depth = 6
-    dg = DyadicGround(depth)
     xs = random_bit_indices(rng, depth, 12)
-    fam = marciszewski_family(xs, dg)
-    heads = {x.value: int(x.digits()[:depth], 2) for x in xs}
+    fam = marciszewski_family(xs, depth)
+    heads = {word_value(x): int(x[:depth], 2) for x in xs}
     for i, j in combinations(range(len(fam)), 2):
         assert fam.masks[i] & ~fam.masks[j] & ~_excluded(heads[fam.indices[j]]) == 0
 
@@ -171,14 +192,12 @@ def test_marciszewski_defects_sit_in_the_excluded_set():
 def test_marciszewski_matches_per_element_oracle():
     rng = random.Random(6)
     depth = 5
-    dg = DyadicGround(depth)
     xs = random_bit_indices(rng, depth, 10)
-    fam = marciszewski_family(xs, dg)
-    by_value = {x.value: x for x in xs}
+    fam = marciszewski_family(xs, depth)
+    by_value = {word_value(x): x for x in xs}
     for v, m in zip(fam.indices, fam.masks):
-        x = by_value[v]
-        banned = set(brute_excluded_dyadics(x.bits, depth))
-        points = [F(n + 1, 1 << depth) for n in range(dg.ground.size)]
+        banned = set(brute_excluded_dyadics(by_value[v], depth))
+        points = [F(n + 1, 1 << depth) for n in range((1 << depth) - 1)]
         expected = tuple(n for n, p in enumerate(points) if p < v and p not in banned)
         assert tuple(iter_bits(m)) == expected
 
@@ -214,7 +233,7 @@ def test_marciszewski_needs_genuine_modification():
     floors = []
     for depth in (3, 4, 5):
         xs = random_bit_indices(rng, depth, (1 << depth) - 1)
-        fam = marciszewski_family(xs, DyadicGround(depth))
+        fam = marciszewski_family(xs, depth)
         floor = min_chain_edit_distance(fam)
         floors.append(floor)
         assert floor > 0
@@ -319,11 +338,11 @@ def test_count_cap():
 def test_random_bit_indices_are_usable():
     rng = random.Random(23)
     xs = random_bit_indices(rng, 5, 12)
-    assert len({x.value for x in xs}) == 12
+    assert len({word_value(x) for x in xs}) == 12
     for x in xs:
-        assert len(x.bits) == 13
-        assert (x.value * 32).denominator > 1
-    marciszewski_family(xs, DyadicGround(5))
+        assert len(x) == 13
+        assert (word_value(x) * 32).denominator > 1
+    marciszewski_family(xs, 5)
 
 
 def test_generator_configs_round_trip():

@@ -10,9 +10,8 @@ import pytest
 
 from chainlab.adjust import adjust_family
 from chainlab.core import InputError, chain_witness
-from chainlab.generators import DyadicGround, marciszewski_family, random_bit_indices
+from chainlab.generators import marciszewski_family, random_bit_indices
 from chainlab.lineop import (
-    FunctionOnLine,
     InconsistencyError,
     LineModel,
     TripleTable,
@@ -117,30 +116,28 @@ def test_from_dense_checks_order_once_and_hashes_nothing(monkeypatch):
 def test_operator_constant_function_stays_constant():
     fam = _family3("011", "010", "000")
     table = compute_triples(fam, MODEL3)
-    f = FunctionOnLine({p: F(7, 3) for p in MODEL3.carrier})
+    f = {p: F(7, 3) for p in MODEL3.carrier}
     out = apply_operator(f, table)
     assert out == dict.fromkeys(range(len(table)), F(7, 3))
 
 
 def test_operator_cancellation_when_first_two_coincide():
     table = TripleTable((F(1, 2), F(3, 4)), ((0, 0, 1),))
-    f = FunctionOnLine({F(1, 2): F(5), F(3, 4): F(-2)})
+    f = {F(1, 2): F(5), F(3, 4): F(-2)}
     assert apply_operator(f, table) == {0: F(-2)}
 
 
 def test_operator_step_function_substitution():
     # step that is 1 up to 1/2 and 0 beyond: Ef = f(1/2) - f(3/4) + f(1)
     table = TripleTable((F(1, 2), F(3, 4), F(1)), ((0, 1, 2),))
-    f = FunctionOnLine(
-        {p: (F(1) if p <= F(1, 2) else F(0)) for p in MODEL3.carrier}
-    )
+    f = {p: (F(1) if p <= F(1, 2) else F(0)) for p in MODEL3.carrier}
     assert apply_operator(f, table) == {0: F(1) - F(0) + F(0)}
 
 
 def test_operator_requires_values_at_triple_points():
     table = TripleTable((F(1, 2), F(3, 4), F(1)), ((0, 1, 2),))
-    with pytest.raises(InputError):
-        apply_operator(FunctionOnLine({F(1, 2): F(1)}), table)
+    with pytest.raises(InputError, match="function not defined at carrier point 3/4$"):
+        apply_operator({F(1, 2): F(1)}, table)
 
 
 def test_operator_is_linear():
@@ -149,12 +146,10 @@ def test_operator_is_linear():
     table = compute_triples(fam, MODEL3)
     for _ in range(50):
         rand_fraction = lambda: F(rng.randint(-8, 8), rng.randint(1, 8))
-        f = FunctionOnLine({p: rand_fraction() for p in MODEL3.carrier})
-        g = FunctionOnLine({p: rand_fraction() for p in MODEL3.carrier})
+        f = {p: rand_fraction() for p in MODEL3.carrier}
+        g = {p: rand_fraction() for p in MODEL3.carrier}
         a, b = rand_fraction(), rand_fraction()
-        combo = FunctionOnLine(
-            {p: a * f.values[p] + b * g.values[p] for p in MODEL3.carrier}
-        )
+        combo = {p: a * f[p] + b * g[p] for p in MODEL3.carrier}
         lhs = apply_operator(combo, table)
         ef = apply_operator(f, table)
         eg = apply_operator(g, table)
@@ -171,7 +166,7 @@ def test_norm_is_three_with_a_strict_triple():
     assert operator_norm(mixed) == 3
     n, f = norm_witness(mixed)
     assert n == 1
-    assert max(map(abs, f.values.values())) == 1
+    assert max(map(abs, f.values())) == 1
     assert apply_operator(f, mixed)[1] == 3
 
 
@@ -186,10 +181,8 @@ def test_norm_bounds_every_unit_function():
         table = compute_triples(adjusted, model)
         norm = operator_norm(table)
         assert norm <= 3
-        f = FunctionOnLine(
-            {p: F(rng.randint(-6, 6), rng.randint(1, 6)) for p in model.carrier}
-        )
-        sup_f = max(map(abs, f.values.values()))
+        f = {p: F(rng.randint(-6, 6), rng.randint(1, 6)) for p in model.carrier}
+        sup_f = max(map(abs, f.values()))
         out = apply_operator(f, table)
         assert all(abs(v) <= norm * sup_f for v in out.values())
 
@@ -257,7 +250,7 @@ def test_trichotomy_identity_on_accepted_triples():
 
 def test_harness_constant_schedule():
     fam = _family3("000")  # triple (1, 1, 1) at the carrier top
-    f = FunctionOnLine({p: p + 1 for p in MODEL3.carrier})
+    f = {p: p + 1 for p in MODEL3.carrier}
     report = continuity_harness(fam, MODEL3, [(0, 0), (0, 1), (0, 2)], f)
     assert report.limit_point == F(1)
     assert report.identity_holds
@@ -266,18 +259,18 @@ def test_harness_constant_schedule():
 
 def test_harness_final_coincidence_cancels():
     fam = _family3("011")  # triple (1/2, 1, 1): evaluation lands at 1/2
-    f = FunctionOnLine({p: 3 * p for p in MODEL3.carrier})
+    f = {p: 3 * p for p in MODEL3.carrier}
     report = continuity_harness(fam, MODEL3, [(0, 0)], f)
     final = report.steps[-1]
     assert [report.points[r] for r in final.ranks] == [F(1, 2), F(1), F(1)]
     assert report.limit_point == F(1, 2)
-    assert final.operator_value == f.values[F(1, 2)]
+    assert final.operator_value == f[F(1, 2)]
     assert report.identity_holds
 
 
 def test_harness_rejects_non_monotone_schedules():
     fam = _family3("011", "000", "011")
-    f = FunctionOnLine({p: p for p in MODEL3.carrier})
+    f = {p: p for p in MODEL3.carrier}
     with pytest.raises(InputError, match="monotone"):
         continuity_harness(fam, MODEL3, [(0, 0), (1, 1), (0, 2)], f)
     with pytest.raises(InputError):
@@ -286,7 +279,7 @@ def test_harness_rejects_non_monotone_schedules():
 
 def test_harness_flags_strict_final_triple():
     fam = _family3("010")  # (1/2, 3/4, 1) is strict in the extended carrier
-    f = FunctionOnLine({p: p for p in MODEL3.carrier})
+    f = {p: p for p in MODEL3.carrier}
     with pytest.raises(InconsistencyError):
         continuity_harness(fam, MODEL3, [(0, 0)], f)
 
@@ -294,7 +287,7 @@ def test_harness_flags_strict_final_triple():
 def test_harness_sums_a_strict_step_before_a_coincident_limit():
     # Element 0 reads (1/4, 1/2, 3/4), strict; element 1 is never in: (1, 1, 1).
     fam = _family3("101", "000")
-    f = FunctionOnLine({F(1, 4): F(2), F(1, 2): F(-3), F(3, 4): F(5, 2), F(1): F(7)})
+    f = {F(1, 4): F(2), F(1, 2): F(-3), F(3, 4): F(5, 2), F(1): F(7)}
     report = continuity_harness(fam, MODEL3, [(0, 0), (1, 1)], f)
     table = compute_triples(fam, MODEL3)
     assert [triple_pattern(s.ranks) for s in report.steps] == ["x0<x1<x2", "x0=x1=x2"]
@@ -316,7 +309,7 @@ class _CountingValues(dict):
 def test_harness_reads_f_once_per_point():
     fam = _family3("011")  # triple (1/2, 1, 1) at every step
     values = _CountingValues({p: 3 * p for p in MODEL3.carrier})
-    report = continuity_harness(fam, MODEL3, [(0, 0), (0, 1), (0, 2)], FunctionOnLine(values))
+    report = continuity_harness(fam, MODEL3, [(0, 0), (0, 1), (0, 2)], values)
     assert [step.operator_value for step in report.steps] == [F(3, 2)] * 3
     assert values.reads == 3  # 1/2 and 1 for the steps, then f(z) at z = 1/2
 
@@ -325,7 +318,7 @@ def test_harness_names_the_first_undefined_point_in_step_order():
     # Step order reads 1/2, then 1 (x1 of the first step) before 3/4 (x0 of
     # the second step), so 1 is the point reported.
     fam = _family3("011", "001")
-    f = FunctionOnLine({F(1, 2): F(1)})
+    f = {F(1, 2): F(1)}
     with pytest.raises(InputError, match="carrier point 1$"):
         continuity_harness(fam, MODEL3, [(0, 0), (1, 1)], f)
 
@@ -335,7 +328,7 @@ def test_coincident_schedules_from_adjusted_families_never_flag():
     runs = 0
     for _ in range(60):
         xs = random_bit_indices(rng, 5, rng.randint(3, 12))
-        fam = marciszewski_family(xs, DyadicGround(5))
+        fam = marciszewski_family(xs, 5)
         adjusted, _ = adjust_family(fam)
         model = LineModel.from_dense(adjusted.indices)
         table = compute_triples(adjusted, model)
@@ -343,9 +336,7 @@ def test_coincident_schedules_from_adjusted_families_never_flag():
         if not schedule:
             continue
         runs += 1
-        f = FunctionOnLine(
-            {p: F(rng.randint(-9, 9), rng.randint(1, 7)) for p in model.carrier}
-        )
+        f = {p: F(rng.randint(-9, 9), rng.randint(1, 7)) for p in model.carrier}
         report = continuity_harness(adjusted, model, schedule, f)
         assert report.identity_holds
         for step in report.steps:
@@ -355,7 +346,7 @@ def test_coincident_schedules_from_adjusted_families_never_flag():
 
 def test_harness_report_text_is_stable():
     fam = _family3("011")
-    f = FunctionOnLine({p: 2 * p for p in MODEL3.carrier})
+    f = {p: 2 * p for p in MODEL3.carrier}
     report = continuity_harness(fam, MODEL3, [(0, 0)], f)
     assert harness_report_to_text(report) == (
         "# stage\tn\tx0\tx1\tx2\tpattern\tEf\n"
@@ -373,7 +364,7 @@ def test_text_formats_round_trip():
         "0\t1/2\t3/4\t1/1\tx0<x1<x2\n"
         "1\t1/1\t1/1\t1/1\tx0=x1=x2\n"
     )
-    f = FunctionOnLine({F(1, 2): F(-3, 7), F(1): F(2)})
+    f = {F(1, 2): F(-3, 7), F(1): F(2)}
     assert function_from_text(json.dumps({"values": {"1/2": "-3/7", "1/1": "2"}})) == f
     doc = {"carrier": ["1/4", "1/2", "3/4", "1"], "dense": ["1/4", "1/2", "3/4"]}
     assert model_from_text(json.dumps(doc)) == MODEL3

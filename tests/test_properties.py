@@ -38,15 +38,12 @@ from chainlab.core import (
 )
 from chainlab.generators import (
     GENERATOR_KINDS,
-    BitIndex,
-    DyadicGround,
     _excluded,
     initial_segment_chain,
     marciszewski_family,
     perturbed_chain,
 )
 from chainlab.lineop import (
-    FunctionOnLine,
     LineModel,
     coincident_schedule,
     compute_triples,
@@ -150,14 +147,13 @@ def test_rank_path_matches_point_triples(data, fam):
     assert schedule == brute_coincident_schedule(triples)
     witness = brute_norm_witness(triples, model.carrier)
     assert operator_norm(table) == (1 if witness is None else 3)
-    found = norm_witness(table)
-    assert (None if found is None else (found[0], found[1].values)) == witness
+    assert norm_witness(table) == witness
     assert triple_table_to_text(table) == brute_triple_table_text(triples)
     if schedule:
         ints = data.draw(st.lists(st.integers(-3, 3), min_size=len(model.carrier),
                                   max_size=len(model.carrier)))
         values = {p: F(v) for p, v in zip(model.carrier, ints)}
-        report = continuity_harness(fam, model, schedule, FunctionOnLine(values))
+        report = continuity_harness(fam, model, schedule, values)
         assert harness_report_to_text(report) == brute_harness_text(triples, schedule, values)
 
 
@@ -213,20 +209,19 @@ def marciszewski_words(draw):
 @example((5, ["01101"]))
 def test_marciszewski_family_matches_the_fraction_oracle(case):
     depth, words = case
-    xs = [BitIndex.from_string(w) for w in words]
     try:
         expected = brute_marciszewski_family(words, depth)
     except InputError as exc:
         with pytest.raises(InputError) as got:
-            marciszewski_family(xs, DyadicGround(depth))
+            marciszewski_family(words, depth)
         assert str(got.value) == str(exc)
         return
-    fam = marciszewski_family(xs, DyadicGround(depth))
+    fam = marciszewski_family(words, depth)
     assert (fam.indices, fam.masks) == (expected.indices, expected.masks)
-    for x in xs:
-        excluded = _excluded(int(x.digits()[:depth], 2))
+    for word in words:
+        excluded = _excluded(int(word[:depth], 2))
         points = tuple(F(n + 1, 1 << depth) for n in iter_bits(excluded))
-        assert points == brute_excluded_dyadics(x.bits, depth)
+        assert points == brute_excluded_dyadics(word, depth)
 
 
 @CHECK

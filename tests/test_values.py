@@ -15,9 +15,7 @@ import pytest
 import chainlab
 from chainlab.adjust import InsertionReceipt, SunflowerDecomposition, adjust_family
 from chainlab.core import ChainFamily, GroundSet, InputError, validate_almost_chain
-from chainlab.generators import BitIndex, DyadicGround
 from chainlab.lineop import (
-    FunctionOnLine,
     LineModel,
     TripleTable,
     compute_triples,
@@ -49,20 +47,16 @@ def _one_of_each_value_type():
     model = LineModel.from_dense(fam.indices)
     table = compute_triples(fam, model)
     _, report = adjust_family(fam)
-    f = FunctionOnLine({F(1, 2): F(1)})
     return [
         ground,
         fam,
         model,
         table,
-        DyadicGround(3),
-        BitIndex((0, 1)),
         SunflowerDecomposition((), ((F(1),), (F(2),)), (0, 1)),
         report.receipts[0],
         report,
         validate_almost_chain(fam, 0),
-        f,
-        continuity_harness(fam, model, ((0, 0),), f),
+        continuity_harness(fam, model, ((0, 0),), {F(1, 2): F(1)}),
     ]
 
 
@@ -83,8 +77,6 @@ _EQUAL_VALUES = {
     "GroundSet": lambda: GroundSet(5),
     "ChainFamily": lambda: ChainFamily(GroundSet(3), (F(1, 2), F(1)), (0b1, 0b11)),
     "LineModel": lambda: LineModel((F(1, 2), F(1)), (F(1),)),
-    "DyadicGround": lambda: DyadicGround(4),
-    "BitIndex": lambda: BitIndex((0, 1, 1)),
 }
 
 
@@ -104,8 +96,6 @@ def test_unequal_values_differ_and_repr_shows_defining_fields():
     assert ChainFamily(GroundSet(3), (F(1),), (1,)) != ChainFamily(GroundSet(3), (F(1),), (2,))
     assert LineModel((F(1), F(2)), (F(2),)) != LineModel((F(1), F(2)), (F(1),))
     assert repr(GroundSet(5)) == "GroundSet(size=5)"
-    assert repr(DyadicGround(3)) == "DyadicGround(depth=3)"
-    assert repr(BitIndex((0, 1))) == "BitIndex(bits=(0, 1))"
     assert repr(LineModel((F(1),), (F(1),))) == (
         "LineModel(carrier=(Fraction(1, 1),), dense_points=(Fraction(1, 1),))"
     )
@@ -121,8 +111,6 @@ def test_value_types_construct_by_keyword():
     assert model.dense_ranks == (0,)
     table = TripleTable(points=(F(1, 2), F(1)), ranks=((0, 1, 1),))
     assert table.points == (F(1, 2), F(1)) and table.ranks == ((0, 1, 1),)
-    assert DyadicGround(depth=3).ground == GroundSet(7)
-    assert BitIndex(bits=(0, 1)).value == F(1, 4)
     sunflower = SunflowerDecomposition(root=(F(1),), petals=((F(2),),), members=(0,))
     assert sunflower.petals == ((F(2),),)
     receipt = InsertionReceipt(
