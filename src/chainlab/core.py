@@ -53,19 +53,22 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of a non-negative mask, in increasing order."""
-    flags = _digit_flags(mask, mask.bit_count())
-    return _low_bits(mask) if flags is None else compress(count(), flags)
+    if _sparse(mask, mask.bit_count()):
+        return _low_bits(mask)
+    return compress(count(), _digit_flags(mask))
 
 
-def _digit_flags(mask: int, held: int) -> bytes | None:
-    """Per binary digit, lowest first, 1 if set else 0; None when walking low bits wins.
+def _sparse(mask: int, held: int) -> bool:
+    """Whether walking the low bits of a mask of `held` set bits beats `_digit_flags`.
 
-    `held` is the mask's bit count.  Each low-bit step costs full-width int
-    operations, so the walk wins only under one set bit per 64 digits and
-    under 256 set bits in all.
+    Each low-bit step costs full-width int operations, so the walk wins only
+    under one set bit per 64 digits and under 256 set bits in all.
     """
-    if held * 64 < min(mask.bit_length(), 1 << 14):
-        return None
+    return held * 64 < min(mask.bit_length(), 1 << 14)
+
+
+def _digit_flags(mask: int) -> bytes:
+    """Per binary digit, lowest first, 1 if set else 0."""
     return bin(mask)[:1:-1].encode("ascii").translate(_BIT_FLAGS)
 
 
@@ -559,29 +562,29 @@ def family_to_text(family: ChainFamily) -> str:
     """The canonical document, byte for byte `json.dumps(doc, indent=2) + "\n"`.
 
     Written directly: indices and elements are digits, '-' and '/', so
-    nothing needs escaping.  Each element's line is formatted once, up to
-    the largest element held, and shared by every set that holds it.  A set
-    selects its lines by its digit flags, or low bit by low bit when sparse
-    (`_digit_flags`); a set of long runs copies a slice of the joined lines
-    per run instead.
+    nothing needs escaping.  A sparse set (`_sparse`) formats its own lines,
+    low bit by low bit.  Every other set selects from shared lines, each
+    formatted once, up to the largest element such a set holds: by its digit
+    flags, or, for a set of long runs, one slice of the joined lines per run.
     """
-    lines = [f"\n        {n}" for n in range(max(map(int.bit_length, family.masks), default=0))]
+    helds = list(map(int.bit_count, family.masks))
+    shared = (m.bit_length() for m, held in zip(family.masks, helds) if not _sparse(m, held))
+    lines = [f"\n        {n}" for n in range(max(shared, default=0))]
     table = starts = None
     parts = [f'{{\n  "ground_size": {family.ground.size},\n  "entries": [']
     sep = ""
-    for x, m in zip(family.indices, family.masks):
-        held = m.bit_count()
-        if (2 * _ELEMENTS_PER_EDGE < held and m.bit_length() <= 1 << 14
+    for x, m, held in zip(family.indices, family.masks, helds):
+        if _sparse(m, held):
+            elems = ",".join([f"\n        {n}" for n in _low_bits(m)])
+        elif (2 * _ELEMENTS_PER_EDGE < held and m.bit_length() <= 1 << 14
                 and (edges := m ^ (m << 1)).bit_count() * _ELEMENTS_PER_EDGE < held):
             if table is None:
                 table = ",".join(lines)
                 starts = list(accumulate((len(line) + 1 for line in lines), initial=0))
             bits = iter_bits(edges)
             elems = ",".join([table[starts[a]:starts[b] - 1] for a, b in zip(bits, bits)])
-        elif (flags := _digit_flags(m, held)) is None:
-            elems = ",".join(map(lines.__getitem__, _low_bits(m)))
         else:
-            elems = ",".join(compress(lines, flags))
+            elems = ",".join(compress(lines, _digit_flags(m)))
         body = f"[{elems}\n      ]" if elems else "[]"
         parts.append(
             f'{sep}\n    {{\n      "index": "{format_index(x)}",\n      "set": {body}\n    }}')

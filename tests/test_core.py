@@ -511,15 +511,30 @@ def test_sparse_wide_document_reads_and_writes_in_small_memory():
     assert out == json.dumps(doc, indent=2) + "\n"
 
 
-def test_sparse_high_document_is_the_indent_2_json_dump():
-    # One-element sets at the top of the widest ground: the writer formats
-    # every line below them and picks one per set.
+def test_sparse_high_document_writes_in_small_memory():
+    # One-element sets at the top of the widest ground: each sparse set
+    # formats its own line, so no line is formatted for the 2^20 elements below.
     top = MAX_GROUND_SIZE - 500
     doc = {"ground_size": MAX_GROUND_SIZE,
            "entries": [{"index": f"{2 * i + 1}/1024", "set": [top + i]} for i in range(500)]}
     fam = family_from_text(json.dumps(doc))
     assert fam.masks == tuple(1 << (top + i) for i in range(500))
-    assert family_to_text(fam) == json.dumps(doc, indent=2) + "\n"
+    out, peak = _peak_bytes(lambda: family_to_text(fam))
+    assert peak < 1 << 20
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_every_write_path_together_is_the_indent_2_json_dump():
+    # A dense set, a set of long runs, one short run high in a 2^14-digit set
+    # (sparse, so written low bit by low bit) and a sparse set far above them.
+    sets = [list(range(0, 300, 2)), list(range(100, 400)) + list(range(500, 900)),
+            list(range(10_000, 10_130)), [MAX_GROUND_SIZE - 1]]
+    doc = {"ground_size": MAX_GROUND_SIZE,
+           "entries": [{"index": f"{i}/1", "set": s} for i, s in enumerate(sets)]}
+    fam = family_from_text(json.dumps(doc))
+    out, peak = _peak_bytes(lambda: family_to_text(fam))
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert peak < 1 << 20
 
 
 def test_reading_a_wide_document_holds_masks_not_element_lists():
