@@ -266,6 +266,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise core.InputError(f"sweep needs --{flag} of at least 1")
     if args.kind == "perturbed":
         generators.check_flips(args.flips, args.ground_size)
+    if len(grid) * args.reps > core.MAX_FAMILY_SIZE:
+        raise core.InputError(f"sweep grid of {len(grid)} values times {args.reps} reps "
+                              f"exceeds the cap {core.MAX_FAMILY_SIZE}")
     rows = [_sweep_cell(args, param, rep) for param in grid for rep in range(args.reps)]
     _write_text(args.output, "\n".join([_SWEEP_HEADER, *rows]) + "\n")
     return 0

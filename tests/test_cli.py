@@ -306,6 +306,42 @@ def test_sweep_refuses_too_many_flips_before_building_any_cell(capsys, monkeypat
     assert err == "input-error: cannot flip 5 distinct bits in a ground of 4\n"
 
 
+# Grid values times reps over core.MAX_FAMILY_SIZE (2^16) rows are refused
+# before any cell is built.
+@pytest.mark.parametrize(
+    "argv, cells",
+    [
+        (("--reps", "100000000"), "4 values times 100000000 reps"),
+        (("--reps", "100000000", "--ground-size", "8", "--count", "4", "--flips", "0"),
+         "1 values times 100000000 reps"),
+        (("--ground-size", "1048576", "--flips", "1048576", "--reps", "1"),
+         "1048577 values times 1 reps"),
+        (("--kind", "marciszewski", "--depth", "20", "--reps", "3856"),
+         "18 values times 3856 reps"),
+    ],
+    ids=["default-grid", "one-value", "flips-at-the-ground-cap", "marciszewski"],
+)
+def test_sweep_grid_over_the_cap_is_one_input_error_line(capsys, monkeypatch, argv, cells):
+    from chainlab import cli
+
+    monkeypatch.setattr(cli, "_sweep_cell", None)  # a built cell would raise TypeError
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"input-error: sweep grid of {cells} exceeds the cap 65536\n"
+
+
+def test_sweep_grid_at_the_cap_runs(capsys, monkeypatch):
+    from chainlab import cli
+
+    cells = []
+    monkeypatch.setattr(cli, "_sweep_cell", lambda args, param, rep: cells.append(rep) or "")
+    code, _, err = run_cli(capsys, "sweep", "--kind", "marciszewski", "--depth", "4",
+                           "--reps", "32768")
+    assert (code, err, len(cells)) == (0, "", 65536)
+
+
 def test_sweep_compares_only_the_perturbed_cuts_once_and_hashes_none(capsys, monkeypatch):
     # The perturbed generator checks its k cuts in order, k - 1 comparisons
     # per cell; Marciszewski words are ordered as strings, and generation, the
