@@ -511,7 +511,7 @@ def test_sparse_wide_document_reads_and_writes_in_small_memory():
     assert out == json.dumps(doc, indent=2) + "\n"
 
 
-def test_sparse_high_document_writes_in_small_memory():
+def test_sparse_high_document_is_the_indent_2_json_dump():
     # One-element sets at the top of the widest ground: each sparse set
     # formats its own line, so no line is formatted for the 2^20 elements below.
     top = MAX_GROUND_SIZE - 500
