@@ -291,11 +291,11 @@ def family_from_config(cfg: dict) -> ChainFamily:
             words = cfg["xs"]
             if not isinstance(words, list):
                 raise InputError(f"'xs' must be a list of bit words, got {words!r}")
-            # A bad word is named before a bad depth.
+            # Checked before the depth is read, so a bad word is named first.
             return marciszewski_family(check_bit_words(words), _int_field(cfg, "depth"))
         _check_keys(cfg, {"kind", "depth", "seed", "count"}, {"kind", "depth", "count"})
         depth = _int_field(cfg, "depth")
-        dyadic_ground(depth)
+        dyadic_ground(depth)  # refused before the seed and count are read
         rng = random.Random(_int_field(cfg, "seed", 0))
         return marciszewski_family(random_bit_indices(rng, depth, _int_field(cfg, "count")), depth)
     if kind == "perturbed":
