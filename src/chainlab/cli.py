@@ -2,9 +2,9 @@
 
 Every command reads and writes the textual formats of the library modules,
 takes an explicit seed wherever randomness is involved, and produces
-byte-identical output for identical inputs.  `--input -` reads stdin;
-omitting `--output` writes stdout (except `adjust`, whose adjusted family
-always goes to a file while the receipt report goes to stdout).
+byte-identical output for identical inputs.  `--input -` reads stdin.  A
+command returns its text and `main` writes it to `--output`, or stdout when
+omitted; `adjust` writes its family to its own file and returns receipts.
 """
 
 from __future__ import annotations
@@ -71,18 +71,16 @@ _GENERATE_KINDS = {
 }
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> str:
     if args.config is not None:
         cfg = generators.generator_config_from_text(_read_text(args.config))
     else:
         kind, flags = _GENERATE_KINDS[args.kind]
         cfg = {"kind": kind, "seed": args.seed, **{f: getattr(args, f) for f in flags}}
-    family = generators.family_from_config(cfg)
-    _write_text(args.output, core.family_to_text(family))
-    return 0
+    return core.family_to_text(generators.family_from_config(cfg))
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> str:
     family = _load_family(args.input)
     report = core.validate_almost_chain(family, args.budget)
     names = list(map(core.format_index, family.indices))
@@ -98,12 +96,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"budget: {args.budget}",
         f"over_budget: {flagged or 'none'}",
     ]
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_adjust(args: argparse.Namespace) -> int:
-    if args.output in (None, "-"):
+def _cmd_adjust(args: argparse.Namespace) -> str:
+    if args.family_output in (None, "-"):
         raise core.InputError(
             "adjust writes the receipt report to stdout; give the adjusted "
             "family a file --output"
@@ -118,21 +115,16 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
         order = list(family.indices)
         random.Random(args.seed).shuffle(order)
     adjusted, report = adj.adjust_family(family, order)
-    _write_text(args.output, core.family_to_text(adjusted))
-    _write_text(None, adj.adjustment_report_to_text(report))
-    return 0
+    _write_text(args.family_output, core.family_to_text(adjusted))
+    return adj.adjustment_report_to_text(report)
 
 
-def _cmd_compat(args: argparse.Namespace) -> int:
+def _cmd_compat(args: argparse.Namespace) -> str:
     if len(args.input) != 2:
         raise core.InputError("compat needs --input given exactly twice")
     left, right = (_load_family(path) for path in args.input)
     witness = adj.compatibility_witness(left, right)
-    if witness is None:
-        _write_text(args.output, "compatible\n")
-    else:
-        _write_text(args.output, _verdict(witness) + "\n")
-    return 0
+    return "compatible\n" if witness is None else _verdict(witness) + "\n"
 
 
 def _parse_gap_instance(text: str) -> tuple[core.GroundSet, list[int], list[int]]:
@@ -165,7 +157,7 @@ def _exception_entries(key: str, exceptions: list[int], bounds: list[int]) -> li
     ]
 
 
-def _cmd_gap(args: argparse.Namespace) -> int:
+def _cmd_gap(args: argparse.Namespace) -> str:
     ground, ascending, descending = _parse_gap_instance(_read_text(args.input))
     w, asc_bounds, desc_bounds = adj.gap_exceptions(ground, ascending, descending, args.budget)
     doc = {
@@ -177,8 +169,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
             "excess", [w & ~v for v in descending], desc_bounds
         ),
     }
-    _write_text(args.output, json.dumps(doc, indent=2) + "\n")
-    return 0
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _model_for(family: core.ChainFamily, args: argparse.Namespace) -> lineop.LineModel:
@@ -187,15 +178,12 @@ def _model_for(family: core.ChainFamily, args: argparse.Namespace) -> lineop.Lin
     return lineop.model_from_text(_read_text(args.model))
 
 
-def _cmd_triples(args: argparse.Namespace) -> int:
+def _cmd_triples(args: argparse.Namespace) -> str:
     family = _load_family(args.input)
-    model = _model_for(family, args)
-    table = lineop.compute_triples(family, model)
-    _write_text(args.output, lineop.triple_table_to_text(table))
-    return 0
+    return lineop.triple_table_to_text(lineop.compute_triples(family, _model_for(family, args)))
 
 
-def _cmd_operator(args: argparse.Namespace) -> int:
+def _cmd_operator(args: argparse.Namespace) -> str:
     family = _load_family(args.input)
     model = _model_for(family, args)
     table = lineop.compute_triples(family, model)
@@ -217,8 +205,7 @@ def _cmd_operator(args: argparse.Namespace) -> int:
     if args.function is not None:
         lines.append("# n\tEf")
         lines += (f"{n}\t{v}" for n, v in lineop.apply_operator(f, table).items())
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 _SWEEP_HEADER = (
@@ -248,15 +235,15 @@ def _sweep_cell(args: argparse.Namespace, param: int, rep: int) -> str:
     )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     # The caps and the grid's floors are checked before any grid cell is built.
     if args.kind == "perturbed":
-        core.GroundSet(args.ground_size)
+        size = core.GroundSet(args.ground_size).size
         grid = range(args.flips + 1)
     elif args.depth < 3:
         raise core.InputError("sweep needs --depth of at least 3")
     else:
-        generators.dyadic_ground(args.depth)
+        size = generators.dyadic_ground(args.depth).size
         grid = range(3, args.depth + 1)
     if not grid:
         raise core.InputError("sweep needs --flips of at least 0")
@@ -269,21 +256,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if len(grid) * args.reps > core.MAX_FAMILY_SIZE:
         raise core.InputError(f"sweep grid of {len(grid)} values times {args.reps} reps "
                               f"exceeds the cap {core.MAX_FAMILY_SIZE}")
+    count = args.count if args.kind == "perturbed" else min(args.count, size)
+    generators.check_family_bits(count, size)  # the last grid value makes the largest cell
     rows = [_sweep_cell(args, param, rep) for param in grid for rep in range(args.reps)]
-    _write_text(args.output, "\n".join([_SWEEP_HEADER, *rows]) + "\n")
-    return 0
-
-
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "check": _cmd_check,
-    "adjust": _cmd_adjust,
-    "compat": _cmd_compat,
-    "gap": _cmd_gap,
-    "triples": _cmd_triples,
-    "operator": _cmd_operator,
-    "sweep": _cmd_sweep,
-}
+    return "\n".join([_SWEEP_HEADER, *rows]) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a family produced by a named generator")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)  # main writes what `run` returns
+        return p
+
+    p = command("generate", _cmd_generate, "write a family produced by a named generator")
     p.add_argument("--kind", choices=tuple(_GENERATE_KINDS), default="chain")
     p.add_argument("--config", help="generator config JSON (overrides the flags)")
     p.add_argument("--seed", type=int, default=0)
@@ -303,39 +284,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flips", type=int, default=1)
     p.add_argument("--output")
 
-    p = sub.add_parser("check", help="chain / barely-alternating / defect verdicts")
+    p = command("check", _cmd_check, "chain / barely-alternating / defect verdicts")
     p.add_argument("--input", required=True)
     p.add_argument("--budget", type=int, default=0)
     p.add_argument("--output")
 
-    p = sub.add_parser("adjust", help="rebuild a family as a barely alternating one")
+    p = command("adjust", _cmd_adjust, "rebuild a family as a barely alternating one")
+    p.set_defaults(output=None)  # the receipts go to stdout
     p.add_argument("--input", required=True)
     p.add_argument("--order", choices=("sorted", "given", "random"), default="sorted")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=True, dest="family_output", metavar="OUTPUT")
 
-    p = sub.add_parser("compat", help="merge two conditions and re-check")
+    p = command("compat", _cmd_compat, "merge two conditions and re-check")
     p.add_argument("--input", action="append", required=True,
                    help="family file; give exactly twice")
     p.add_argument("--output")
 
-    p = sub.add_parser("gap", help="interpolate between an ascending and a descending tower")
+    p = command("gap", _cmd_gap, "interpolate between an ascending and a descending tower")
     p.add_argument("--input", required=True)
     p.add_argument("--budget", type=int, default=0)
     p.add_argument("--output")
 
-    p = sub.add_parser("triples", help="per-element evaluation points of a family")
+    p = command("triples", _cmd_triples, "per-element evaluation points of a family")
     p.add_argument("--input", required=True)
     p.add_argument("--model")
     p.add_argument("--output")
 
-    p = sub.add_parser("operator", help="norm, witness and limit harness of the extension")
+    p = command("operator", _cmd_operator, "norm, witness and limit harness of the extension")
     p.add_argument("--input", required=True)
     p.add_argument("--model")
     p.add_argument("--function")
     p.add_argument("--output")
 
-    p = sub.add_parser("sweep", help="parameter grid of generate/adjust/operator runs")
+    p = command("sweep", _cmd_sweep, "parameter grid of generate/adjust/operator runs")
     p.add_argument("--kind", choices=("perturbed", "marciszewski"), default="perturbed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ground-size", type=int, default=32)
@@ -352,7 +334,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        _write_text(args.output, args.run(args))
+        return 0
     except core.InputError as exc:
         print(f"input-error: {exc}", file=sys.stderr)
         return 1

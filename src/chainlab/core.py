@@ -41,6 +41,8 @@ class InputError(ValueError):
 MAX_GROUND_SIZE = 1 << 20
 # Largest number of indices a generator is asked to draw for one family.
 MAX_FAMILY_SIZE = 1 << 16
+# Largest count times ground size, the bits of its masks, a generator is asked to build.
+MAX_FAMILY_BITS = 1 << 25
 # Most digits in the numerator or denominator of a parsed index or value: a
 # signed sum of three such values prints within Python's 4300-digit limit.
 MAX_INDEX_DIGITS = 1000
@@ -100,17 +102,22 @@ def check_increasing(values: Sequence, noun: str) -> None:
 class Frozen:
     """Base of the validated value types: immutable classes with `__slots__`.
 
-    `__init__` checks its arguments and fills the slots once, in order;
-    equality, hash, repr and pickling read `_fields`, the constructor's
-    arguments, so derived slots stay out of them.
+    `__init__` checks its arguments and fills the slots once, in order
+    (`_trusted` fills them unchecked); equality, hash, repr and pickling read
+    `_fields`, the constructor's arguments, so derived slots stay out of them.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _fill(self, *values: object) -> None:
+    def _fill(self, *values: object):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _trusted(cls, *values: object):
+        return object.__new__(cls)._fill(*values)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -188,15 +195,6 @@ class ChainFamily(Frozen):
         for i, m in enumerate(masks):
             ground.check_mask(m, f"mask {i}")
         self._fill(ground, indices, masks)
-
-    @classmethod
-    def _trusted(
-        cls, ground: GroundSet, indices: tuple[IndexValue, ...], masks: tuple[int, ...]
-    ) -> ChainFamily:
-        """Build without the shape checks, which the caller guarantees."""
-        family = object.__new__(cls)
-        family._fill(ground, indices, masks)
-        return family
 
     @classmethod
     def from_pairs(

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
+    MAX_FAMILY_BITS,
     MAX_FAMILY_SIZE,
     MAX_GROUND_SIZE,
     MAX_INDEX_DIGITS,
@@ -80,6 +81,7 @@ def initial_segment_chain(
     ground = GroundSet(len(positions))
     xs = tuple(cut_indices)
     check_increasing(xs, "cut indices")
+    check_family_bits(len(xs), ground.size)
     ranked = sorted(range(ground.size), key=positions.__getitem__)
     masks = []
     mask = below = 0
@@ -98,17 +100,18 @@ def marciszewski_family(words: Iterable[str], depth: int) -> ChainFamily:
     """Family A'_x = {q in ground : q < x, q not an excluded truncation of x}.
 
     Each x is a bit word 0.b1 b2 ... bL over the ground `dyadic_ground(depth)`.
-    Every word's shape is checked first, then the depth.  Each word must
-    carry at least `depth` bits and must not itself be a dyadic of depth
-    <= `depth`, so that every comparison with a ground point is strict.  The
-    words are read in integer arithmetic.  With its trailing zeros dropped, a
-    word names its value exactly and sorts as it does; read as the integer w
-    of L bits, the ground points below it are the first `w >> (L - depth)`.
-    Each index becomes one Fraction at the end.
+    Every word's shape is checked first, then the depth, then each word on
+    its own, then the size cap.  Each word must carry at least `depth` bits
+    and must not itself be a dyadic of depth <= `depth`, so that every
+    comparison with a ground point is strict.  The words are read in integer
+    arithmetic.  With its trailing zeros dropped, a word names its value
+    exactly and sorts as it does; read as the integer w of L bits, the ground
+    points below it are the first `w >> (L - depth)`.  Each index becomes one
+    Fraction at the end.
     """
     words = check_bit_words(words)
     ground = dyadic_ground(depth)
-    sets: dict[str, int] = {}  # word without trailing zeros -> mask
+    heads: dict[str, int] = {}  # word without trailing zeros -> its first depth bits
     for digits in words:
         if len(digits) < depth:
             raise InputError(f"bit word of length {len(digits)} is shorter than depth {depth}")
@@ -116,14 +119,14 @@ def marciszewski_family(words: Iterable[str], depth: int) -> ChainFamily:
         if len(word) <= depth:  # no 1-bit past the first depth: x is on the grid
             raise InputError(f"{_word_value(digits)} is a depth-{depth} dyadic; "
                              "comparisons would be ambiguous")
-        if word in sets:
+        if word in heads:
             raise InputError(f"duplicate index value {_word_value(digits)}")
-        head = int(word, 2) >> (len(word) - depth)
-        sets[word] = ((1 << head) - 1) ^ _excluded(head)
-    ordered = sorted(sets)
+        heads[word] = int(word, 2) >> (len(word) - depth)
+    check_family_bits(len(heads), ground.size)
+    ordered = sorted(heads)
+    masks = (((1 << head) - 1) ^ _excluded(head) for head in map(heads.__getitem__, ordered))
     # Distinct words sort as their values, and each mask lies below 2^depth - 1.
-    return ChainFamily._trusted(ground, tuple(map(_word_value, ordered)),
-                                tuple(map(sets.__getitem__, ordered)))
+    return ChainFamily._trusted(ground, tuple(map(_word_value, ordered)), tuple(masks))
 
 
 def _word_value(word: str) -> IndexValue:
@@ -136,16 +139,18 @@ def uniform_segment_masks(size: int, xs: Sequence[IndexValue]) -> list[int]:
 
     With scaled, rem = divmod(p*(size+1), q), the positions m/(size+1) below
     a cut p/q are those with 1 <= m <= scaled, except that a zero rem puts
-    the cut on position `scaled`: an error when that is one of 1..size.
+    the cut on position `scaled`: an error when that is one of 1..size.  The
+    size cap is checked after every cut and before any mask is built.
     """
     check_increasing(xs, "cut indices")
-    masks = []
+    below = []
     for x in xs:
         scaled, rem = divmod(x.numerator * (size + 1), x.denominator)
         if rem == 0 and 1 <= scaled <= size:
             raise InputError(f"cut index {x} coincides with a ground position")
-        masks.append((1 << min(max(scaled, 0), size)) - 1)
-    return masks
+        below.append(min(max(scaled, 0), size))
+    check_family_bits(len(xs), size)
+    return [(1 << m) - 1 for m in below]
 
 
 def check_count(count: int) -> None:
@@ -154,6 +159,12 @@ def check_count(count: int) -> None:
         raise InputError(f"count must be non-negative, got {count}")
     if count > MAX_FAMILY_SIZE:
         raise InputError(f"count {count} exceeds the cap {MAX_FAMILY_SIZE}")
+
+
+def check_family_bits(count: int, size: int) -> None:
+    """Refuse `count` sets over a ground of `size` above MAX_FAMILY_BITS in all."""
+    if count * size > MAX_FAMILY_BITS:
+        raise InputError(f"{count} sets over {size} elements exceed the cap {MAX_FAMILY_BITS}")
 
 
 def check_flips(flips: int, size: int) -> None:
@@ -318,6 +329,7 @@ def family_from_config(cfg: dict) -> ChainFamily:
         ground = GroundSet(_int_field(cfg, "ground_size"))
         rng = random.Random(_int_field(cfg, "seed", 0))
         ys = sample_cut_indices(rng, ground.size, _int_field(cfg, "count"))
+        check_family_bits(len(ys), ground.size)
         # Each entry h(y, n) is rng.choice((-1, 1)); n is in A_y when it drew -1.
         masks = (ground.mask_of(n for n in ground.elements() if rng.choice((True, False)))
                  for _ in ys)

@@ -18,9 +18,7 @@ an upstream violation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import chain
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     ChainFamily,
@@ -54,9 +52,6 @@ class LineModel(Frozen):
         if not carrier:
             raise InputError("carrier must be nonempty")
         check_increasing(carrier, "carrier")
-        if dense_points is carrier:  # from_dense: checked above, ranked by position
-            self._fill(carrier, dense_points, tuple(range(len(carrier))))
-            return
         rank = {p: r for r, p in enumerate(carrier)}
         check_increasing(dense_points, "dense points")
         ranks = tuple(rank.get(y, -1) for y in dense_points)
@@ -69,16 +64,17 @@ class LineModel(Frozen):
     def from_dense(cls, dense_points: Sequence[IndexValue]) -> LineModel:
         """Smallest model: the carrier is the dense set itself, each point its own rank."""
         pts = tuple(dense_points)
-        return cls(pts, pts)
+        if not pts:
+            raise InputError("carrier must be nonempty")
+        check_increasing(pts, "carrier")
+        return cls._trusted(pts, pts, tuple(range(len(pts))))
 
     @classmethod
     def _of_family(cls, family: ChainFamily) -> LineModel:
         """`from_dense(family.indices)`, without checking the order the family holds."""
         if not family.indices:
             return cls.from_dense(())  # refused: the carrier must be nonempty
-        model = object.__new__(cls)
-        model._fill(family.indices, family.indices, tuple(range(len(family))))
-        return model
+        return cls._trusted(family.indices, family.indices, tuple(range(len(family))))
 
 
 class TripleTable(Frozen):
@@ -101,13 +97,21 @@ class TripleTable(Frozen):
 
     def signed_sum(self, f: Mapping[IndexValue, Fraction], n: int) -> Fraction:
         """Ef(n) = f(x0_n) - f(x1_n) + f(x2_n)."""
-        return _signed_sum(partial(_value_at, f), map(self.points.__getitem__, self.ranks[n]))
+        return next(_signed_sums(f, self.points, (self.ranks[n],)))
 
 
-def _signed_sum(value: Callable[..., Fraction], triple: Iterable) -> Fraction:
-    """value(t0) - value(t1) + value(t2), looked up in that order."""
-    v0, v1, v2 = map(value, triple)
-    return v0 - v1 + v2
+def _signed_sums(f: Mapping[IndexValue, Fraction], points: Sequence[IndexValue],
+                 triples: Iterable[tuple[int, int, int]]) -> Iterator[Fraction]:
+    """Ef per triple of ranks into `points`, reading f once per rank in first-use order."""
+    value: dict[int, Fraction] = {}
+    for t in triples:
+        for r in t:
+            if r not in value:
+                value[r] = _value_at(f, points[r])
+        v0, v1, v2 = map(value.__getitem__, t)
+        # A triple with r1 == r2 sums to f(x0) exactly.  compute_triples never makes
+        # r0 == r1 < r2: x1 equals x0 only when x1 is the fallback max(K), as x2 then is.
+        yield v0 if t[1] == t[2] else v0 - v1 + v2
 
 
 def _value_at(f: Mapping[IndexValue, Fraction], p: IndexValue) -> Fraction:
@@ -140,16 +144,17 @@ def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
     first_in, first_out, back_in = [k] * size, [k] * size, [k] * size
     for i, step in enumerate(steps):
         for new, where in zip(step, (first_in, first_out, back_in)):
-            for n in iter_bits(new):
+            for n in iter_bits(new) if new else ():  # an adjusted chain has no exits
                 where[n] = i
     at = (model.dense_ranks + (len(model.carrier) - 1,)).__getitem__
     ranks = zip(map(at, first_in), map(at, first_out), map(at, back_in))
-    return TripleTable(model.carrier, tuple(ranks))
+    # Positions only grow from entry to exit to re-entry, and so do the dense ranks.
+    return TripleTable._trusted(model.carrier, tuple(ranks))
 
 
 def apply_operator(f: Mapping[IndexValue, Fraction], triples: TripleTable) -> dict[int, Fraction]:
     """Ef on the ground: {n: the signed sum of f over n's triple}."""
-    return {n: triples.signed_sum(f, n) for n in range(len(triples))}
+    return dict(enumerate(_signed_sums(f, triples.points, triples.ranks)))
 
 
 def triple_pattern(triple: tuple[IndexValue, IndexValue, IndexValue]) -> str:
@@ -170,8 +175,7 @@ def operator_norm(triples: TripleTable) -> Fraction:
     A strict triple admits a sup-norm-1 function scoring 1 - (-1) + 1 = 3;
     any coincidence collapses the signed sum to a single evaluation.
     """
-    strict = any(t[0] < t[1] < t[2] for t in triples.ranks)
-    return Fraction(3) if strict else Fraction(1)
+    return Fraction(3 if any(t[0] < t[1] < t[2] for t in triples.ranks) else 1)
 
 
 def norm_witness(triples: TripleTable) -> tuple[int, dict[IndexValue, Fraction]] | None:
@@ -246,19 +250,11 @@ def continuity_harness(
         seq = [t[coord] for t in ranks]
         if seq != sorted(seq) and seq != sorted(seq, reverse=True):
             raise InputError(f"schedule triples not monotone in coordinate {coord}")
-    at = table.points.__getitem__
-    # f is read once per rank, in step order, so the first undefined point
-    # named is the one a step-by-step signed sum would meet first.
-    value = {r: _value_at(f, at(r)) for r in dict.fromkeys(chain.from_iterable(ranks))}
-    # A step with r1 == r2 sums to f(x0) exactly.  compute_triples never makes
-    # r0 == r1 < r2: x1 equals x0 only when x1 is the fallback max(K), as x2 then is.
-    steps = tuple(
-        HarnessStep(stage, n, t, value[t[0]] if t[1] == t[2] else _signed_sum(value.__getitem__, t))
-        for (n, stage), t in zip(schedule, ranks)
-    )
+    values = _signed_sums(f, table.points, ranks)
+    steps = tuple(HarnessStep(stage, n, t, v) for (n, stage), t, v in zip(schedule, ranks, values))
     final = steps[-1]
     # Points, not ranks, so that a strict final triple is named by its points.
-    z = limit_eval_point(*map(at, final.ranks))
+    z = limit_eval_point(*map(table.points.__getitem__, final.ranks))
     limit_value = _value_at(f, z)
     return HarnessReport(table.points, steps, z, limit_value, final.operator_value == limit_value)
 
@@ -271,11 +267,7 @@ def coincident_schedule(table: TripleTable) -> tuple[tuple[int, int], ...]:
     strict triples never enter, so the resulting schedule always passes the
     limit decision table.
     """
-    candidates = sorted(
-        (t, n)
-        for n, t in enumerate(table.ranks)
-        if triple_pattern(t) != "x0<x1<x2"
-    )
+    candidates = sorted((t, n) for n, t in enumerate(table.ranks) if not t[0] < t[1] < t[2])
     schedule = []
     last = None
     for t, n in candidates:
