@@ -139,6 +139,14 @@ def brute_norm_witness(triples, carrier):
     return None
 
 
+def brute_signed_sums(f, triples) -> list:
+    """f(x0) - f(x1) + f(x2) per point triple, reading x0, x1 and x2 in that order.
+
+    A point f does not define raises KeyError(point), the first one met.
+    """
+    return [f[x0] - f[x1] + f[x2] for x0, x1, x2 in triples]
+
+
 def _pattern(x0, x1, x2) -> str:
     if x0 == x1 == x2:
         return "x0=x1=x2"

@@ -524,6 +524,86 @@ def test_count_out_of_range_is_one_input_error_line(capsys, argv):
     assert err.count("\n") == 1
 
 
+# Each case asks for a family over core.MAX_FAMILY_BITS (2^25) bits, its
+# count times its ground size, and must be refused before any set is built.
+_WORDS_20 = [format(2 * i + 1, "028b") for i in range(33)]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, count, size",
+    [
+        (("generate", "--kind", "sign", "--ground-size", "1048576", "--count", "33"),
+         None, 33, 1048576),
+        (("generate", "--kind", "perturbed", "--ground-size", "1048576", "--count", "64",
+          "--flips", "0"), None, 64, 1048576),
+        (("generate", "--config", "{doc}"),
+         {"kind": "initial-chain", "ground_size": 1048576, "count": 33}, 33, 1048576),
+        (("generate", "--config", "{doc}"),
+         {"kind": "marciszewski", "depth": 20, "seed": 1, "count": 65536}, 65536, 1048575),
+        (("generate", "--config", "{doc}"),
+         {"kind": "perturbed", "ground_size": 1048576, "flips": 0,
+          "X": [f"{2 * i + 1}/67" for i in range(33)]}, 33, 1048576),
+        (("generate", "--config", "{doc}"),
+         {"kind": "marciszewski", "depth": 20, "xs": _WORDS_20}, 33, 1048575),
+        (("sweep", "--ground-size", "1048576", "--count", "64", "--flips", "0", "--reps", "1"),
+         None, 64, 1048576),
+        (("sweep", "--kind", "marciszewski", "--depth", "20", "--count", "33", "--reps", "1"),
+         None, 33, 1048575),
+    ],
+    ids=["sign-flags", "perturbed-flags", "seeded-chain-config", "seeded-marciszewski-config",
+         "explicit-perturbed-cuts", "explicit-marciszewski-words", "sweep-perturbed",
+         "sweep-marciszewski"],
+)
+def test_family_over_the_bit_cap_is_one_input_error_line(tmp_path, capsys, argv, doc, count,
+                                                          size):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *(a.format(doc=path) for a in argv))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"input-error: {count} sets over {size} elements exceed the cap 33554432\n"
+
+
+# The bit cap runs after every other check, so each of these keeps its message.
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (("generate", "--ground-size", "1048576", "--count", "65537"), None,
+         "count 65537 exceeds the cap 65536"),
+        (("generate", "--kind", "perturbed", "--ground-size", "1048576", "--count", "64",
+          "--flips", "1048577"), None, "cannot flip 1048577 distinct bits in a ground of 1048576"),
+        (("generate", "--config", "{doc}"),
+         {"kind": "perturbed", "ground_size": 1048576, "count": 64, "flips": -1},
+         "flips_per_set must be non-negative, got -1"),
+        (("generate", "--config", "{doc}"),
+         {"kind": "marciszewski", "depth": 20, "xs": [*_WORDS_20, "0101"]},
+         "bit word of length 4 is shorter than depth 20"),
+        (("generate", "--config", "{doc}"),
+         {"kind": "marciszewski", "depth": 20, "xs": [*_WORDS_20, _WORDS_20[0] + "0"]},
+         f"duplicate index value {F(1, 1 << 28)}"),
+        (("generate", "--config", "{doc}"),
+         {"kind": "perturbed", "ground_size": 1048576, "flips": 0, "X": ["1/2"] * 33},
+         "cut indices not strictly increasing at 1/2 >= 1/2"),
+        (("generate", "--config", "{doc}"),
+         {"kind": "perturbed", "ground_size": 1048576, "flips": 0,
+          "X": ["1/1048577", *(f"{i}/64" for i in range(2, 34))]},
+         "cut index 1/1048577 coincides with a ground position"),
+        (("sweep", "--ground-size", "1048576", "--count", "64", "--reps", "0"), None,
+         "sweep needs --reps of at least 1"),
+        (("sweep", "--ground-size", "1048576", "--count", "64", "--flips", "1048576"), None,
+         "sweep grid of 1048577 values times 3 reps exceeds the cap 65536"),
+    ],
+    ids=["count", "flips-flag", "flips-config", "short-word", "duplicate-word", "cut-order",
+         "coinciding-cut", "sweep-reps", "sweep-grid"],
+)
+def test_the_bit_cap_comes_after_every_other_check(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *(a.format(doc=path) for a in argv))
+    assert (code, out, err) == (1, "", f"input-error: {message}\n")
+
+
 def _family_doc(size, *sets, indices=None):
     indices = indices or [f"{i + 1}/{len(sets) + 1}" for i in range(len(sets))]
     return {"ground_size": size,
@@ -684,12 +764,19 @@ def test_function_values_over_the_digit_cap_are_refused(tmp_path, capsys):
     ["generate", "--kind", "perturbed", "--ground-size", "512", "--count", "200"],
     ["triples", "--input", "{family}"],
     ["adjust", "--input", "{family}", "--output", "{adjusted}"],
-], ids=["check", "generate", "triples", "adjust-receipts"])
+    ["compat", "--input", "{family}", "--input", "{family}"],
+    ["gap", "--input", "{gap}", "--budget", "1"],
+    ["operator", "--input", "{family}"],
+    ["sweep"],
+], ids=["check", "generate", "triples", "adjust-receipts", "compat", "gap", "operator", "sweep"])
 def test_a_failed_stdout_write_is_one_input_error_line(tmp_path, argv):
     # The output is flushed where the error is caught: nothing is left for exit to fail on.
     family = tmp_path / "f.json"
     family.write_text(json.dumps(_family_doc(3, [0], [1], [0, 1, 2])))
-    args = [a.format(family=family, adjusted=tmp_path / "a.json") for a in argv]
+    gap = tmp_path / "t.json"
+    gap.write_text(json.dumps({"ground_size": 4, "ascending": [[0], [0, 3]],
+                               "descending": [[0, 1, 2], [0, 1]]}))
+    args = [a.format(family=family, adjusted=tmp_path / "a.json", gap=gap) for a in argv]
     env = dict(os.environ)
     src = str(Path(chainlab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

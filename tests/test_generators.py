@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from chainlab.core import (
+    MAX_FAMILY_BITS,
     MAX_FAMILY_SIZE,
     MAX_INDEX_DIGITS,
     InputError,
@@ -20,6 +21,7 @@ from chainlab.core import (
 from chainlab.generators import (
     _excluded,
     check_count,
+    check_family_bits,
     dyadic_ground,
     family_from_config,
     from_sign_matrix,
@@ -376,3 +378,29 @@ def test_generator_configs_reject_bad_shapes():
         family_from_config(
             {"kind": "initial-chain", "ground_size": 8, "count": 2, "extra": 1}
         )
+
+
+def test_the_bit_cap_admits_the_largest_measured_shape():
+    assert MAX_FAMILY_BITS == 1 << 25
+    check_family_bits(32, 1 << 20)
+    check_family_bits(6400, 4096)
+    with pytest.raises(InputError, match="^33 sets over 1048576 elements exceed the cap 33554432$"):
+        check_family_bits(33, 1 << 20)
+    fam = family_from_config({"kind": "initial-chain", "seed": 3, "ground_size": 4096,
+                              "count": 6400})
+    assert (len(fam), fam.ground.size) == (6400, 4096)
+
+
+def test_explicit_cuts_over_the_bit_cap_are_refused_after_their_order():
+    positions = range(1, (1 << 20) + 1)  # any increasing sequence of exact positions
+    cuts = [F(2 * i + 1, 2) for i in range(33)]
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="^33 sets over 1048576 elements exceed the cap"):
+        initial_segment_chain(positions, cuts)
+    with pytest.raises(InputError, match="^33 sets over 1048576 elements exceed the cap"):
+        perturbed_chain(5, 1 << 20, cuts, 0)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(InputError, match="^cut indices not strictly increasing at 1/2 >= 1/2$"):
+        initial_segment_chain(positions, cuts[:1] * 33)
+    with pytest.raises(InputError, match="^cannot flip 1048577 distinct bits"):
+        perturbed_chain(5, 1 << 20, cuts, (1 << 20) + 1)

@@ -31,6 +31,8 @@ from chainlab.lineop import (
 
 from oracles import (
     brute_fourth_flip_witness,
+    brute_signed_sums,
+    brute_triples,
     build_family,
     count_fraction_ops,
     mixed_corpus,
@@ -372,3 +374,73 @@ def test_text_formats_round_trip():
         function_from_text("{}")
     with pytest.raises(InputError):
         model_from_text('{"carrier": ["1/2"]}')
+
+
+def _adjusted_models(seed: int, count: int):
+    """(adjusted family, model) pairs over adjusted `mixed_corpus` families.
+
+    Each nonempty family gets the model of its own indices and a model whose
+    carrier also holds a point below, a point between each two indices and
+    a point above them, so that max(K) is no dense point.
+    """
+    for fam in mixed_corpus(seed, count, max_indices=8, max_ground=10):
+        adjusted, _ = adjust_family(fam)
+        if not len(adjusted):
+            continue
+        ys = adjusted.indices
+        extra = (ys[0] - 1, *((a + b) / 2 for a, b in zip(ys, ys[1:])), ys[-1] + 1)
+        yield adjusted, LineModel._of_family(adjusted)
+        yield adjusted, LineModel(tuple(sorted(ys + extra)), ys)
+
+
+def test_compute_triples_tables_pass_the_checking_constructor():
+    models = 0
+    for adjusted, model in _adjusted_models(seed=2020, count=300):
+        table = compute_triples(adjusted, model)
+        assert table == TripleTable(table.points, table.ranks)
+        assert point_triples(table) == brute_triples(adjusted, model.carrier[-1])
+        models += 1
+    assert models > 500
+
+
+def test_every_ef_evaluation_matches_the_brute_signed_sums():
+    rng = random.Random(2021)
+    checked = missing = 0
+    for adjusted, model in _adjusted_models(seed=2022, count=200):
+        table = compute_triples(adjusted, model)
+        triples = point_triples(table)
+        f = {p: F(rng.randint(-9, 9), rng.randint(1, 5)) for p in model.carrier}
+        if rng.random() < 0.5:  # a function missing some carrier points
+            for p in rng.sample(model.carrier, rng.randint(1, len(model.carrier))):
+                del f[p]
+        schedule = coincident_schedule(table)
+        runs = [
+            (lambda: list(apply_operator(f, table).values()), triples),
+            *((lambda n=n: [table.signed_sum(f, n)], [triples[n]]) for n in range(len(table))),
+        ]
+        if schedule:
+            runs.append((lambda: [s.operator_value
+                                  for s in continuity_harness(adjusted, model, schedule, f).steps],
+                         [triples[n] for n, _ in schedule]))
+        for run, expected_triples in runs:
+            try:
+                expected = brute_signed_sums(f, expected_triples)
+            except KeyError as exc:
+                missing += 1
+                with pytest.raises(InputError, match=f"carrier point {exc.args[0]}$"):
+                    run()
+            else:
+                assert run() == expected
+                checked += 1
+    assert checked > 500 and missing > 500
+
+
+def test_a_coincident_triple_still_reads_x1_and_x2():
+    # Element 0 reads (1/2, 1, 1): its sum is f(1/2), but f must be defined at 1 too.
+    fam = _family3("011")
+    table = compute_triples(fam, MODEL3)
+    f = {F(1, 2): F(5), F(1, 4): F(0), F(3, 4): F(0)}
+    for run in (lambda: apply_operator(f, table), lambda: table.signed_sum(f, 0),
+                lambda: continuity_harness(fam, MODEL3, [(0, 0)], f)):
+        with pytest.raises(InputError, match="carrier point 1$"):
+            run()
