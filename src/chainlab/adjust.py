@@ -8,10 +8,12 @@ two neighbours, so the insertion can never create a new 1,0,1,0 pattern and
 iterating it over any insertion order turns an arbitrary family into a barely
 alternating one while recording the cost of every change.
 
-The module also carries the two combinatorial tools used when comparing
-conditions: pairwise compatibility (merge and re-check) and sunflower
-extraction over finite index sets, plus the interpolant construction that
-threads a single set between an ascending and a descending tower.
+The module also carries the tools used when comparing conditions: pairwise
+compatibility (merge and re-check), the interpolant that threads one set
+between an ascending and a descending tower, and sunflower extraction: one
+exact search, greedy then backtracking, for exactly target_count equal-size
+sets with disjoint petals around a root, trying roots most frequent first,
+then by size, then by elements.  Reaching its work cap raises InputError.
 
 Sets are int masks over the condition's `GroundSet` throughout: the
 candidate of `insert_point`, the produced set and delta of its receipt,
@@ -23,8 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import reduce
-from itertools import accumulate, combinations
-from math import comb
+from itertools import accumulate, groupby
 from operator import and_, or_
 from typing import NamedTuple
 
@@ -40,9 +41,9 @@ from .core import (
     iter_bits,
 )
 
-# Exhaustive sunflower search is attempted only below this many candidate
-# combinations; above it the greedy heuristic's verdict stands.
-_EXHAUSTIVE_COMBO_LIMIT = 200_000
+# The sunflower search tests at most this many candidate sets, over its
+# greedy and its backtracking pass together; past it the verdict is undecided.
+_SEARCH_NODE_LIMIT = 5_000_000
 
 
 class SunflowerNotFoundError(LookupError):
@@ -80,14 +81,15 @@ class SunflowerDecomposition(Frozen):
         petals: tuple[tuple[IndexValue, ...], ...],
         members: tuple[int, ...],
     ) -> None:
-        root_set = frozenset(root)
+        if len(set(members)) != len(members) or len(members) != len(petals):
+            raise InputError(f"members {members} must be distinct, one per petal")
         sizes = {len(p) for p in petals}
         if len(sizes) > 1:
             raise InputError(f"petals must have equal size, got sizes {sorted(sizes)}")
         seen: set[IndexValue] = set()
         for petal in petals:
             p = frozenset(petal)
-            if p & root_set:
+            if not p.isdisjoint(root):
                 raise InputError(f"petal {petal} meets the root")
             if p & seen:
                 raise InputError(f"petal {petal} meets another petal")
@@ -183,71 +185,68 @@ def compatibility_witness(c1: ChainFamily, c2: ChainFamily) -> AlternationWitnes
     return alternation_witness(merge_conditions(c1, c2))
 
 
-def _build_decomposition(
-    sets: list[frozenset[IndexValue]], root: frozenset[IndexValue], members: list[int]
-) -> SunflowerDecomposition:
-    return SunflowerDecomposition(
-        root=tuple(sorted(root)),
-        petals=tuple(tuple(sorted(sets[i] - root)) for i in members),
-        members=tuple(members),
-    )
+def _pack(petals: list[int], count: int, backtrack: bool, budget: int) -> tuple[list[int], int]:
+    """Positions of `count` pairwise disjoint petals (fewer if none), and the budget left.
 
-
-def delta_system_extract(
-    index_sets, target_count: int
-) -> SunflowerDecomposition:
-    """Find >= target_count input sets whose pairwise intersections coincide.
-
-    Within each group of equally sized sets, candidate roots are the pairwise
-    intersections tried most-frequent first, packing petals greedily in input
-    order; when the heuristic fails on a small instance, an exhaustive scan
-    over combinations settles the verdict.  Raises SunflowerNotFoundError
-    when no sunflower of the requested size exists.
+    Each petal tested costs a unit of budget and is taken if it misses those taken.
+    With `backtrack`, a short run drops its last petal and goes on after it.
     """
-    if target_count < 2:
-        raise InputError(f"target_count must be at least 2, got {target_count}")
+    chosen: list[int] = []
+    used = i = 0
+    while True:
+        while len(chosen) < count <= len(petals) - i + len(chosen):
+            budget -= 1
+            if not petals[i] & used:
+                chosen.append(i)
+                used |= petals[i]
+            i += 1
+        if len(chosen) == count or budget < 0 or not (backtrack and chosen):
+            return chosen, budget
+        used ^= petals[chosen[-1]]
+        i = chosen.pop() + 1
+
+
+def delta_system_extract(index_sets, target_count: int) -> SunflowerDecomposition:
+    """Find exactly target_count equal-size input sets whose pairwise intersections coincide.
+
+    Candidate roots are the pairwise intersections within each size group
+    (smallest sets first): most frequent first, then by size, then by elements.
+    A root's candidates are the sets containing it, in input order, and
+    `_pack` picks target_count of them with pairwise disjoint petals, over
+    every root greedily and then with backtracking.  So SunflowerNotFoundError
+    is exact; a search past `_SEARCH_NODE_LIMIT` tests raises InputError.
+    """
+    if type(target_count) is not int or target_count < 2:
+        raise InputError(f"target_count must be an integer of at least 2, got {target_count!r}")
     sets = [frozenset(s) for s in index_sets]
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(sets):
-        groups.setdefault(len(s), []).append(i)
-
-    for size in sorted(groups):
-        positions = groups[size]
-        if len(positions) < target_count:
-            continue
-        counts = Counter(sets[i] & sets[j] for i, j in combinations(positions, 2))
-        candidates = sorted(
-            counts, key=lambda r: (-counts[r], len(r), tuple(sorted(r)))
-        )
-        for root in candidates:
-            chosen: list[int] = []
-            used: frozenset[IndexValue] = frozenset()
-            for p in positions:
-                if root <= sets[p]:
-                    petal = sets[p] - root
-                    if not petal & used:
-                        chosen.append(p)
-                        used |= petal
-            if len(chosen) >= target_count:
-                return _build_decomposition(sets, root, chosen)
-
-    for size in sorted(groups):
-        positions = groups[size]
-        if (
-            len(positions) < target_count
-            or comb(len(positions), target_count) > _EXHAUSTIVE_COMBO_LIMIT
-        ):
-            continue
-        for combo in combinations(positions, target_count):
-            root = sets[combo[0]] & sets[combo[1]]
-            if all(
-                sets[i] & sets[j] == root for i, j in combinations(combo, 2)
-            ):
-                return _build_decomposition(sets, root, list(combo))
-
-    raise SunflowerNotFoundError(
-        f"no sunflower of size {target_count} among the {len(sets)} input sets"
-    )
+    points = sorted(frozenset().union(*sets))
+    bit = {p: 1 << r for r, p in enumerate(points)}
+    masks = [sum(map(bit.__getitem__, s)) for s in sets]  # ranks keep the points' order
+    size_of = list(map(len, sets)).__getitem__
+    roots: list[tuple[int, list[int]]] = []  # (root, its size group's positions)
+    for _, group_of in groupby(sorted(range(len(sets)), key=size_of), size_of):
+        positions = list(group_of)
+        group = [masks[p] for p in positions] if len(positions) >= target_count else []
+        counts: Counter[int] = Counter()
+        for j, a in enumerate(group, 1):
+            counts.update(map(a.__and__, group[j:]))
+        order = sorted(counts, key=lambda r: (-counts[r], r.bit_count(), tuple(iter_bits(r))))
+        roots += ((r, positions) for r in order)
+    budget = _SEARCH_NODE_LIMIT
+    for backtrack in (False, True):
+        for root, positions in roots:
+            candidates = [p for p in positions if masks[p] & root == root]
+            petals = [masks[p] ^ root for p in candidates]
+            chosen, budget = _pack(petals, target_count, backtrack, budget)
+            if len(chosen) == target_count:
+                return SunflowerDecomposition._trusted(
+                    tuple(map(points.__getitem__, iter_bits(root))),
+                    tuple(tuple(map(points.__getitem__, iter_bits(petals[i]))) for i in chosen),
+                    tuple(candidates[i] for i in chosen),
+                )
+            if budget < 0:
+                raise InputError(f"sunflower search undecided after {_SEARCH_NODE_LIMIT} tests")
+    raise SunflowerNotFoundError(f"no sunflower of size {target_count} among {len(sets)} sets")
 
 
 def gap_exceptions(

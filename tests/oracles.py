@@ -289,6 +289,23 @@ def brute_sunflower(sets, target: int):
     return None
 
 
+def is_sunflower_of(sets, decomposition, target: int) -> bool:
+    """Are the members `target` distinct, equal-size inputs meeting pairwise in the root?
+
+    Each member must also be its sorted root plus its sorted petal.
+    """
+    members, petals = decomposition.members, decomposition.petals
+    chosen = [frozenset(sets[i]) for i in members]
+    root = frozenset(decomposition.root)
+    return (
+        len(set(members)) == len(members) == len(petals) == target
+        and len({len(s) for s in chosen}) == 1
+        and decomposition.root == tuple(sorted(root))
+        and all(p == tuple(sorted(s - root)) for s, p in zip(chosen, petals))
+        and all(a & b == root for a, b in combinations(chosen, 2))
+    )
+
+
 def min_chain_edit_distance(family: ChainFamily) -> int:
     """Fewest membership flips turning the family into an inclusion chain.
 

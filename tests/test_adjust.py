@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction as F
-from itertools import combinations
 
 import pytest
 
+from chainlab import adjust
 from chainlab.adjust import (
     SunflowerDecomposition,
     SunflowerNotFoundError,
@@ -40,6 +40,7 @@ from oracles import (
     brute_sunflower,
     build_family,
     count_fraction_ops,
+    is_sunflower_of,
     mixed_corpus,
 )
 
@@ -360,6 +361,9 @@ def test_sunflower_not_found_and_bad_target():
         delta_system_extract([{F(1), F(2)}, {F(2), F(3)}, {F(1), F(3)}], 3)
     with pytest.raises(InputError):
         delta_system_extract([{F(1)}, {F(2)}], 1)
+    for target in (2.5, 3.0, True, F(3), "3", None):
+        with pytest.raises(InputError, match="target_count must be an integer"):
+            delta_system_extract([{F(1), F(2)}, {F(1), F(3)}, {F(1), F(4)}], target)
 
 
 def test_sunflower_decomposition_validates_structure():
@@ -369,26 +373,63 @@ def test_sunflower_decomposition_validates_structure():
         SunflowerDecomposition(root=(), petals=((F(1),), (F(1),)), members=(0, 1))
     with pytest.raises(InputError):
         SunflowerDecomposition(root=(), petals=((F(1),), (F(2), F(3))), members=(0, 1))
+    with pytest.raises(InputError, match="one per petal"):
+        SunflowerDecomposition((), ((F(1),),), (0, 1, 2))
+    with pytest.raises(InputError, match="must be distinct"):
+        SunflowerDecomposition(root=(), petals=((F(1),), (F(2),)), members=(0, 0))
+
+
+def _three_sets_of_eleven(seed):
+    rng = random.Random(seed)
+    return [set(map(F, rng.sample(range(11), 3))) for _ in range(38)]
 
 
 def test_sunflower_matches_brute_force_oracle():
     rng = random.Random(2024)
     pool = [F(k) for k in range(6)]
-    for _ in range(150):
-        sets = [set(rng.sample(pool, 3)) for _ in range(10)]
-        expected = brute_sunflower(sets, 3)
+    cases = [([set(rng.sample(pool, 3)) for _ in range(10)], 3) for _ in range(150)]
+    # comb(38, 5) = 501,942 candidate 5-sets: seeds 32 and 55 have a
+    # sunflower that a greedy pass misses, seed 15 has none.
+    cases += [(_three_sets_of_eleven(seed), 5) for seed in (15, 32, 55)]
+    for sets, target in cases:
+        expected = brute_sunflower(sets, target)
         try:
-            out = delta_system_extract(sets, 3)
+            out = delta_system_extract(sets, target)
         except SunflowerNotFoundError:
             assert expected is None
             continue
         assert expected is not None
-        assert len(out.members) >= 3
-        root = set(out.root)
-        for i, petal in zip(out.members, out.petals):
-            assert sets[i] == root | set(petal)
-        for p, q in combinations(out.members, 2):
-            assert sets[p] & sets[q] == root
+        assert is_sunflower_of(sets, out, target)
+
+
+def test_sunflower_found_where_greedy_packing_fails():
+    sets = _three_sets_of_eleven(24)
+    out = delta_system_extract(sets, 5)
+    assert is_sunflower_of(sets, out, 5)
+    assert out.root == (F(10),)
+    assert out.members == brute_sunflower(sets, 5)[0] == (6, 10, 11, 13, 32)
+
+
+def test_sunflower_greedy_pass_tries_every_root_before_backtracking():
+    sets = [{F(2), F(5)}, {F(1), F(5)}, {F(2), F(3)}, {F(0), F(4)}, {F(1), F(2)}]
+    # The empty root comes first, but only backtracking packs it (members
+    # 1, 2, 3); the greedy pass packs the root {2} and answers first.
+    out = delta_system_extract(sets, 3)
+    assert (out.root, out.members) == ((F(2),), (0, 2, 4))
+
+
+def test_sunflower_search_past_its_work_cap_is_undecided(monkeypatch):
+    monkeypatch.setattr(adjust, "_SEARCH_NODE_LIMIT", 50)
+    with pytest.raises(InputError, match="undecided"):
+        delta_system_extract(_three_sets_of_eleven(24), 5)
+
+
+def test_sunflower_search_takes_1200_members_without_recursion():
+    sets = [{F(i)} for i in range(1500)]
+    out = delta_system_extract(sets, 1200)
+    assert out.root == ()
+    assert out.members == tuple(range(1200))
+    assert out.petals == tuple((F(i),) for i in range(1200))
 
 
 def test_sunflower_respects_size_groups():
