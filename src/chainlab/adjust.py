@@ -13,7 +13,8 @@ compatibility (merge and re-check), the interpolant that threads one set
 between an ascending and a descending tower, and sunflower extraction: one
 exact search, greedy then backtracking, for exactly target_count equal-size
 sets with disjoint petals around a root, trying roots most frequent first,
-then by size, then by elements.  Reaching its work cap raises InputError.
+then by size, then by elements, and skipping roots whose candidates have
+too few points for disjoint petals.  Reaching its work cap raises InputError.
 
 Sets are int masks over the condition's `GroundSet` throughout: the
 candidate of `insert_point`, the produced set and delta of its receipt,
@@ -32,7 +33,6 @@ from typing import NamedTuple
 from .core import (
     AlternationWitness,
     ChainFamily,
-    Frozen,
     GroundSet,
     IndexValue,
     InputError,
@@ -70,31 +70,12 @@ class AdjustmentReport(NamedTuple):
     max_cost: int
 
 
-class SunflowerDecomposition(Frozen):
+class SunflowerDecomposition(NamedTuple):
     """Selected input sets written as a common root plus pairwise disjoint petals."""
 
-    __slots__ = _fields = ("root", "petals", "members")
-
-    def __init__(
-        self,
-        root: tuple[IndexValue, ...],
-        petals: tuple[tuple[IndexValue, ...], ...],
-        members: tuple[int, ...],
-    ) -> None:
-        if len(set(members)) != len(members) or len(members) != len(petals):
-            raise InputError(f"members {members} must be distinct, one per petal")
-        sizes = {len(p) for p in petals}
-        if len(sizes) > 1:
-            raise InputError(f"petals must have equal size, got sizes {sorted(sizes)}")
-        seen: set[IndexValue] = set()
-        for petal in petals:
-            p = frozenset(petal)
-            if not p.isdisjoint(root):
-                raise InputError(f"petal {petal} meets the root")
-            if p & seen:
-                raise InputError(f"petal {petal} meets another petal")
-            seen |= p
-        self._fill(root, petals, members)
+    root: tuple[IndexValue, ...]
+    petals: tuple[tuple[IndexValue, ...], ...]
+    members: tuple[int, ...]
 
 
 def insert_point(
@@ -116,10 +97,9 @@ def insert_point(
         raise InputError(f"indices not strictly increasing at {x} >= {fam.indices[pos]}")
     masks, c = fam.masks, candidate
     below = masks[pos - 1] if pos > 0 else 0
-    above = masks[pos] if pos < len(masks) else fam.ground.full_mask
-    # Equal to (c | below) & ~(c & ~above), but with no complement of `above`,
-    # which at the right boundary is the full ground and would cost O(N).
-    produced = (c & above) | (below & ~c)
+    # At the right boundary `above` is the full ground, which holds all of c.
+    above = masks[pos] if pos < len(masks) else c
+    produced = (c & above) | (below & ~c)  # (c | below) & ~(c & ~above)
     receipt = InsertionReceipt(
         inserted_index=x,
         produced_set=produced,
@@ -213,8 +193,10 @@ def delta_system_extract(index_sets, target_count: int) -> SunflowerDecompositio
     (smallest sets first): most frequent first, then by size, then by elements.
     A root's candidates are the sets containing it, in input order, and
     `_pack` picks target_count of them with pairwise disjoint petals, over
-    every root greedily and then with backtracking.  So SunflowerNotFoundError
-    is exact; a search past `_SEARCH_NODE_LIMIT` tests raises InputError.
+    every root greedily and then with backtracking.  A root is skipped, at no
+    cost in tests, when its candidates' petals cover fewer than target_count
+    times the petal size points.  So SunflowerNotFoundError is exact; a
+    search past `_SEARCH_NODE_LIMIT` tests raises InputError.
     """
     if type(target_count) is not int or target_count < 2:
         raise InputError(f"target_count must be an integer of at least 2, got {target_count!r}")
@@ -237,9 +219,11 @@ def delta_system_extract(index_sets, target_count: int) -> SunflowerDecompositio
         for root, positions in roots:
             candidates = [p for p in positions if masks[p] & root == root]
             petals = [masks[p] ^ root for p in candidates]
+            if reduce(or_, petals).bit_count() < target_count * petals[0].bit_count():
+                continue  # too few points for target_count disjoint petals
             chosen, budget = _pack(petals, target_count, backtrack, budget)
             if len(chosen) == target_count:
-                return SunflowerDecomposition._trusted(
+                return SunflowerDecomposition(
                     tuple(map(points.__getitem__, iter_bits(root))),
                     tuple(tuple(map(points.__getitem__, iter_bits(petals[i]))) for i in chosen),
                     tuple(candidates[i] for i in chosen),

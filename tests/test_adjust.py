@@ -10,7 +10,6 @@ import pytest
 
 from chainlab import adjust
 from chainlab.adjust import (
-    SunflowerDecomposition,
     SunflowerNotFoundError,
     adjust_family,
     adjustment_report_to_text,
@@ -366,19 +365,6 @@ def test_sunflower_not_found_and_bad_target():
             delta_system_extract([{F(1), F(2)}, {F(1), F(3)}, {F(1), F(4)}], target)
 
 
-def test_sunflower_decomposition_validates_structure():
-    with pytest.raises(InputError):
-        SunflowerDecomposition(root=(F(1),), petals=((F(1),), (F(2),)), members=(0, 1))
-    with pytest.raises(InputError):
-        SunflowerDecomposition(root=(), petals=((F(1),), (F(1),)), members=(0, 1))
-    with pytest.raises(InputError):
-        SunflowerDecomposition(root=(), petals=((F(1),), (F(2), F(3))), members=(0, 1))
-    with pytest.raises(InputError, match="one per petal"):
-        SunflowerDecomposition((), ((F(1),),), (0, 1, 2))
-    with pytest.raises(InputError, match="must be distinct"):
-        SunflowerDecomposition(root=(), petals=((F(1),), (F(2),)), members=(0, 0))
-
-
 def _three_sets_of_eleven(seed):
     rng = random.Random(seed)
     return [set(map(F, rng.sample(range(11), 3))) for _ in range(38)]
@@ -422,6 +408,29 @@ def test_sunflower_search_past_its_work_cap_is_undecided(monkeypatch):
     monkeypatch.setattr(adjust, "_SEARCH_NODE_LIMIT", 50)
     with pytest.raises(InputError, match="undecided"):
         delta_system_extract(_three_sets_of_eleven(24), 5)
+
+
+def _k14_edges():
+    return [{F(a), F(b)} for a in range(14) for b in range(a + 1, 14)]
+
+
+def _800_six_sets_of_24():
+    rng = random.Random(0)
+    return [set(rng.sample(range(24), 6)) for _ in range(800)]
+
+
+@pytest.mark.parametrize(
+    "make, target",
+    [(_k14_edges, 14), (_800_six_sets_of_24, 30)],
+    ids=["k14-edges", "800-six-sets-of-24"],
+)
+def test_sunflower_search_skips_roots_too_small_for_disjoint_petals(make, target):
+    # No root leaves room for target disjoint petals: K_14 has 13 or 14
+    # points for petals of 1 or 2, and around a root of r < 6 of the 24
+    # points at most 19 petals of 6 - r points are disjoint.  So the verdict
+    # comes from counting, not from the work cap.
+    with pytest.raises(SunflowerNotFoundError):
+        delta_system_extract(make(), target)
 
 
 def test_sunflower_search_takes_1200_members_without_recursion():

@@ -202,6 +202,9 @@ def test_gap_command(tmp_path, capsys):
     assert all(e["covered"] for e in doc["descending_exceptions"])
     code, _, err = run_cli(capsys, "gap", "--input", str(inst), "--budget", "0")
     assert code == 1 and "input-error" in err and "exceeds budget" in err
+    code, out, err = run_cli(capsys, "gap", "--input", str(inst), "--budget", "-1")
+    assert (code, out) == (1, "")
+    assert err == "input-error: defect_budget must be non-negative, got -1\n"
 
 
 def test_generate_from_config_file(tmp_path, capsys):
@@ -282,9 +285,10 @@ def test_sweep_table_shape_and_determinism(capsys):
         (("sweep", "--reps", "0"), "--reps of at least 1"),
         (("sweep", "--kind", "marciszewski", "--reps", "-1"), "--reps of at least 1"),
         (("sweep", "--flips", "-1"), "--flips of at least 0"),
+        (("sweep", "--kind", "marciszewski", "--depth", "2"), "--depth of at least 3"),
     ],
     ids=["count-zero", "marciszewski-count-zero", "reps-zero", "marciszewski-reps-negative",
-         "flips-negative"],
+         "flips-negative", "marciszewski-depth-two"],
 )
 def test_sweep_refuses_an_empty_grid_up_front(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
@@ -410,39 +414,40 @@ def test_malformed_input_is_one_input_error_line(tmp_path, capsys, raw):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, message",
     [
-        {"kind": "sign-matrix", "Y": ["1/3", "2/3"], "rows": [3, 4]},
-        {"kind": "sign-matrix", "Y": ["1/3", "2/3"], "rows": [[True, -1], [False, "-1/2"]]},
+        ({"kind": "sign-matrix", "Y": ["1/3", "2/3"], "rows": [3, 4]},
+         "matrix row must be a list of values, got 3"),
+        ({"kind": "sign-matrix", "Y": ["1/3", "2/3"], "rows": [[True, -1], [False, "-1/2"]]},
+         "malformed index True, expected 'p/q'"),
+        ({"kind": "sign-matrix", "Y": ["1/2"], "rows": 5}, "'rows' must be a list of lists, got 5"),
     ],
-    ids=["rows-not-lists", "bool-values"],
+    ids=["rows-not-lists", "bool-values", "rows-not-a-list"],
 )
-def test_malformed_sign_matrix_rows_are_one_input_error_line(tmp_path, capsys, config):
+def test_malformed_sign_matrix_rows_are_one_input_error_line(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "generate", "--config", str(cfg))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("input-error:")
-    assert err.count("\n") == 1
+    assert (code, out, err) == (1, "", f"input-error: {message}\n")
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, message",
     [
-        {"kind": "marciszewski", "depth": 3, "xs": [5]},
-        {"kind": "marciszewski", "depth": 3, "xs": [["0", "1", "1", "0", "1"]]},
+        ({"kind": "marciszewski", "depth": 3, "xs": [5]},
+         "bit word must be nonempty over 0/1, got 5"),
+        ({"kind": "marciszewski", "depth": 3, "xs": [["0", "1", "1", "0", "1"]]},
+         "bit word must be nonempty over 0/1, got ['0', '1', '1', '0', '1']"),
+        ({"kind": "marciszewski", "depth": 3, "xs": "0101"},
+         "'xs' must be a list of bit words, got '0101'"),
     ],
-    ids=["word-not-string", "word-as-list"],
+    ids=["word-not-string", "word-as-list", "words-not-a-list"],
 )
-def test_malformed_bit_words_are_one_input_error_line(tmp_path, capsys, config):
+def test_malformed_bit_words_are_one_input_error_line(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "generate", "--config", str(cfg))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("input-error:")
-    assert err.count("\n") == 1
+    assert (code, out, err) == (1, "", f"input-error: {message}\n")
 
 
 # A string carrier is not iterated character by character: "12" is not (1, 2).
@@ -638,12 +643,16 @@ def _family_doc(size, *sets, indices=None):
         (_family_doc(4, ["0"]), "set must be a list of integers: ['0']"),
         ({"ground_size": 4, "entries": [{"index": "x", "set": [0]}, {"index": "1/2"}]},
          "malformed index 'x', expected 'p/q'"),
+        ({"ground_size": 4, "entries": 5}, "entries must be a list"),
+        ({"ground_size": 4, "entries": [{"index": "1/2", "set": 5}]},
+         "set must be a list of integers: 5"),
     ],
     ids=["first-offender-not-max", "later-entry", "negative", "bool", "bool-after-int",
          "decreasing", "repeated", "non-int-before-order", "bool-out-of-order",
          "shape-before-range", "index-before-range", "ground-size-before-range",
          "range-before-duplicate", "duplicate-index", "float-after-int",
-         "last-in-range-but-unsorted", "nested-list", "string", "index-before-later-entry"],
+         "last-in-range-but-unsorted", "nested-list", "string", "index-before-later-entry",
+         "entries-not-a-list", "set-not-a-list"],
 )
 def test_family_parse_error_messages(tmp_path, capsys, doc, message):
     fam = tmp_path / "bad.json"

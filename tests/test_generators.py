@@ -378,6 +378,13 @@ def test_generator_configs_reject_bad_shapes():
         family_from_config(
             {"kind": "initial-chain", "ground_size": 8, "count": 2, "extra": 1}
         )
+    with pytest.raises(InputError, match="^cannot draw 257 distinct words of length 9$"):
+        family_from_config({"kind": "marciszewski", "depth": 1, "count": 257})
+    with pytest.raises(InputError, match="^config key 'count' must be an integer, got '3'$"):
+        family_from_config({"kind": "perturbed", "ground_size": 8, "flips": 1, "count": "3"})
+    # generator_config_from_text refuses an unknown kind first; a library caller can pass one.
+    with pytest.raises(InputError, match="^unknown generator kind 'mystery'$"):
+        family_from_config({"kind": "mystery"})
 
 
 def test_the_bit_cap_admits_the_largest_measured_shape():

@@ -233,6 +233,19 @@ def test_limit_eval_point_decision_table(triple, expected):
     assert limit_eval_point(*triple) == expected
 
 
+@pytest.mark.parametrize(
+    "triple,expected",
+    [
+        ((F(1), F(1), F(1)), "x0=x1=x2"),
+        ((F(1), F(1), F(2)), "x0=x1<x2"),
+        ((F(1), F(2), F(2)), "x0<x1=x2"),
+        ((F(1), F(2), F(3)), "x0<x1<x2"),
+    ],
+)
+def test_triple_pattern_names_each_coincidence(triple, expected):
+    assert triple_pattern(triple) == expected
+
+
 def test_limit_eval_point_errors():
     with pytest.raises(InputError):
         limit_eval_point(F(2), F(1), F(3))

@@ -121,5 +121,3 @@ def test_value_types_construct_by_keyword():
     assert receipt.cost == 1
     with pytest.raises(InputError, match="indices not strictly increasing"):
         ChainFamily(ground=ground, indices=(F(1), F(1)), masks=(0, 0))
-    with pytest.raises(InputError, match="meets the root"):
-        SunflowerDecomposition(root=(F(1),), petals=((F(1),),), members=(0,))
