@@ -195,7 +195,8 @@ def delta_system_extract(index_sets, target_count: int) -> SunflowerDecompositio
     `_pack` picks target_count of them with pairwise disjoint petals, over
     every root greedily and then with backtracking.  A root is skipped, at no
     cost in tests, when its candidates' petals cover fewer than target_count
-    times the petal size points.  So SunflowerNotFoundError is exact; a
+    times the petal size points; the backtracking pass visits only the roots
+    the greedy pass kept.  So SunflowerNotFoundError is exact; a
     search past `_SEARCH_NODE_LIMIT` tests raises InputError.
     """
     if type(target_count) is not int or target_count < 2:
@@ -216,11 +217,13 @@ def delta_system_extract(index_sets, target_count: int) -> SunflowerDecompositio
         roots += ((r, positions) for r in order)
     budget = _SEARCH_NODE_LIMIT
     for backtrack in (False, True):
+        kept = []  # the roots that the backtracking pass visits
         for root, positions in roots:
             candidates = [p for p in positions if masks[p] & root == root]
             petals = [masks[p] ^ root for p in candidates]
             if reduce(or_, petals).bit_count() < target_count * petals[0].bit_count():
                 continue  # too few points for target_count disjoint petals
+            kept.append((root, positions))
             chosen, budget = _pack(petals, target_count, backtrack, budget)
             if len(chosen) == target_count:
                 return SunflowerDecomposition(
@@ -230,6 +233,7 @@ def delta_system_extract(index_sets, target_count: int) -> SunflowerDecompositio
                 )
             if budget < 0:
                 raise InputError(f"sunflower search undecided after {_SEARCH_NODE_LIMIT} tests")
+        roots = kept
     raise SunflowerNotFoundError(f"no sunflower of size {target_count} among {len(sets)} sets")
 
 

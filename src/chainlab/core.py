@@ -418,7 +418,13 @@ def chain_defect_set(family: ChainFamily) -> int:
 # A family is stored as a JSON document
 #   {"ground_size": N, "entries": [{"index": "p/q", "set": [n0, n1, ...]}, ...]}
 # with entries sorted by index and each set listed in increasing order.  The
-# writer is canonical, so write -> parse -> write is byte-identical.
+# writer is canonical, so write -> parse -> write is byte-identical.  The
+# writer copies a set of runs averaging over 2 * _ELEMENTS_PER_EDGE elements
+# one table slice per run.  In text laid out exactly so, on a ground of over
+# 4 * _ELEMENTS_PER_EDGE elements, the reader reads such a set back run by
+# run (`_run_pair`) while its runs keep that average, two short ones aside.
+# At any doubt the set goes to the hooked decode, and text in any other
+# layout is decoded in one go.
 
 _INDEX_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
@@ -483,16 +489,149 @@ def _set_mask(elems: list, limit: int) -> int | None:
 def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
     """Parse the family document; also return its indices in file order.
 
-    One decode turns each well-formed entry into an (index, mask) pair
-    (`_entry_pair`), and `_walk_family` reads the result.  Only if that
+    A document in the writer's exact frame is read entry by entry
+    (`_canonical_document`); any other is decoded in one go.  Either way
+    each well-formed entry becomes an (index, mask) pair (`_run_pair` or
+    `_entry_pair`), and `_walk_family` reads the result.  Only if that
     raises is the text decoded again without the hook and walked, so the
     error names every object as the document wrote it.
     """
     try:
-        return _walk_family(json.loads(text, object_hook=_entry_pair))
+        doc = _canonical_document(text)
+        return _walk_family(json.loads(text, object_hook=_entry_pair) if doc is None else doc)
     except (ValueError, RecursionError):  # InputError is a ValueError
         pass  # leaving the handler frees the hooked document before the second decode
     return _walk_family(parse_json(text, "family document"))
+
+
+def _canonical_document(text: str) -> dict | None:
+    """The ground size and entries of a document in `family_to_text`'s frame, else None.
+
+    Each entry is read by `_run_pair` if it can be, else decoded alone with
+    the `_entry_pair` hook, which raises on text that is not JSON.  Any other
+    departure from the frame gives None, as does a ground of at most
+    4 * _ELEMENTS_PER_EDGE elements: no set of two runs there averages over
+    2 * _ELEMENTS_PER_EDGE elements, so reading entry by entry would cost
+    more than it saves.
+    """
+    head, tail = '{\n  "ground_size": ', ',\n  "entries": [\n    '
+    i = text.find(tail, len(head), len(head) + 8 + len(tail))
+    if i < 0 or not text.startswith(head):
+        return None
+    digits = text[len(head):i]
+    if not (digits.isdecimal() and digits.isascii()) or digits[0] == "0":
+        return None
+    limit = min(int(digits), 1 << 14)
+    if limit <= 4 * _ELEMENTS_PER_EDGE:
+        return None
+    decode = json.JSONDecoder(object_hook=_entry_pair).raw_decode
+    tables, entries = ["", [0]], []
+    i += len(tail)
+    while True:
+        entry, i = _run_pair(text, i, limit, tables) or decode(text, i)
+        entries.append(entry)
+        if text.startswith(",\n    {", i):
+            i += 6
+        elif i == len(text) - 7 and text.endswith("\n  ]\n}\n"):
+            return {"ground_size": int(digits), "entries": entries}
+        else:
+            return None
+
+
+def _run_pair(text: str, i: int, limit: int, tables: list) -> tuple | None:
+    """((index, mask), end) for the entry at text[i] read run by run, else None.
+
+    The entry must be in the writer's layout, with elements below `limit`.
+    Line n of the shared table (`_line_table`, grown in `tables` by
+    `_cover`) starts at starts[n]; if the run from element a, whose line
+    starts at text[p], goes on to n, then line n starts at
+    text[starts[n] - shift], shift being starts[a] - p.  So one probe there
+    tells whether it does; a bisection of such probes finds where the run
+    ends, and one `startswith` of its table slice reads it.  The line that
+    holds text[starts[a + 127] - shift] tells how many elements the first
+    128 lines miss: a set missing more than 64 goes to the decoder untried,
+    as does one whose runs stop averaging over 2 * _ELEMENTS_PER_EDGE
+    elements, two short runs aside.
+    """
+    x = i + 18  # the index
+    quote = text.find('"', x)
+    p = quote + 17  # the first element's line
+    comma = text.find(",", p + 10, p + 18)
+    digits = text[p + 9:comma] if comma > 0 else ""
+    if not digits.isdecimal():
+        return None
+    a = int(digits)
+    first = a + 2 * _ELEMENTS_PER_EDGE - 1
+    if first >= limit:
+        return None
+    _cover(tables, first, limit)
+    table, starts = tables
+    shift = starts[a] - p
+    line = text.rfind("\n", starts[first] - shift - 17, starts[first] - shift + 1)
+    comma = text.find(",", line + 10, line + 18)
+    digits = text[line + 9:comma] if line > p and comma > 0 else ""
+    if not digits.isdecimal() or int(digits) > first + _ELEMENTS_PER_EDGE:
+        return None
+    end = text.find("]", p) - 7  # the body's closing line
+    last = text.rfind("\n", p, end)  # the last element's line
+    digits = text[last + 9:end] if p < last < end < last + 18 else ""
+    if not (digits.isdecimal() and text.startswith('{\n      "index": "', i)
+            and text.startswith('",\n      "set": [', quote)
+            and text.startswith("\n      ]\n    }", end)):
+        return None
+    top = int(digits)
+    if top >= limit:
+        return None
+    _cover(tables, top + 1, limit)
+    table, starts = tables
+    mask = held = runs = 0
+    while True:
+        if starts[top] - shift == last:  # a..top is one run
+            b = top + 1
+        else:
+            lo, hi = a, top
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if text.startswith(table[starts[mid]:starts[mid + 1]], starts[mid] - shift):
+                    lo = mid
+                else:
+                    hi = mid
+            b = hi
+        run = table[starts[a]:starts[b] - 1]
+        if not text.startswith(run, p):
+            return None
+        mask |= ((1 << (b - a)) - 1) << a
+        held += b - a
+        runs += 1
+        p += len(run)
+        if b > top:
+            break
+        comma = text.find(",", p + 11, p + 19)
+        digits = text[p + 10:end if comma < 0 else comma]
+        if not (text.startswith(",\n        ", p) and digits.isdecimal()
+                and runs <= held // (2 * _ELEMENTS_PER_EDGE) + 2):
+            return None
+        a = int(digits)
+        if not b < a <= top:
+            return None
+        p += 1
+        shift = starts[a] - p
+    if p != end:
+        return None
+    return (text[x:quote], mask), end + 14  # `_walk_family` parses the index
+
+
+def _cover(tables: list, n: int, limit: int) -> None:
+    """Grow the shared table in `tables` to hold line n, doubling up to `limit` lines."""
+    if len(tables[1]) <= n:
+        tables[:] = _line_table([f"\n        {m}" for m in range(min(limit, 2 * n))])
+
+
+def _line_table(lines: list[str]) -> tuple[str, list[int]]:
+    """The lines joined by commas, and where each starts: line n is
+    table[starts[n]:starts[n + 1] - 1], and the slice from starts[a] to
+    starts[b] - 1 is lines a to b - 1 as the writer joins them."""
+    return ",".join(lines), list(accumulate((len(line) + 1 for line in lines), initial=0))
 
 
 def _entry_pair(obj: dict) -> object:
@@ -577,8 +716,7 @@ def family_to_text(family: ChainFamily) -> str:
         elif (2 * _ELEMENTS_PER_EDGE < held and m.bit_length() <= 1 << 14
                 and (edges := m ^ (m << 1)).bit_count() * _ELEMENTS_PER_EDGE < held):
             if table is None:
-                table = ",".join(lines)
-                starts = list(accumulate((len(line) + 1 for line in lines), initial=0))
+                table, starts = _line_table(lines)
             bits = iter_bits(edges)
             elems = ",".join([table[starts[a]:starts[b] - 1] for a, b in zip(bits, bits)])
         else:

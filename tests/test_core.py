@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from chainlab import core
-from chainlab.adjust import insert_point
+from chainlab.adjust import adjust_family, insert_point
 from chainlab.core import (
     MAX_GROUND_SIZE,
     MAX_INDEX_DIGITS,
@@ -49,6 +50,7 @@ from oracles import (
     membership_trace,
     mixed_corpus,
     removal_makes_chain,
+    two_pass_family_with_file_order,
     word_value,
 )
 
@@ -546,6 +548,42 @@ def test_reading_a_wide_document_holds_masks_not_element_lists():
     parsed, peak = _peak_bytes(lambda: family_from_text(text))
     assert parsed == fam
     assert peak < 1 << 20
+
+
+def test_long_runs_of_canonical_documents_never_reach_the_decoder(monkeypatch):
+    # Every set of over 8 * _ELEMENTS_PER_EDGE elements in the writer's text
+    # of these families is read run by run, so no such list reaches _set_mask.
+    fam = family_from_config(
+        {"kind": "perturbed", "seed": 1, "ground_size": 2048, "count": 400, "flips": 3})
+    order = list(fam.indices)
+    random.Random(1).shuffle(order)
+    adjusted = adjust_family(fam, order)[0]
+    texts = [family_to_text(fam), family_to_text(adjusted)]
+    set_mask = core._set_mask
+
+    def short_lists_only(elems, limit):
+        assert len(elems) <= 8 * core._ELEMENTS_PER_EDGE, "a long set was decoded"
+        return set_mask(elems, limit)
+
+    monkeypatch.setattr(core, "_set_mask", short_lists_only)
+    assert [family_from_text(text) for text in texts] == [fam, adjusted]
+
+
+@pytest.mark.parametrize("odd", ["300.0", "true", "null", '"300"'])
+def test_a_set_the_run_path_cannot_read_goes_to_the_decoder(odd):
+    # The run path gives the set up, rather than raising, at a token in a
+    # long run that is not a plain int; the hooked decode keeps it as a dict.
+    elems = [str(n) for n in range(600)]
+    elems[300] = odd
+    body = ",".join(f"\n        {e}" for e in elems)
+    text = (f'{{\n  "ground_size": 2048,\n  "entries": [\n    {{\n      "index": "1/2",'
+            f'\n      "set": [{body}\n      ]\n    }}\n  ]\n}}\n')
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    assert type(core._canonical_document(text)["entries"][0]) is dict
+    with pytest.raises(InputError) as raised:
+        family_from_text(text)
+    with pytest.raises(InputError, match=re.escape(str(raised.value))):
+        two_pass_family_with_file_order(text)
 
 
 _GENERATOR_CONFIGS = [

@@ -313,10 +313,21 @@ _ODD_ELEMENTS = st.one_of(
 
 @st.composite
 def _document_sets(draw):
-    """Mostly increasing ints that may overrun the ground, some with one odd element."""
+    """Mostly increasing ints that may overrun the ground, some with one odd element.
+
+    Some hold a long run, which on a wide ground the reader takes run by
+    run, so the odd element often lands inside a run it is reading.
+    """
     elems = sorted(draw(st.sets(st.integers(0, 40), max_size=8)))
-    kind = draw(st.sampled_from(["increasing"] * 6 + ["odd", "repeat", "swap", "anything"]))
-    if kind == "odd":
+    if draw(st.integers(0, 3)) == 0:  # a long run, then the drawn elements past a gap
+        start, stop = draw(st.integers(0, 400)), draw(st.integers(530, 800))
+        elems = [*range(start, stop), *(stop + 1 + n for n in elems)]
+    kind = draw(st.sampled_from(["increasing"] * 6 + ["odd", "repeat", "swap", "anything",
+                                                      "as-float"]))
+    if kind == "as-float" and elems:
+        i = draw(st.integers(0, len(elems) - 1))
+        elems[i] = float(elems[i])
+    elif kind == "odd":
         elems.insert(draw(st.integers(0, len(elems))), draw(_ODD_ELEMENTS))
     elif kind == "repeat" and elems:
         elems.insert(draw(st.integers(0, len(elems))), draw(st.sampled_from(elems)))
@@ -330,7 +341,8 @@ def _document_sets(draw):
 
 @CHECK
 @given(
-    st.sampled_from([True, 0, MAX_GROUND_SIZE + 1, *range(1, 65)]),
+    st.one_of(st.sampled_from([True, 0, MAX_GROUND_SIZE + 1, *range(1, 65)]),
+              st.sampled_from([300, 600, 2048])),
     st.lists(st.tuples(st.sampled_from([*(f"{v}/8" for v in range(-9, 10)), "1/2", "x"]),
                        _document_sets()), max_size=6),
 )
@@ -352,16 +364,64 @@ def _document_sets(draw):
 @example(4, [{"index": "1/2", "set": [0], "extra": 0}])
 @example(4, [{"set": [0], "indices": "1/2"}])
 def test_family_reader_matches_the_two_pass_reader(ground_size, entries):
-    text = json.dumps({"ground_size": ground_size, "entries": [
-        e if isinstance(e, dict) else {"index": e[0], "set": e[1]} for e in entries]})
+    # Compact, and in the writer's layout, which the reader may read run by run.
+    doc = {"ground_size": ground_size, "entries": [
+        e if isinstance(e, dict) else {"index": e[0], "set": e[1]} for e in entries]}
+    for text in (json.dumps(doc), json.dumps(doc, indent=2) + "\n"):
+        assert _outcome(core.family_with_file_order, text) == _outcome(
+            two_pass_family_with_file_order, text)
 
-    def outcome(read):
-        try:
-            return read(text)
-        except InputError as exc:
-            return str(exc)
 
-    assert outcome(core.family_with_file_order) == outcome(two_pass_family_with_file_order)
+def _outcome(read, text):
+    """What a family reader returns for the text, or the message of its InputError."""
+    try:
+        return read(text)
+    except InputError as exc:
+        return str(exc)
+
+
+@st.composite
+def run_families(draw):
+    """Sets of one to three runs of several hundred elements, some with flipped
+    elements, on a ground of at least 1024: sets the reader reads run by run."""
+    size = draw(st.integers(1024, 2048))
+    run = st.tuples(st.integers(0, size - 1), st.integers(200, 700))
+    flip = st.integers(0, size - 1).map(lambda n: 1 << n)
+
+    def mask(runs, flips):
+        m = 0
+        for a, length in runs:
+            m |= ((1 << min(length, size - a)) - 1) << a
+        for f in flips:
+            m ^= f
+        return m
+
+    masks = draw(st.lists(st.builds(mask, st.lists(run, min_size=1, max_size=3),
+                                    st.lists(flip, max_size=2)), min_size=1, max_size=4))
+    return ChainFamily(GroundSet(size), tuple(F(i + 1, 8) for i in range(len(masks))),
+                       tuple(masks))
+
+
+# Three long initial segments: deleting the newline before the first set's
+# closing bracket leaves the text valid JSON, with the bracket on a line of
+# its own no longer.
+_SEGMENTS = ChainFamily(GroundSet(1024), (F(1, 4), F(1, 2), F(3, 4)),
+                        ((1 << 300) - 1, (1 << 600) - 1 ^ 1 << 400, (1 << 900) - 1))
+_FIRST_CLOSE = family_to_text(_SEGMENTS).index("\n      ]")
+
+
+@CHECK
+@given(run_families(), st.integers(0, 1 << 30), st.sampled_from(["insert", "delete", "replace"]),
+       st.sampled_from(list('0123456789,-. \n[]{}"/et')))
+@example(_SEGMENTS, _FIRST_CLOSE, "delete", "")
+@example(_SEGMENTS, _FIRST_CLOSE + 7, "delete", "")
+@example(_SEGMENTS, _FIRST_CLOSE, "insert", ",")
+def test_one_character_edits_read_as_the_two_pass_reader_reads_them(fam, at, edit, char):
+    text = family_to_text(fam)
+    at %= len(text)
+    edited = text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert"):]
+    assert _outcome(core.family_with_file_order, edited) == _outcome(
+        two_pass_family_with_file_order, edited)
 
 
 def test_family_text_of_empty_family_and_empty_sets():
