@@ -84,17 +84,22 @@ def _cmd_check(args: argparse.Namespace) -> str:
     family = _load_family(args.input)
     report = core.validate_almost_chain(family, args.budget)
     names = list(map(core.format_index, family.indices))
-    flagged = " ".join(
-        f"({names[i]},{names[j]})={size}"
-        for i, js, sizes in report.flagged_rows
-        for j, size in zip(js, sizes)
-    )
+    rows = []
+    for i, js, sizes in report.flagged_rows:  # one join per row, no string per pair
+        head = f"({names[i]},"
+        seps = {d: f")={d} {head}" for d in set(sizes)}  # closes a pair, opens the next
+        picked = map(names.__getitem__, js)
+        if len(seps) == 1:
+            rows.append(head + seps[sizes[0]].join(picked) + f")={sizes[0]}")
+        else:  # each name then its size's separator, less the last one's " (x_i,"
+            pieces = map(str.__add__, picked, map(seps.__getitem__, sizes))
+            rows.append(head + "".join(pieces)[:-len(head) - 1])
     lines = [
         f"chain: {_verdict(core.chain_witness(family))}",
         f"barely_alternating: {_verdict(core.alternation_witness(family))}",
         f"max_defect: {report.max_defect_size}",
         f"budget: {args.budget}",
-        f"over_budget: {flagged or 'none'}",
+        f"over_budget: {' '.join(rows) or 'none'}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -24,7 +24,7 @@ import json
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import lt, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -61,12 +61,9 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def _sparse(mask: int, held: int) -> bool:
-    """Whether walking the low bits of a mask of `held` set bits beats `_digit_flags`.
-
-    Each low-bit step costs full-width int operations, so the walk wins only
-    under one set bit per 64 digits and under 256 set bits in all.
-    """
-    return held * 64 < min(mask.bit_length(), 1 << 14)
+    """Whether `_low_bits` beats `_digit_flags`: under 1 set bit per 64 of up to 2^14
+    binary digits, or under 1 per 16 past them, where it walks by `str.rfind`."""
+    return held * (64 if mask.bit_length() <= 1 << 14 else 16) < mask.bit_length()
 
 
 def _digit_flags(mask: int) -> bytes:
@@ -75,6 +72,13 @@ def _digit_flags(mask: int) -> bytes:
 
 
 def _low_bits(mask: int) -> Iterator[int]:
+    """Set bits, lowest first.  A low-bit step copies the mask: wide ones walk `str.rfind`."""
+    if mask.bit_length() > 1 << 14 and mask.bit_count() > 16:  # one C call per bit
+        digits = bin(mask)
+        p = len(digits)
+        while (p := digits.rfind("1", 0, p)) >= 0:
+            yield len(digits) - 1 - p  # bit 0 is the last digit
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -356,6 +360,7 @@ def _counter_rows(masks: tuple[int, ...], budget: int, changes: list[int],
     enters; no count, even midway, exceeds |A_j|, so `width` planes hold it.
     """
     everything = (1 << len(masks)) - 1
+    positions = tuple(range(len(masks)))  # one int per j, shared by every level's compress
     columns: dict[int, int] = {}
     for i, change in enumerate(changes):
         for n in iter_bits(change):
@@ -372,13 +377,18 @@ def _counter_rows(masks: tuple[int, ...], budget: int, changes: list[int],
         later = everything >> (i + 1) << (i + 1)
         least, group = _least_count(planes, later)
         worst = max(worst, size - least)
-        flagged = []
+        levels = []  # (js, defect size) per level over the budget; their js are disjoint
         while later and size - least > budget:
-            flagged += zip(iter_bits(group), repeat(size - least))
+            levels.append((tuple(compress(positions, _digit_flags(group))), size - least))
             later ^= group
             least, group = _least_count(planes, later)
-        if flagged:
-            rows.append((i, *zip(*sorted(flagged))))  # (i, js, sizes) in j order
+        if len(levels) == 1:
+            js, d = levels[0]
+            rows.append((i, js, (d,) * len(js)))
+        elif levels:  # (i, js, sizes) in j order: sort the ints j, look their sizes up
+            size_of = dict(chain.from_iterable(zip(js, repeat(d)) for js, d in levels))
+            js = sorted(size_of)
+            rows.append((i, tuple(js), tuple(map(size_of.__getitem__, js))))
     return worst, rows
 
 
@@ -700,7 +710,7 @@ def family_to_text(family: ChainFamily) -> str:
 
     Written directly: indices and elements are digits, '-' and '/', so
     nothing needs escaping.  A sparse set (`_sparse`) formats its own lines,
-    low bit by low bit.  Every other set selects from shared lines, each
+    bit by bit (`_low_bits`).  Every other set selects from shared lines, each
     formatted once, up to the largest element such a set holds: by its digit
     flags, or, for a set of long runs, one slice of the joined lines per run.
     """

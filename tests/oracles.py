@@ -254,6 +254,14 @@ def brute_defect_report(family: ChainFamily, budget: int):
     return worst, over
 
 
+def brute_over_budget_line(family: ChainFamily, budget: int) -> str:
+    """`check`'s over_budget line, one `(x,y)=size` string per pair of `brute_defect_report`."""
+    _, over = brute_defect_report(family, budget)
+    x = family.indices
+    flagged = " ".join(f"({_name(x[i])},{_name(x[j])})={size}" for (i, j), size in over.items())
+    return f"over_budget: {flagged or 'none'}"
+
+
 def flagged_sizes(report) -> list:
     """((i, j), size) for each over-budget pair of a DefectReport, in its row order."""
     return [((i, j), d) for i, js, ds in report.flagged_rows for j, d in zip(js, ds)]

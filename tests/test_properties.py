@@ -72,6 +72,7 @@ from oracles import (
     brute_insert_point,
     brute_marciszewski_family,
     brute_norm_witness,
+    brute_over_budget_line,
     brute_perturbed_chain,
     brute_sunflower,
     brute_triple_table_text,
@@ -610,6 +611,53 @@ def test_defect_scan_matches_brute_force(budget_of, fam):
     assert core._counter_rows(fam.masks, budget, *counter_inputs(fam.masks)) == rows
 
 
+def _over_budget_line(fam, budget):
+    """The over_budget line of `check`, run through `main` on the family's document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "family.json")
+        path.write_text(family_to_text(fam))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["check", "--input", str(path), "--budget", str(budget)]) == 0
+    return out.getvalue().splitlines()[-1]
+
+
+@pytest.mark.parametrize("budget_of", [lambda n: 0, lambda n: 1, lambda n: 2, lambda n: n],
+                         ids=["0", "1", "2", "N"])
+@CHECK
+@_with_edges
+@given(st.one_of(families(), near_chains()))
+def test_check_over_budget_line_matches_brute_force(budget_of, fam):
+    budget = budget_of(fam.ground.size)
+    assert _over_budget_line(fam, budget) == brute_over_budget_line(fam, budget)
+
+
+# Row 0 loses element 0, then 0 and 1, then 0 to 2, then only 1: defect sizes
+# 1, 2, 3, 1, 1, ...; row 1 has sizes 1, 2, 1, 1, ...
+_STAGED = [0b111111, 0b111110, 0b111100, 0b111000] + [0b111101] * 36
+
+
+@pytest.mark.parametrize("fam, budget, engine, shape", [
+    (_family(2, [0b11, 0b10] + [0b11] * 38), 0, "_counter_rows",
+     lambda rows: [len(js) for _, js, _ in rows] == [1]),
+    (_family(6, _STAGED), 0, "_counter_rows",
+     lambda rows: len(set(rows[0][2])) == 3 and len(set(rows[1][2])) == 2),
+    (_family(4, [0b1011, 0b0110, 0b1101, 0b0001, 0b1111]), 1, "_scan_rows",
+     lambda rows: [len(js) for _, js, _ in rows] == [2, 1, 1]),
+    (_family(3, [0b001] * 20 + [0b011] * 20), 0, "_counter_rows", lambda rows: not rows),
+    (_family(3, [0b011, 0b101, 0b110]), 3, "_scan_rows", lambda rows: not rows),
+], ids=["one-pair-row", "three-sizes", "scan-engine", "none-counters", "none-scan"])
+def test_check_over_budget_line_examples(monkeypatch, fam, budget, engine, shape):
+    assert shape(validate_almost_chain(fam, budget).flagged_rows)
+    other = {"_counter_rows": "_scan_rows", "_scan_rows": "_counter_rows"}[engine]
+
+    def refuse(*args):
+        raise AssertionError(f"{other} ran")
+
+    monkeypatch.setattr(core, other, refuse)
+    assert _over_budget_line(fam, budget) == brute_over_budget_line(fam, budget)
+
+
 def _bin_bits(mask):
     """Set bits read off the binary digits."""
     return [n for n, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
@@ -637,6 +685,29 @@ def threshold_masks(draw):
 ))
 def test_iter_bits_matches_binary_digits(mask):
     assert list(iter_bits(mask)) == _bin_bits(mask)
+
+
+@st.composite
+def wide_masks(draw):
+    """A top bit past 2^14 digits and up to 320 lower bits, some of them runs."""
+    width = draw(st.integers((1 << 14) + 1, 1 << 16))
+    below = draw(st.sets(st.integers(0, width - 2), max_size=320))
+    run = draw(st.integers(0, width - 1))
+    return (1 << (width - 1)) | sum(1 << n for n in below) | ((1 << run) - 1) * draw(st.booleans())
+
+
+@CHECK
+@example((1 << 16384) | sum(1 << n for n in range(0, 30, 2)))  # 16 bits: low-bit walk
+@example((1 << 16384) | sum(1 << n for n in range(0, 32, 2)))  # 17 bits: str.rfind
+@example((1 << 16399) | sum(1 << (16 * n + 1) for n in range(1023)))  # 1024 bits: str.rfind
+@example((1 << 16399) | sum(1 << (16 * n + 1) for n in range(1024)))  # 1025 bits: digit flags
+@example((1 << MAX_GROUND_SIZE) - 1)
+@given(wide_masks())
+def test_wide_masks_walk_and_write_by_their_binary_digits(mask):
+    assert list(iter_bits(mask)) == _bin_bits(mask)
+    fam = ChainFamily(GroundSet(mask.bit_length()), (F(1, 2),), (mask,))
+    doc = {"ground_size": mask.bit_length(), "entries": [{"index": "1/2", "set": _bin_bits(mask)}]}
+    assert family_to_text(fam) == json.dumps(doc, indent=2) + "\n"
 
 
 @CHECK
