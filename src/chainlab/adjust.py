@@ -26,8 +26,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import reduce
-from itertools import accumulate, groupby
-from operator import and_, or_
+from itertools import accumulate, groupby, repeat
+from operator import and_, or_, xor
 from typing import NamedTuple
 
 from .core import (
@@ -128,25 +128,32 @@ def adjust_family(
     records every change made, with B_x Δ A_x always inside
     (A \\ A_x) ∪ (A_x \\ C) for the neighbour sets at insertion time.  A
     family that is already a chain is returned unchanged at zero cost,
-    whatever the order.
+    whatever the order.  In the sorted order every insertion lands at the
+    right end, so B_i = A_i ∪ B_(i-1), one running union, with no insertion.
     """
     indices, masks = family.indices, family.masks
-    ranks = range(len(indices))
+    ranks = sorted_ranks = list(range(len(indices)))
     if order is not None:
         position = dict(zip(indices, ranks))
         ranks = [position.get(x, -1) for x in order]
         if len(ranks) != len(indices) or -1 in ranks or len(set(ranks)) != len(ranks):
             raise InputError("order is not a permutation of the family's indices")
-    # The condition is indexed by ranks, so every bisect compares ints.
-    name = dict(enumerate(indices)).get  # rank -> point, None (no neighbour) -> None
-    cond = ChainFamily._trusted(family.ground, (), ())
-    receipts = []
-    for r in ranks:
-        cond, (_, produced, below, above, delta) = insert_point(cond, r, masks[r])
-        receipts.append(InsertionReceipt(name(r), produced, name(below), name(above), delta))
+    if ranks == sorted_ranks:
+        adjusted = tuple(accumulate(masks, or_))
+        receipts = list(map(InsertionReceipt, indices, adjusted, (None, *indices),
+                            repeat(None), map(xor, adjusted, masks)))
+    else:
+        # The condition is indexed by ranks, so every bisect compares ints.
+        name = dict(enumerate(indices)).get  # rank -> point, None (no neighbour) -> None
+        cond = ChainFamily._trusted(family.ground, (), ())
+        receipts = []
+        for r in ranks:
+            cond, (_, produced, below, above, delta) = insert_point(cond, r, masks[r])
+            receipts.append(InsertionReceipt(name(r), produced, name(below), name(above), delta))
+        adjusted = cond.masks
     costs = [r.cost for r in receipts]
     report = AdjustmentReport(tuple(receipts), sum(costs), max(costs, default=0))
-    return ChainFamily._trusted(family.ground, indices, cond.masks), report
+    return ChainFamily._trusted(family.ground, indices, adjusted), report
 
 
 def merge_conditions(c1: ChainFamily, c2: ChainFamily) -> ChainFamily:

@@ -74,10 +74,12 @@ def _digit_flags(mask: int) -> bytes:
 def _low_bits(mask: int) -> Iterator[int]:
     """Set bits, lowest first.  A low-bit step copies the mask: wide ones walk `str.rfind`."""
     if mask.bit_length() > 1 << 14 and mask.bit_count() > 16:  # one C call per bit
-        digits = bin(mask)
+        shift = (mask & -mask).bit_length() - 1  # the digits start at the lowest set bit
+        digits = bin(mask >> shift)
         p = len(digits)
+        last = p - 1 + shift  # bit `shift` is the last digit
         while (p := digits.rfind("1", 0, p)) >= 0:
-            yield len(digits) - 1 - p  # bit 0 is the last digit
+            yield last - p
         return
     while mask:
         low = mask & -mask
@@ -315,8 +317,9 @@ def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
     count intersections, as |A_x \\ A_y| = |A_x| - |A_x & A_y|.  For k sets of
     up to 2^B - 1 elements and T = sum |A_i ^ A_(i-1)| toggles, the vertical
     counters of `_counter_rows` run when 2 (12 T + k B) is under the k^2 / 2
-    pairs that `_scan_rows` popcounts and their k-bit columns, one per element
-    that ever toggles, take at most four times the bits of the masks.
+    pairs that `_scan_rows` popcounts at most (it skips the rows that a triangle
+    bound rules out, most of a near-chain's) and their k-bit columns, one per
+    element that ever toggles, take at most four times the bits of the masks.
     """
     if budget < 0:
         raise InputError(f"budget must be non-negative, got {budget}")
@@ -335,18 +338,30 @@ def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
 
 
 def _scan_rows(masks: tuple[int, ...], budget: int) -> tuple[int, list]:
-    """Largest defect and flagged rows, one C-level popcount pass per row."""
-    worst = 0
+    """Largest defect and flagged rows, one C-level popcount pass per row scanned.
+
+    Rows go last to first under a bound on their largest defect: by the
+    triangle inequality |A_i \\ A_j| <= |A_i \\ A_(i+1)| + |A_(i+1) \\ A_j|, and
+    a scanned row's bound is its largest defect.  A row bounded within both
+    the budget and the largest defect so far is skipped.
+    """
+    worst = bound = after = 0
     rows = []
-    for i, a in enumerate(masks):
+    for i in reversed(range(len(masks))):
+        a = masks[i]
         size = a.bit_count()
+        bound = min(size, size - (a & after).bit_count() + bound)
+        after = a
+        if bound <= min(budget, worst):  # no flagged pair, no new maximum
+            continue
         inside = list(map(int.bit_count, map(a.__and__, masks[i + 1:])))
-        top = size - min(inside, default=size)
-        worst = max(worst, top)
-        if top > budget:
+        bound = size - min(inside, default=size)
+        worst = max(worst, bound)
+        if bound > budget:
             flags = list(map((size - budget).__gt__, inside))  # defect > budget
             sizes = tuple(map(size.__sub__, compress(inside, flags)))
             rows.append((i, tuple(compress(count(i + 1), flags)), sizes))
+    rows.reverse()
     return worst, rows
 
 

@@ -222,6 +222,24 @@ def test_adjust_orders_by_rank_without_fraction_work(monkeypatch):
     assert counts == {"__hash__": 2 * len(fam)}
 
 
+def test_sorted_order_adjusts_without_insertions(monkeypatch):
+    fam = perturbed_chain(3, 24, sample_cut_indices(random.Random(5), 24, 40), 3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return insert_point(*args)
+
+    monkeypatch.setattr(adjust, "insert_point", counted)
+    for order in (None, fam.indices, list(fam.indices)):
+        adjust_family(fam, order)
+    assert calls == []
+    order = list(fam.indices)
+    random.Random(6).shuffle(order)
+    adjust_family(fam, order)
+    assert len(calls) == len(fam)
+
+
 def test_receipts_obey_structural_bound():
     rng = random.Random(404)
     for _ in range(150):

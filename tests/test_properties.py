@@ -45,6 +45,7 @@ from chainlab.core import (
 from chainlab.generators import (
     GENERATOR_KINDS,
     _excluded,
+    family_from_config,
     initial_segment_chain,
     marciszewski_family,
     perturbed_chain,
@@ -494,13 +495,15 @@ def test_insert_point_matches_the_set_formula(insertion):
 
 
 @CHECK
-@given(families().flatmap(lambda fam: st.tuples(st.just(fam), st.permutations(fam.indices))))
+@given(families().flatmap(lambda fam: st.tuples(st.just(fam), st.one_of(
+    st.none(), st.just(list(fam.indices)), st.permutations(fam.indices)))))
 def test_adjust_family_is_iterated_insert_point(fam_and_order):
+    """Any order, the sorted one too, given or by default (None)."""
     fam, order = fam_and_order
     adjusted, report = adjust_family(fam, order)
     cond = ChainFamily(fam.ground, (), ())
     receipts = []
-    for x in order:
+    for x in fam.indices if order is None else order:
         cond, receipt = insert_point(cond, x, fam.masks[fam.indices.index(x)])
         receipts.append(receipt)
     assert adjusted == cond
@@ -611,6 +614,74 @@ def test_defect_scan_matches_brute_force(budget_of, fam):
     assert core._counter_rows(fam.masks, budget, *counter_inputs(fam.masks)) == rows
 
 
+@st.composite
+def generated_families(draw):
+    """A chain, a perturbed chain of 0 to 3 flips per set, or a Marciszewski family."""
+    kind = draw(st.sampled_from(["initial-chain", "perturbed", "marciszewski"]))
+    if kind == "marciszewski":
+        depth = draw(st.integers(3, 7))
+        shape = {"depth": depth, "count": draw(st.integers(0, (1 << depth) - 1))}
+    else:
+        size = draw(st.integers(3, 40))
+        shape = {"ground_size": size, "count": draw(st.integers(0, 48))}
+        if kind == "perturbed":
+            shape["flips"] = draw(st.integers(0, 3))
+    return family_from_config({"kind": kind, "seed": draw(st.integers(0, 2**32)), **shape})
+
+
+# Row 0 is bounded by 2, under the largest defect 3 of row 1 but over budget 1.
+_UNDER_WORST = _family(8, [0b11, 0b11100000, 0])
+# Row 1 is skipped with bound 1; row 0 then needs it to reach its defect 4 (vs row 3).
+_CARRIED = _family(8, [0b11100001, 0b1, 0b111, 0])
+
+
+@pytest.mark.parametrize("budget_of", [
+    lambda fam: 0, lambda fam: 1, lambda fam: 2,
+    lambda fam: brute_defect_report(fam, 0)[0], lambda fam: fam.ground.size,
+], ids=["0", "1", "2", "max", "N"])
+@CHECK
+@example(_UNDER_WORST)
+@example(_CARRIED)
+@given(generated_families())
+def test_pruned_scan_matches_brute_force(budget_of, fam):
+    budget = budget_of(fam)
+    worst, over = brute_defect_report(fam, budget)
+    report = core.DefectReport(*core._scan_rows(fam.masks, budget))
+    assert report.max_defect_size == worst
+    assert flagged_sizes(report) == list(over.items())
+    assert all(js for _, js, _ in report.flagged_rows)
+
+
+class _SlicedRows(tuple):
+    """Masks that record the row of each slice `_scan_rows` takes, one per row scanned."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.scanned.append(key.start - 1)
+        return tuple.__getitem__(self, key)
+
+
+def _scanned_rows(masks, budget):
+    sliced = _SlicedRows(masks)
+    sliced.scanned = []
+    return core._scan_rows(sliced, budget), sliced.scanned
+
+
+def test_pruned_scan_examples():
+    # Row 0 holds flagged pairs though its bound is under the largest defect.
+    assert core._scan_rows(_UNDER_WORST.masks, 1) == (3, [(0, (1, 2), (2, 2)), (1, (2,), (3,))])
+    assert _scanned_rows(_UNDER_WORST.masks, 1)[1] == [1, 0]
+    # A skipped row keeps its bound for the rows before it.
+    assert _scanned_rows(_CARRIED.masks, 8) == ((4, []), [2, 0])
+
+
+def test_pruned_scan_of_a_chain_scans_one_row():
+    fam = family_from_config({"kind": "initial-chain", "seed": 3, "ground_size": 40, "count": 30})
+    assert all(a & ~b == 0 for a, b in zip(fam.masks, fam.masks[1:])) and fam.masks[-1]
+    for budget in (0, 1, fam.ground.size):
+        assert _scanned_rows(fam.masks, budget) == ((0, []), [len(fam) - 1])
+
+
 def _over_budget_line(fam, budget):
     """The over_budget line of `check`, run through `main` on the family's document."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -708,6 +779,33 @@ def test_wide_masks_walk_and_write_by_their_binary_digits(mask):
     fam = ChainFamily(GroundSet(mask.bit_length()), (F(1, 2),), (mask,))
     doc = {"ground_size": mask.bit_length(), "entries": [{"index": "1/2", "set": _bin_bits(mask)}]}
     assert family_to_text(fam) == json.dumps(doc, indent=2) + "\n"
+
+
+def _low_bit_walk(mask):
+    """Set bits, clearing the lowest one at a time."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+@st.composite
+def high_masks(draw):
+    """Over 16 bits, all within a few hundred digits of the top of a mask past 2^14 digits."""
+    width = draw(st.integers((1 << 14) + 1, MAX_GROUND_SIZE))
+    span = draw(st.integers(17, 600))
+    below = draw(st.sets(st.integers(width - span, width - 2), min_size=16, max_size=span - 1))
+    return (1 << (width - 1)) | sum(1 << n for n in below)
+
+
+@CHECK
+@example(sum(1 << n for n in range(MAX_GROUND_SIZE - 500, MAX_GROUND_SIZE)))  # CI's high.json
+@example((1 << 16384) | sum(1 << n for n in range(1, 33, 2)))  # lowest set bit 1
+@given(high_masks())
+def test_shifted_walk_matches_the_low_bit_walk_on_high_masks(mask):
+    assert list(core._low_bits(mask)) == _low_bit_walk(mask)
 
 
 @CHECK
