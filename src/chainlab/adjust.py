@@ -288,7 +288,7 @@ def adjustment_report_to_text(report: AdjustmentReport) -> str:
     """One line per receipt: index, cost, changed elements ('-' when none)."""
     lines = ["# index\tcost\tdelta"]
     for r in report.receipts:
-        elems = " ".join(map(str, iter_bits(r.delta_from_input))) or "-"
-        lines.append(f"{format_index(r.inserted_index)}\t{r.cost}\t{elems}")
+        elems = list(map(str, iter_bits(r.delta_from_input)))  # the cost is their count
+        lines.append(f"{format_index(r.inserted_index)}\t{len(elems)}\t{' '.join(elems) or '-'}")
     lines.append(f"# total_cost={report.total_cost} max_cost={report.max_cost}")
     return "\n".join(lines) + "\n"

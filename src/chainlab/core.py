@@ -13,9 +13,12 @@ everywhere, in and out of the library.  `ChainFamily(ground, indices, masks)`
 holds one mask per index, and `chain_defect_set` returns a mask.
 `GroundSet.check_mask` is the one check that a mask lies in the ground;
 `mask_of` and `iter_bits` convert between element lists and masks.
-Witnesses returned by the checkers are lexicographically least (least ground
-element first, then least index tuple), so every verdict is reproducible
-byte for byte.
+`GroundSet` and `ChainFamily` are `NamedTuple` records whose `__new__` runs
+the checks; library code that has just built a checked shape skips them with
+`tuple.__new__` (`ChainFamily._trusted`).  A record, like any `NamedTuple`,
+equals a plain tuple of the same fields.  Witnesses returned by the checkers
+are lexicographically least (least ground element first, then least index
+tuple), so every verdict is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -105,62 +108,17 @@ def check_increasing(values: Sequence, noun: str) -> None:
             raise InputError(f"{noun} not strictly increasing at {a} >= {b}")
 
 
-class Frozen:
-    """Base of the validated value types: immutable classes with `__slots__`.
-
-    `__init__` checks its arguments and fills the slots once, in order
-    (`_trusted` fills them unchecked); equality, hash, repr and pickling read
-    `_fields`, the constructor's arguments, so derived slots stay out of them.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _fill(self, *values: object):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        return self
-
-    @classmethod
-    def _trusted(cls, *values: object):
-        return object.__new__(cls)._fill(*values)
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self._fields))
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
-
-
-class GroundSet(Frozen):
+class GroundSet(NamedTuple("GroundSet", [("size", int)])):
     """The finite ground set {0, ..., size-1}; its subsets are int masks."""
 
-    __slots__ = ("size", "full_mask")
-    _fields = ("size",)
+    __slots__ = ()
 
-    def __init__(self, size: int) -> None:
+    def __new__(cls, size: int) -> GroundSet:
         if type(size) is not int or size < 1:
             raise InputError(f"ground size must be a positive integer, got {size!r}")
         if size > MAX_GROUND_SIZE:
             raise InputError(f"ground size {size} exceeds the cap {MAX_GROUND_SIZE}")
-        self._fill(size, (1 << size) - 1)
+        return tuple.__new__(cls, (size,))
 
     def elements(self) -> range:
         return range(self.size)
@@ -182,7 +140,9 @@ class GroundSet(Frozen):
         return _mask_of(elems)
 
 
-class ChainFamily(Frozen):
+class ChainFamily(NamedTuple("ChainFamily", [("ground", GroundSet),
+                                             ("indices", tuple[IndexValue, ...]),
+                                             ("masks", tuple[int, ...])])):
     """A finite family of sets, one mask per strictly increasing rational index.
 
     The type enforces only shape (sorted distinct indices, masks within the
@@ -190,17 +150,21 @@ class ChainFamily(Frozen):
     by the explicit checkers below, never assumed.
     """
 
-    __slots__ = _fields = ("ground", "indices", "masks")
+    __slots__ = ()
 
-    def __init__(
-        self, ground: GroundSet, indices: tuple[IndexValue, ...], masks: tuple[int, ...]
-    ) -> None:
+    def __new__(
+        cls, ground: GroundSet, indices: tuple[IndexValue, ...], masks: tuple[int, ...]
+    ) -> ChainFamily:
         if len(indices) != len(masks):
             raise InputError(f"{len(indices)} indices but {len(masks)} masks")
         check_increasing(indices, "indices")
         for i, m in enumerate(masks):
             ground.check_mask(m, f"mask {i}")
-        self._fill(ground, indices, masks)
+        return tuple.__new__(cls, (ground, indices, masks))
+
+    @classmethod
+    def _trusted(cls, *values: object) -> ChainFamily:
+        return tuple.__new__(cls, values)
 
     @classmethod
     def from_pairs(

@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     ChainFamily,
-    Frozen,
     IndexValue,
     InputError,
     alternation_witness,
@@ -40,15 +39,16 @@ class InconsistencyError(RuntimeError):
     """A strict triple reached the limit decision table."""
 
 
-class LineModel(Frozen):
+class LineModel(NamedTuple("LineModel", [("carrier", tuple[IndexValue, ...]),
+                                         ("dense_points", tuple[IndexValue, ...]),
+                                         ("dense_ranks", tuple[int, ...])])):
     """Finite strictly increasing carrier with a chosen dense index subset."""
 
-    __slots__ = ("carrier", "dense_points", "dense_ranks")
-    _fields = ("carrier", "dense_points")
+    __slots__ = ()
 
-    def __init__(
-        self, carrier: tuple[IndexValue, ...], dense_points: tuple[IndexValue, ...]
-    ) -> None:
+    def __new__(
+        cls, carrier: tuple[IndexValue, ...], dense_points: tuple[IndexValue, ...]
+    ) -> LineModel:
         if not carrier:
             raise InputError("carrier must be nonempty")
         check_increasing(carrier, "carrier")
@@ -58,39 +58,34 @@ class LineModel(Frozen):
         missing = [y for y, r in zip(dense_points, ranks) if r < 0]
         if missing:
             raise InputError(f"dense points {missing} not in the carrier")
-        self._fill(carrier, dense_points, ranks)
+        return tuple.__new__(cls, (carrier, dense_points, ranks))
 
-    @classmethod
-    def from_dense(cls, dense_points: Sequence[IndexValue]) -> LineModel:
-        """Smallest model: the carrier is the dense set itself, each point its own rank."""
-        pts = tuple(dense_points)
-        if not pts:
-            raise InputError("carrier must be nonempty")
-        check_increasing(pts, "carrier")
-        return cls._trusted(pts, pts, tuple(range(len(pts))))
+    def __getnewargs__(self) -> tuple:  # copies and pickles derive dense_ranks again
+        return self.carrier, self.dense_points
 
     @classmethod
     def _of_family(cls, family: ChainFamily) -> LineModel:
-        """`from_dense(family.indices)`, without checking the order the family holds."""
+        """`LineModel(family.indices, family.indices)`, trusting the family's order."""
         if not family.indices:
-            return cls.from_dense(())  # refused: the carrier must be nonempty
-        return cls._trusted(family.indices, family.indices, tuple(range(len(family))))
+            return cls((), ())  # refused: the carrier must be nonempty
+        return tuple.__new__(cls, (family.indices, family.indices, tuple(range(len(family)))))
 
 
-class TripleTable(Frozen):
+class TripleTable(NamedTuple("TripleTable", [("points", tuple[IndexValue, ...]),
+                                             ("ranks", tuple[tuple[int, int, int], ...])])):
     """Per ground element n, the ranks of x0_n <= x1_n <= x2_n in the carrier `points`."""
 
-    __slots__ = _fields = ("points", "ranks")
+    __slots__ = ()
 
-    def __init__(
-        self, points: tuple[IndexValue, ...], ranks: tuple[tuple[int, int, int], ...]
-    ) -> None:
+    def __new__(
+        cls, points: tuple[IndexValue, ...], ranks: tuple[tuple[int, int, int], ...]
+    ) -> TripleTable:
         size = len(points)
         for n, t in enumerate(ranks):
             if not 0 <= t[0] <= t[1] <= t[2] < size:
                 xs = ", ".join(str(points[r]) if 0 <= r < size else "off carrier" for r in t)
                 raise InputError(f"triple at n={n} not ordered: {xs}")
-        self._fill(points, ranks)
+        return tuple.__new__(cls, (points, ranks))
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -149,7 +144,7 @@ def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
     at = (model.dense_ranks + (len(model.carrier) - 1,)).__getitem__
     ranks = zip(map(at, first_in), map(at, first_out), map(at, back_in))
     # Positions only grow from entry to exit to re-entry, and so do the dense ranks.
-    return TripleTable._trusted(model.carrier, tuple(ranks))
+    return tuple.__new__(TripleTable, (model.carrier, tuple(ranks)))
 
 
 def apply_operator(f: Mapping[IndexValue, Fraction], triples: TripleTable) -> dict[int, Fraction]:

@@ -198,7 +198,7 @@ def test_c04_density_step_law():
             above = (
                 base.masks[base.indices.index(receipt.successor)]
                 if receipt.successor is not None
-                else base.ground.full_mask
+                else (1 << base.ground.size) - 1
             )
             produced = receipt.produced_set
             for m in range(size):
@@ -281,7 +281,7 @@ def test_c07_operator_norm():
         # iterated insertion squeezes every produced set between chain
         # neighbours, so adjusted families are chains and collapse to norm 1
         for _, adjusted, _ in adjusted_families():
-            model = LineModel.from_dense(adjusted.indices)
+            model = LineModel(adjusted.indices, adjusted.indices)
             table = compute_triples(adjusted, model)
             assert operator_norm(table) <= 3
             assert chain_witness(adjusted) is None and operator_norm(table) == 1
@@ -291,13 +291,13 @@ def test_c07_operator_norm():
             cuts = sample_cut_indices(rng, size, rng.randint(1, 20))
             chain = initial_segment_chain(uniform_positions(size), cuts)
             assert chain_witness(chain) is None
-            table = compute_triples(chain, LineModel.from_dense(chain.indices))
+            table = compute_triples(chain, LineModel(chain.indices, chain.indices))
             assert operator_norm(table) == 1
         # strict triples come from families that validate as barely
         # alternating without adjustment; the witness must hit 3 exactly
         strict_seen = 0
         for fam in passing_families():
-            model = LineModel.from_dense(fam.indices)
+            model = LineModel(fam.indices, fam.indices)
             table = compute_triples(fam, model)
             norm = operator_norm(table)
             assert norm <= 3
@@ -317,7 +317,7 @@ def test_c08_extension_and_linearity():
     with criterion(8, "extension law and linearity"):
         rng = random.Random(90909)
         usable = [
-            (adjusted, compute_triples(adjusted, LineModel.from_dense(adjusted.indices)))
+            (adjusted, compute_triples(adjusted, LineModel(adjusted.indices, adjusted.indices)))
             for _, adjusted, _ in adjusted_families()[:40]
         ]
 
@@ -346,7 +346,7 @@ def test_c09_triple_soundness():
         validated = [adjusted for _, adjusted, _ in adjusted_families()]
         validated += list(passing_families())
         for fam in validated:
-            model = LineModel.from_dense(fam.indices)
+            model = LineModel(fam.indices, fam.indices)
             table = compute_triples(fam, model)
             for x0, x1, x2 in point_triples(table):
                 assert x0 <= x1 <= x2

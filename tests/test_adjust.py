@@ -53,7 +53,7 @@ def _neighbour_sets(fam, receipt):
     above = (
         _mask_at(fam, receipt.successor)
         if receipt.successor is not None
-        else fam.ground.full_mask
+        else (1 << fam.ground.size) - 1
     )
     return below, above
 
@@ -108,7 +108,7 @@ def test_insert_point_input_errors():
     with pytest.raises(InputError):
         insert_point(cond, F(1, 2), 0)
     with pytest.raises(InputError, match="candidate is not an int mask over ground size 3"):
-        insert_point(cond, F(1, 4), GroundSet(4).full_mask)
+        insert_point(cond, F(1, 4), (1 << GroundSet(4).size) - 1)
     with pytest.raises(InputError, match="candidate is not an int mask"):
         insert_point(cond, F(1, 4), F(0))
     with pytest.raises(InputError, match="not strictly increasing at nan >= 1/2"):
@@ -251,7 +251,7 @@ def test_receipts_obey_structural_bound():
         g = fam.ground
         for r in report.receipts:
             below = produced[r.predecessor] if r.predecessor is not None else 0
-            above = produced[r.successor] if r.successor is not None else g.full_mask
+            above = produced[r.successor] if r.successor is not None else (1 << g.size) - 1
             original = _mask_at(fam, r.inserted_index)
             assert r.produced_set ^ original == r.delta_from_input
             bound = (below & ~original) | (original & ~above)
@@ -293,11 +293,11 @@ def test_condition_is_compatible_with_itself():
 
 def test_incompatible_merge_returns_least_witness():
     g = GroundSet(1)
-    c1 = ChainFamily.from_pairs(g, [(F(1, 2), g.full_mask)])
+    c1 = ChainFamily.from_pairs(g, [(F(1, 2), (1 << g.size) - 1)])
     c2 = ChainFamily.from_pairs(
         g,
         [
-            (F(1, 8), g.full_mask),
+            (F(1, 8), (1 << g.size) - 1),
             (F(1, 4), 0),
             (F(3, 4), 0),
         ],
@@ -307,7 +307,7 @@ def test_incompatible_merge_returns_least_witness():
 
 def test_merge_requires_agreement_on_shared_indices():
     g = GroundSet(2)
-    c1 = ChainFamily.from_pairs(g, [(F(1, 2), g.full_mask)])
+    c1 = ChainFamily.from_pairs(g, [(F(1, 2), (1 << g.size) - 1)])
     c2 = ChainFamily.from_pairs(g, [(F(1, 2), 0)])
     with pytest.raises(InputError):
         merge_conditions(c1, c2)
@@ -538,7 +538,7 @@ def test_gap_postconditions_on_fuzzed_towers():
 def test_gap_rejects_out_of_ground_masks_and_empty_instance():
     g = GroundSet(4)
     with pytest.raises(InputError, match="descending set 0 is not an int mask over ground size 4"):
-        gap_exceptions(g, [0], [GroundSet(5).full_mask], 0)
+        gap_exceptions(g, [0], [(1 << GroundSet(5).size) - 1], 0)
     with pytest.raises(InputError, match="ascending set 1 is not an int mask"):
         gap_exceptions(g, [0, F(0)], [], 0)
     with pytest.raises(InputError):

@@ -294,7 +294,7 @@ def test_family_shape_is_validated():
     with pytest.raises(InputError):
         ChainFamily.from_pairs(g, [(F(1, 2), 0), (F(1, 2), 0)])
     with pytest.raises(InputError):
-        ChainFamily(g, (F(1, 2),), (GroundSet(4).full_mask,))
+        ChainFamily(g, (F(1, 2),), ((1 << GroundSet(4).size) - 1,))
 
 
 @pytest.mark.parametrize(
@@ -665,7 +665,7 @@ def test_malformed_family_documents_are_rejected(text):
 
 
 def test_ground_size_cap():
-    assert GroundSet(MAX_GROUND_SIZE).full_mask == (1 << MAX_GROUND_SIZE) - 1
+    assert GroundSet(MAX_GROUND_SIZE).size == MAX_GROUND_SIZE
     with pytest.raises(InputError, match=f"ground size {MAX_GROUND_SIZE + 1} exceeds the cap"):
         GroundSet(MAX_GROUND_SIZE + 1)
     assert dyadic_ground(20).size == MAX_GROUND_SIZE - 1

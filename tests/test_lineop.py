@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from chainlab.adjust import adjust_family
-from chainlab.core import InputError, chain_witness
+from chainlab.core import ChainFamily, GroundSet, InputError, chain_witness
 from chainlab.generators import marciszewski_family, random_bit_indices
 from chainlab.lineop import (
     InconsistencyError,
@@ -62,10 +62,10 @@ def test_triples_frozen_examples():
 def test_triples_require_matching_dense_points_and_validation():
     fam = _family3("010")
     with pytest.raises(InputError):
-        compute_triples(fam, LineModel.from_dense(Y3[:2]))
+        compute_triples(fam, LineModel(Y3[:2], Y3[:2]))
     bad = build_family(["1010"])
     with pytest.raises(InputError, match="witness"):
-        compute_triples(bad, LineModel.from_dense(bad.indices))
+        compute_triples(bad, LineModel(bad.indices, bad.indices))
 
 
 def test_triples_are_always_ordered():
@@ -75,7 +75,7 @@ def test_triples_are_always_ordered():
         if not len(fam):
             continue
         adjusted, _ = adjust_family(fam)
-        table = compute_triples(adjusted, LineModel.from_dense(adjusted.indices))
+        table = compute_triples(adjusted, LineModel(adjusted.indices, adjusted.indices))
         for x0, x1, x2 in point_triples(table):
             assert x0 <= x1 <= x2
 
@@ -101,18 +101,21 @@ def test_model_shape_is_validated():
     for points, message in (((), "carrier must be nonempty"),
                             ((F(1), F(1)), "carrier not strictly increasing at 1 >= 1")):
         with pytest.raises(InputError, match=message):
-            LineModel.from_dense(points)
+            LineModel(points, points)
 
 
-def test_from_dense_checks_order_once_and_hashes_nothing(monkeypatch):
+def test_model_of_family_makes_no_fraction_operation(monkeypatch):
     points = tuple(F(n, 41) for n in range(1, 41))
+    fam = ChainFamily(GroundSet(1), points, (0,) * len(points))
     counts = count_fraction_ops(monkeypatch)
-    model = LineModel.from_dense(points)
-    assert counts == {"__lt__": len(points) - 1}
+    model = LineModel._of_family(fam)
+    assert not counts
     assert model.dense_ranks == tuple(range(len(points)))
     general = LineModel(points, tuple(list(points)))  # equal points, another tuple
     assert (model, hash(model), repr(model)) == (general, hash(general), repr(general))
     assert model.dense_ranks == general.dense_ranks
+    with pytest.raises(InputError, match="carrier must be nonempty"):
+        LineModel._of_family(ChainFamily(GroundSet(1), (), ()))
 
 
 def test_operator_constant_function_stays_constant():
@@ -177,7 +180,7 @@ def test_norm_bounds_every_unit_function():
     for _ in range(60):
         fam = mixed_corpus(rng.randrange(10**6), 1, 7, 8)[0]
         adjusted, _ = adjust_family(fam)
-        model = LineModel.from_dense(adjusted.indices) if len(adjusted) else None
+        model = LineModel(adjusted.indices, adjusted.indices) if len(adjusted) else None
         if model is None:
             continue
         table = compute_triples(adjusted, model)
@@ -203,7 +206,7 @@ def test_chain_family_collapses_to_norm_one():
             ["".join("1" if m >> n & 1 else "0" for m in masks) for n in range(size)]
         )
         assert chain_witness(fam) is None
-        model = LineModel.from_dense(fam.indices)
+        model = LineModel(fam.indices, fam.indices)
         table = compute_triples(fam, model)
         assert operator_norm(table) == 1
         for x0, x1, x2 in point_triples(table):
@@ -217,7 +220,7 @@ def test_fourth_flip_holds_for_all_adjusted_families():
         if not len(fam):
             continue
         adjusted, _ = adjust_family(fam)
-        table = compute_triples(adjusted, LineModel.from_dense(adjusted.indices))
+        table = compute_triples(adjusted, LineModel(adjusted.indices, adjusted.indices))
         assert brute_fourth_flip_witness(adjusted, table) is None
 
 
@@ -345,7 +348,7 @@ def test_coincident_schedules_from_adjusted_families_never_flag():
         xs = random_bit_indices(rng, 5, rng.randint(3, 12))
         fam = marciszewski_family(xs, 5)
         adjusted, _ = adjust_family(fam)
-        model = LineModel.from_dense(adjusted.indices)
+        model = LineModel(adjusted.indices, adjusted.indices)
         table = compute_triples(adjusted, model)
         schedule = coincident_schedule(table)
         if not schedule:

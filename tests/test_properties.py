@@ -97,7 +97,7 @@ def families(draw, max_ground=12, max_indices=10):
     ground = GroundSet(size)
     grid = draw(st.sets(st.integers(-64, 64), max_size=max_indices))
     indices = tuple(F(v, 16) for v in sorted(grid))
-    masks = draw(st.lists(st.integers(0, ground.full_mask),
+    masks = draw(st.lists(st.integers(0, (1 << ground.size) - 1),
                           min_size=len(indices), max_size=len(indices)))
     return ChainFamily(ground, indices, tuple(masks))
 
@@ -476,7 +476,7 @@ def insertions(draw):
     """A family, an index off its grid (odd 32nds, some beyond both ends) and a candidate."""
     fam = draw(families())
     x = F(2 * draw(st.integers(-70, 70)) + 1, 32)
-    return fam, x, draw(st.integers(0, fam.ground.full_mask))
+    return fam, x, draw(st.integers(0, (1 << fam.ground.size) - 1))
 
 
 @CHECK

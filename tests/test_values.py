@@ -44,7 +44,7 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
 def _one_of_each_value_type():
     ground = GroundSet(4)
     fam = ChainFamily(ground, (F(1, 2),), (0b11,))
-    model = LineModel.from_dense(fam.indices)
+    model = LineModel(fam.indices, fam.indices)
     table = compute_triples(fam, model)
     _, report = adjust_family(fam)
     return [
@@ -77,6 +77,7 @@ _EQUAL_VALUES = {
     "GroundSet": lambda: GroundSet(5),
     "ChainFamily": lambda: ChainFamily(GroundSet(3), (F(1, 2), F(1)), (0b1, 0b11)),
     "LineModel": lambda: LineModel((F(1, 2), F(1)), (F(1),)),
+    "TripleTable": lambda: TripleTable((F(1, 2), F(1)), ((0, 1, 1), (1, 1, 1))),
 }
 
 
@@ -97,13 +98,24 @@ def test_unequal_values_differ_and_repr_shows_defining_fields():
     assert LineModel((F(1), F(2)), (F(2),)) != LineModel((F(1), F(2)), (F(1),))
     assert repr(GroundSet(5)) == "GroundSet(size=5)"
     assert repr(LineModel((F(1),), (F(1),))) == (
-        "LineModel(carrier=(Fraction(1, 1),), dense_points=(Fraction(1, 1),))"
+        "LineModel(carrier=(Fraction(1, 1),), dense_points=(Fraction(1, 1),), dense_ranks=(0,))"
     )
+    # Like any NamedTuple, a record equals the plain tuple of its fields.
+    assert GroundSet(5) == (5,)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_len_counts_sets_and_rows_not_fields(k):
+    fam = ChainFamily(GroundSet(1), tuple(F(i + 1) for i in range(k)), (0,) * k)
+    table = TripleTable((F(1),), ((0, 0, 0),) * k)
+    assert len(fam) == len(fam.indices) == k
+    assert len(table) == len(table.ranks) == k
+    assert bool(fam) is bool(table) is (k > 0)
 
 
 def test_value_types_construct_by_keyword():
     ground = GroundSet(size=4)
-    assert ground == GroundSet(4) and ground.full_mask == 0b1111
+    assert ground == GroundSet(4) and ground.size == 4
     fam = ChainFamily(ground=ground, indices=(F(1, 2),), masks=(0b11,))
     assert fam == ChainFamily(ground, (F(1, 2),), (0b11,))
     assert ChainFamily._trusted(ground, (F(1, 2),), (0b11,)) == fam
