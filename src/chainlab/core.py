@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, count, repeat
 from operator import lt, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -407,14 +407,26 @@ def chain_defect_set(family: ChainFamily) -> int:
 # A family is stored as a JSON document
 #   {"ground_size": N, "entries": [{"index": "p/q", "set": [n0, n1, ...]}, ...]}
 # with entries sorted by index and each set listed in increasing order.  The
-# writer is canonical, so write -> parse -> write is byte-identical.  The
-# writer copies a set of runs averaging over 2 * _ELEMENTS_PER_EDGE elements
-# one table slice per run.  In text laid out exactly so, on a ground of over
-# 4 * _ELEMENTS_PER_EDGE elements, the reader reads such a set back run by
-# run (`_run_pair`) while its runs keep that average, two short ones aside.
-# At any doubt the set goes to the hooked decode, and text in any other
-# layout is decoded in one go.
+# writer is canonical, so write -> parse -> write is byte-identical.  Its
+# layout is the pieces below: _DOC_HEAD, N, _ENTRIES, the entries joined by
+# commas, _DOC_CLOSE; an entry is _ENTRY_HEAD, the index, _SET_HEAD, the
+# element lines (_LINE, then digits) joined by commas, _SET_CLOSE.  An empty
+# list closes unindented (`.lstrip()`).  The writer copies a set of runs
+# averaging over 2 * _ELEMENTS_PER_EDGE elements one table slice per run.  In
+# text laid out exactly so, on a ground of over 4 * _ELEMENTS_PER_EDGE
+# elements, the reader reads such a set back run by run (`_run_pair`) while
+# its runs keep that average, two short ones aside.  At any doubt the set goes
+# to the hooked decode, and text in any other layout is decoded in one go.
 
+_DOC_HEAD = '{\n  "ground_size": '
+_ENTRIES = ',\n  "entries": ['
+_ENTRY_HEAD = '\n    {\n      "index": "'
+_SET_HEAD = '",\n      "set": ['
+_LINE = "\n        "
+_SET_CLOSE = "\n      ]\n    }"
+_DOC_CLOSE = "\n  ]\n}\n"
+_HEAD_RE = re.compile(f"{re.escape(_DOC_HEAD)}([1-9][0-9]*){re.escape(_ENTRIES)}")
+_LINE_RE = re.compile(f"{re.escape(_LINE)}([0-9]+)")
 _INDEX_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
@@ -494,85 +506,67 @@ def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ..
 
 
 def _canonical_document(text: str) -> dict | None:
-    """The ground size and entries of a document in `family_to_text`'s frame, else None.
+    """The ground size and entries of a document in `family_to_text`'s layout, else None.
 
-    Each entry is read by `_run_pair` if it can be, else decoded alone with
-    the `_entry_pair` hook, which raises on text that is not JSON.  Any other
-    departure from the frame gives None, as does a ground of at most
-    4 * _ELEMENTS_PER_EDGE elements: no set of two runs there averages over
-    2 * _ELEMENTS_PER_EDGE elements, so reading entry by entry would cost
-    more than it saves.
+    Each entry is read by `_run_pair` if it can be, else decoded alone from
+    its `{` with the `_entry_pair` hook, which raises on text that is not
+    JSON.  Any other departure from the layout gives None, as does a ground
+    of at most 4 * _ELEMENTS_PER_EDGE elements.  That gate is a measured
+    trade-off: read entry by entry, the `check_dense` document (N = 256) reads
+    20-35% faster, but perturbed documents at N = 128 and random sets at
+    N = 160 or 256 read 1.2-2.5x slower.
     """
-    head, tail = '{\n  "ground_size": ', ',\n  "entries": [\n    '
-    i = text.find(tail, len(head), len(head) + 8 + len(tail))
-    if i < 0 or not text.startswith(head):
-        return None
-    digits = text[len(head):i]
-    if not (digits.isdecimal() and digits.isascii()) or digits[0] == "0":
-        return None
-    limit = min(int(digits), 1 << 14)
+    head = _HEAD_RE.match(text)
+    limit = min(int(head[1]), 1 << 14) if head else 0
     if limit <= 4 * _ELEMENTS_PER_EDGE:
         return None
     decode = json.JSONDecoder(object_hook=_entry_pair).raw_decode
-    tables, entries = ["", [0]], []
-    i += len(tail)
-    while True:
-        entry, i = _run_pair(text, i, limit, tables) or decode(text, i)
+    entries, i = [], head.end()
+    while text.startswith(_ENTRY_HEAD, i):
+        entry, i = _run_pair(text, i, limit) or decode(text, i + _ENTRY_HEAD.index("{"))
         entries.append(entry)
-        if text.startswith(",\n    {", i):
-            i += 6
-        elif i == len(text) - 7 and text.endswith("\n  ]\n}\n"):
-            return {"ground_size": int(digits), "entries": entries}
-        else:
+        if i == len(text) - len(_DOC_CLOSE) and text.endswith(_DOC_CLOSE):
+            return {"ground_size": int(head[1]), "entries": entries}
+        if not text.startswith(",", i):
             return None
+        i += 1
+    return None
 
 
-def _run_pair(text: str, i: int, limit: int, tables: list) -> tuple | None:
-    """((index, mask), end) for the entry at text[i] read run by run, else None.
+def _run_pair(text: str, i: int, limit: int) -> tuple | None:
+    """((index, mask), end) for the entry whose head is at text[i], read run by run, else None.
 
     The entry must be in the writer's layout, with elements below `limit`.
-    Line n of the shared table (`_line_table`, grown in `tables` by
-    `_cover`) starts at starts[n]; if the run from element a, whose line
-    starts at text[p], goes on to n, then line n starts at
-    text[starts[n] - shift], shift being starts[a] - p.  So one probe there
-    tells whether it does; a bisection of such probes finds where the run
-    ends, and one `startswith` of its table slice reads it.  The line that
-    holds text[starts[a + 127] - shift] tells how many elements the first
-    128 lines miss: a set missing more than 64 goes to the decoder untried,
-    as does one whose runs stop averaging over 2 * _ELEMENTS_PER_EDGE
-    elements, two short runs aside.
+    Line n of the table `_line_table(limit)` starts at starts[n]; if the run
+    from element a, whose line starts at text[p], goes on to n, then line n
+    starts at text[starts[n] - shift], shift being starts[a] - p.  So one
+    probe there tells whether it does; a bisection of such probes finds where
+    the run ends, and one `startswith` of its table slice reads it.  The line
+    that holds text[starts[a + 127] - shift] tells how many elements the first
+    128 lines miss: a set missing more than 64 goes to the decoder untried, as
+    does one that closes within 128 line prefixes and one whose runs stop
+    averaging over 2 * _ELEMENTS_PER_EDGE elements, two short runs aside.
+    `_LINE_RE` reads every element line.
     """
-    x = i + 18  # the index
+    x = i + len(_ENTRY_HEAD)  # the index
     quote = text.find('"', x)
-    p = quote + 17  # the first element's line
-    comma = text.find(",", p + 10, p + 18)
-    digits = text[p + 9:comma] if comma > 0 else ""
-    if not digits.isdecimal():
-        return None
-    a = int(digits)
+    p = quote + len(_SET_HEAD)  # the first element's line
+    line = _LINE_RE.match(text, p)
+    a = int(line[1]) if line else limit
     first = a + 2 * _ELEMENTS_PER_EDGE - 1
-    if first >= limit:
+    if first >= limit or text.find("]", p, p + 2 * _ELEMENTS_PER_EDGE * len(_LINE)) >= 0:
         return None
-    _cover(tables, first, limit)
-    table, starts = tables
+    table, starts = _line_table(limit)
     shift = starts[a] - p
-    line = text.rfind("\n", starts[first] - shift - 17, starts[first] - shift + 1)
-    comma = text.find(",", line + 10, line + 18)
-    digits = text[line + 9:comma] if line > p and comma > 0 else ""
-    if not digits.isdecimal() or int(digits) > first + _ELEMENTS_PER_EDGE:
+    line = _LINE_RE.match(text, text.rfind("\n", p, starts[first] - shift + 1))
+    if line is None or int(line[1]) > first + _ELEMENTS_PER_EDGE:
         return None
-    end = text.find("]", p) - 7  # the body's closing line
+    end = text.rfind("\n", p, text.find("]", p))  # the set's close
     last = text.rfind("\n", p, end)  # the last element's line
-    digits = text[last + 9:end] if p < last < end < last + 18 else ""
-    if not (digits.isdecimal() and text.startswith('{\n      "index": "', i)
-            and text.startswith('",\n      "set": [', quote)
-            and text.startswith("\n      ]\n    }", end)):
+    line = _LINE_RE.match(text, last)
+    top = int(line[1]) if line else limit
+    if top >= limit or not (text.startswith(_SET_HEAD, quote) and text.startswith(_SET_CLOSE, end)):
         return None
-    top = int(digits)
-    if top >= limit:
-        return None
-    _cover(tables, top + 1, limit)
-    table, starts = tables
     mask = held = runs = 0
     while True:
         if starts[top] - shift == last:  # a..top is one run
@@ -595,32 +589,28 @@ def _run_pair(text: str, i: int, limit: int, tables: list) -> tuple | None:
         p += len(run)
         if b > top:
             break
-        comma = text.find(",", p + 11, p + 19)
-        digits = text[p + 10:end if comma < 0 else comma]
-        if not (text.startswith(",\n        ", p) and digits.isdecimal()
-                and runs <= held // (2 * _ELEMENTS_PER_EDGE) + 2):
-            return None
-        a = int(digits)
-        if not b < a <= top:
+        line = _LINE_RE.match(text, p + 1) if text.startswith(",", p) else None
+        a = int(line[1]) if line else b
+        if not b < a <= top or runs > held // (2 * _ELEMENTS_PER_EDGE) + 2:
             return None
         p += 1
         shift = starts[a] - p
     if p != end:
         return None
-    return (text[x:quote], mask), end + 14  # `_walk_family` parses the index
+    return (text[x:quote], mask), end + len(_SET_CLOSE)  # `_walk_family` parses the index
 
 
-def _cover(tables: list, n: int, limit: int) -> None:
-    """Grow the shared table in `tables` to hold line n, doubling up to `limit` lines."""
-    if len(tables[1]) <= n:
-        tables[:] = _line_table([f"\n        {m}" for m in range(min(limit, 2 * n))])
+def _element_lines(elements: Iterable[int]) -> list[str]:
+    return [f"{_LINE}{n}" for n in elements]
 
 
-def _line_table(lines: list[str]) -> tuple[str, list[int]]:
-    """The lines joined by commas, and where each starts: line n is
-    table[starts[n]:starts[n + 1] - 1], and the slice from starts[a] to
-    starts[b] - 1 is lines a to b - 1 as the writer joins them."""
-    return ",".join(lines), list(accumulate((len(line) + 1 for line in lines), initial=0))
+@lru_cache(maxsize=1)
+def _line_table(n: int) -> tuple[str, tuple[int, ...]]:
+    """Element lines 0 to n - 1 joined by commas, and where each starts: the slice
+    from starts[a] to starts[b] - 1 is lines a to b - 1 as the writer joins
+    them.  The last table is kept, so a document's reads or writes build it once."""
+    lines = _element_lines(range(n))
+    return ",".join(lines), tuple(accumulate((len(line) + 1 for line in lines), initial=0))
 
 
 def _entry_pair(obj: dict) -> object:
@@ -691,28 +681,28 @@ def family_to_text(family: ChainFamily) -> str:
     nothing needs escaping.  A sparse set (`_sparse`) formats its own lines,
     bit by bit (`_low_bits`).  Every other set selects from shared lines, each
     formatted once, up to the largest element such a set holds: by its digit
-    flags, or, for a set of long runs, one slice of the joined lines per run.
+    flags, or, for a set of long runs, one slice of `_line_table` per run.
+    Each set's lines are joined once, then the document's pieces.
     """
-    helds = list(map(int.bit_count, family.masks))
-    shared = (m.bit_length() for m, held in zip(family.masks, helds) if not _sparse(m, held))
-    lines = [f"\n        {n}" for n in range(max(shared, default=0))]
-    table = starts = None
-    parts = [f'{{\n  "ground_size": {family.ground.size},\n  "entries": [']
+    masks = family.masks
+    helds = list(map(int.bit_count, masks))
+    sparse = list(map(_sparse, masks, helds))
+    lines = _element_lines(range(max(
+        (m.bit_length() for m, is_sparse in zip(masks, sparse) if not is_sparse), default=0)))
+    parts = [_DOC_HEAD, str(family.ground.size), _ENTRIES]
     sep = ""
-    for x, m, held in zip(family.indices, family.masks, helds):
-        if _sparse(m, held):
-            elems = ",".join([f"\n        {n}" for n in _low_bits(m)])
+    for x, m, held, is_sparse in zip(family.indices, masks, helds, sparse):
+        if is_sparse:
+            elems = ",".join(_element_lines(_low_bits(m)))
         elif (2 * _ELEMENTS_PER_EDGE < held and m.bit_length() <= 1 << 14
                 and (edges := m ^ (m << 1)).bit_count() * _ELEMENTS_PER_EDGE < held):
-            if table is None:
-                table, starts = _line_table(lines)
+            table, starts = _line_table(min(len(lines), 1 << 14))
             bits = iter_bits(edges)
             elems = ",".join([table[starts[a]:starts[b] - 1] for a, b in zip(bits, bits)])
         else:
             elems = ",".join(compress(lines, _digit_flags(m)))
-        body = f"[{elems}\n      ]" if elems else "[]"
-        parts.append(
-            f'{sep}\n    {{\n      "index": "{format_index(x)}",\n      "set": {body}\n    }}')
+        parts += (sep, _ENTRY_HEAD, format_index(x), _SET_HEAD, elems,
+                  _SET_CLOSE if elems else _SET_CLOSE.lstrip())
         sep = ","
-    parts.append("\n  ]\n}\n" if sep else "]\n}\n")
+    parts.append(_DOC_CLOSE if sep else _DOC_CLOSE.lstrip())
     return "".join(parts)

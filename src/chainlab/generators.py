@@ -93,7 +93,7 @@ def initial_segment_chain(
             raise InputError(f"cut index {x} coincides with a ground position")
         mask |= _mask_of(ranked[start:below])
         masks.append(mask)
-    return ChainFamily(ground, xs, tuple(masks))
+    return ChainFamily._trusted(ground, xs, tuple(masks))  # masks of ranks below N
 
 
 def marciszewski_family(words: Iterable[str], depth: int) -> ChainFamily:
@@ -333,5 +333,5 @@ def family_from_config(cfg: dict) -> ChainFamily:
         # Each entry h(y, n) is rng.choice((-1, 1)); n is in A_y when it drew -1.
         masks = (ground.mask_of(n for n in ground.elements() if rng.choice((True, False)))
                  for _ in ys)
-        return ChainFamily(ground, ys, tuple(masks))
+        return ChainFamily._trusted(ground, ys, tuple(masks))  # sorted draws, checked masks
     raise InputError(f"unknown generator kind {kind!r}")

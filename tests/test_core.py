@@ -586,6 +586,65 @@ def test_a_set_the_run_path_cannot_read_goes_to_the_decoder(odd):
         two_pass_family_with_file_order(text)
 
 
+# Three sets of long runs on a ground of 2048, each read run by run as written.
+_RUN_SETS = ChainFamily(GroundSet(2048), (F(1, 4), F(1, 2), F(3, 4)), (
+    (1 << 600) - 1, (1 << 400) - 1 ^ (1 << 100) - 1 | (1 << 900) - 1 ^ (1 << 500) - 1,
+    (1 << 1900) - 1 ^ (1 << 1000) - 1))
+
+
+@pytest.mark.parametrize("old, new", [
+    ('},\n    {\n      "index": "1/2"', '},\n     {\n      "index": "1/2"'),  # entry indent
+    ('},\n    {\n      "index": "1/2"', '}, \n    {\n      "index": "1/2"'),  # separators
+    ('},\n    {\n      "index": "1/2"', '} ,\n    {\n      "index": "1/2"'),
+    ('},\n    {\n      "index": "1/2"', '}\n    {\n      "index": "1/2"'),
+    ("\n        850,", "\n       850,"),  # an element's indent inside a long run
+    ("\n        850,", "\n         850,"),
+])
+def test_the_walker_stops_or_decodes_where_the_layout_changes(old, new, monkeypatch):
+    # A document that departs from the writer at one place is either refused
+    # by the walker or has the set there decoded, and reads as the two-pass
+    # reader reads it.
+    text = family_to_text(_RUN_SETS)
+    assert text.count(old) == 1
+    edited = text.replace(old, new)
+    at = edited.rfind(core._ENTRY_HEAD, 0, edited.index(new) + len(new))
+    run_pair, read = core._run_pair, {}
+
+    def recorded(text, i, limit):
+        read[i] = run_pair(text, i, limit)
+        return read[i]
+
+    monkeypatch.setattr(core, "_run_pair", recorded)
+    assert core._canonical_document(text) is not None and all(read.values())
+    read.clear()
+    assert core._canonical_document(edited) is None or (at in read and read[at] is None)
+    monkeypatch.undo()
+    assert _outcome(core.family_with_file_order, edited) == _outcome(
+        two_pass_family_with_file_order, edited)
+
+
+def test_a_read_builds_one_line_table_and_only_for_a_long_set():
+    # The table of min(N, 2^14) lines is made once, at the first set that
+    # the run reader tries.  A document of sets that close within 128 line
+    # prefixes (`core._LINE`) of their first line never makes it.
+    runs = family_to_text(_RUN_SETS)
+    short = family_to_text(ChainFamily(GroundSet(1 << 20), (F(1, 2), F(3, 4)),
+                                       (0b1011 << 500, (1 << 80) - 1 << 9000)))
+    core._line_table.cache_clear()
+    assert family_from_text(runs) == _RUN_SETS
+    assert core._line_table.cache_info()[:2] == (2, 1)  # hits, misses
+    core._line_table.cache_clear()
+    family_from_text(short)
+    assert core._line_table.cache_info().misses == 0
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except InputError as exc:
+        return str(exc)
+
+
 _GENERATOR_CONFIGS = [
     {"kind": "initial-chain", "seed": 4, "ground_size": 300, "count": 40},
     {"kind": "marciszewski", "seed": 4, "depth": 6, "count": 30},

@@ -9,10 +9,13 @@ from itertools import combinations
 
 import pytest
 
+from chainlab import core, generators
 from chainlab.core import (
     MAX_FAMILY_BITS,
     MAX_FAMILY_SIZE,
     MAX_INDEX_DIGITS,
+    ChainFamily,
+    GroundSet,
     InputError,
     chain_witness,
     iter_bits,
@@ -62,6 +65,35 @@ def test_initial_segment_chain_errors():
         initial_segment_chain([F(1, 2)], [F(3, 4), F(1, 4)])  # unsorted cuts
     with pytest.raises(InputError):
         initial_segment_chain([], [F(1, 2)])  # empty ground
+
+
+@pytest.mark.parametrize("build, own_checks", [
+    (lambda: initial_segment_chain([F(5, 8), F(1, 8), F(3, 8)], [F(1, 4), F(1, 2), F(3, 4)]),
+     ["cut indices"]),
+    (lambda: family_from_config(
+        {"kind": "initial-chain", "points": ["1/8", "3/8"], "X": ["1/4", "1/2", "3/4"]}),
+     ["cut indices"]),
+    (lambda: family_from_config(
+        {"kind": "sign-matrix", "seed": 4, "ground_size": 40, "count": 30}), []),
+], ids=["initial_segment_chain", "initial-chain-config", "seeded-sign-matrix"])
+def test_initial_and_seeded_sign_families_are_checked_once(build, own_checks, monkeypatch):
+    # The generator checks its cut order itself (the seeded draws are sorted)
+    # and builds only masks inside the ground, so the family is built without
+    # the constructor's second order check or its mask checks.
+    calls = []
+    check_increasing = core.check_increasing
+
+    def counted(values, noun):
+        calls.append(noun)
+        check_increasing(values, noun)
+
+    monkeypatch.setattr(core, "check_increasing", counted)
+    monkeypatch.setattr(generators, "check_increasing", counted)
+    monkeypatch.setattr(GroundSet, "check_mask", lambda *args: calls.append("mask"))
+    fam = build()
+    monkeypatch.undo()
+    assert calls == own_checks
+    assert len(fam) > 1 and ChainFamily(*fam) == fam
 
 
 def test_initial_segment_chain_is_always_a_chain():
