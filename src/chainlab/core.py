@@ -50,9 +50,11 @@ MAX_FAMILY_BITS = 1 << 25
 # signed sum of three such values prints within Python's 4300-digit limit.
 MAX_INDEX_DIGITS = 1000
 
-# A set of up to 2^14 digits with over this many elements per run edge (bit of
+# A set of up to _TABLE_LINES digits with over this many elements per run edge (bit of
 # m ^ (m << 1)) is written run by run: `iter_bits` walks such edges bit by bit.
 _ELEMENTS_PER_EDGE = 64
+# Most lines in the element-line table the writer copies runs from and the reader reads by.
+_TABLE_LINES = 1 << 14
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -65,7 +67,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def _sparse(mask: int, held: int) -> bool:
     """Whether `_low_bits` beats `_digit_flags`: under 1 set bit per 64 of up to 2^14
-    binary digits, or under 1 per 16 past them, where it walks by `str.rfind`."""
+    binary digits, or under 1 per 16 past them, where it walks by `str.rfind`.
+    This 2^14 is that walk's threshold, not `_TABLE_LINES`."""
     return held * (64 if mask.bit_length() <= 1 << 14 else 16) < mask.bit_length()
 
 
@@ -413,10 +416,10 @@ def chain_defect_set(family: ChainFamily) -> int:
 # element lines (_LINE, then digits) joined by commas, _SET_CLOSE.  An empty
 # list closes unindented (`.lstrip()`).  The writer copies a set of runs
 # averaging over 2 * _ELEMENTS_PER_EDGE elements one table slice per run.  In
-# text laid out exactly so, on a ground of over 4 * _ELEMENTS_PER_EDGE
-# elements, the reader reads such a set back run by run (`_run_pair`) while
-# its runs keep that average, two short ones aside.  At any doubt the set goes
-# to the hooked decode, and text in any other layout is decoded in one go.
+# text laid out exactly so, the reader reads such a set back run by run
+# (`_run_pair`) while its runs keep that average, two short ones aside.  At any
+# doubt the set goes to the hooked decode, and text in any other layout is
+# decoded in one go.
 
 _DOC_HEAD = '{\n  "ground_size": '
 _ENTRIES = ',\n  "entries": ['
@@ -510,16 +513,12 @@ def _canonical_document(text: str) -> dict | None:
 
     Each entry is read by `_run_pair` if it can be, else decoded alone from
     its `{` with the `_entry_pair` hook, which raises on text that is not
-    JSON.  Any other departure from the layout gives None, as does a ground
-    of at most 4 * _ELEMENTS_PER_EDGE elements.  That gate is a measured
-    trade-off: read entry by entry, the `check_dense` document (N = 256) reads
-    20-35% faster, but perturbed documents at N = 128 and random sets at
-    N = 160 or 256 read 1.2-2.5x slower.
+    JSON.  Any other departure from the layout gives None.
     """
     head = _HEAD_RE.match(text)
-    limit = min(int(head[1]), 1 << 14) if head else 0
-    if limit <= 4 * _ELEMENTS_PER_EDGE:
+    if head is None:
         return None
+    limit = min(int(head[1]), _TABLE_LINES)
     decode = json.JSONDecoder(object_hook=_entry_pair).raw_decode
     entries, i = [], head.end()
     while text.startswith(_ENTRY_HEAD, i):
@@ -694,9 +693,9 @@ def family_to_text(family: ChainFamily) -> str:
     for x, m, held, is_sparse in zip(family.indices, masks, helds, sparse):
         if is_sparse:
             elems = ",".join(_element_lines(_low_bits(m)))
-        elif (2 * _ELEMENTS_PER_EDGE < held and m.bit_length() <= 1 << 14
+        elif (2 * _ELEMENTS_PER_EDGE < held and m.bit_length() <= _TABLE_LINES
                 and (edges := m ^ (m << 1)).bit_count() * _ELEMENTS_PER_EDGE < held):
-            table, starts = _line_table(min(len(lines), 1 << 14))
+            table, starts = _line_table(min(len(lines), _TABLE_LINES))
             bits = iter_bits(edges)
             elems = ",".join([table[starts[a]:starts[b] - 1] for a, b in zip(bits, bits)])
         else:

@@ -233,7 +233,7 @@ def from_sign_matrix(
     if len(widths) != 1:
         raise InputError(f"matrix is ragged, row lengths {sorted(widths)}")
     ground = GroundSet(widths.pop())
-    negative = (ground.mask_of(n for n, v in enumerate(row) if v < 0) for row in rows)
+    negative = (_mask_of([n for n, v in enumerate(row) if v < 0]) for row in rows)
     return ChainFamily.from_pairs(ground, zip(indices, negative))
 
 
@@ -331,7 +331,7 @@ def family_from_config(cfg: dict) -> ChainFamily:
         ys = sample_cut_indices(rng, ground.size, _int_field(cfg, "count"))
         check_family_bits(len(ys), ground.size)
         # Each entry h(y, n) is rng.choice((-1, 1)); n is in A_y when it drew -1.
-        masks = (ground.mask_of(n for n in ground.elements() if rng.choice((True, False)))
+        masks = (_mask_of([n for n in ground.elements() if rng.choice((True, False))])
                  for _ in ys)
-        return ChainFamily._trusted(ground, ys, tuple(masks))  # sorted draws, checked masks
+        return ChainFamily._trusted(ground, ys, tuple(masks))  # sorted draws, masks in the ground
     raise InputError(f"unknown generator kind {kind!r}")

@@ -552,21 +552,27 @@ def test_reading_a_wide_document_holds_masks_not_element_lists():
 
 def test_long_runs_of_canonical_documents_never_reach_the_decoder(monkeypatch):
     # Every set of over 8 * _ELEMENTS_PER_EDGE elements in the writer's text
-    # of these families is read run by run, so no such list reaches _set_mask.
+    # of the wide families, and of over 3 * _ELEMENTS_PER_EDGE in that of the
+    # N = 256 one, is read run by run, so no such list reaches _set_mask.
     fam = family_from_config(
         {"kind": "perturbed", "seed": 1, "ground_size": 2048, "count": 400, "flips": 3})
     order = list(fam.indices)
     random.Random(1).shuffle(order)
     adjusted = adjust_family(fam, order)[0]
-    texts = [family_to_text(fam), family_to_text(adjusted)]
+    small = family_from_config(
+        {"kind": "perturbed", "seed": 1, "ground_size": 256, "count": 1000, "flips": 2})
+    cases = [(8, fam, family_to_text(fam)), (8, adjusted, family_to_text(adjusted)),
+             (3, small, family_to_text(small))]
     set_mask = core._set_mask
+    bound = 0
 
     def short_lists_only(elems, limit):
-        assert len(elems) <= 8 * core._ELEMENTS_PER_EDGE, "a long set was decoded"
+        assert len(elems) <= bound * core._ELEMENTS_PER_EDGE, "a long set was decoded"
         return set_mask(elems, limit)
 
     monkeypatch.setattr(core, "_set_mask", short_lists_only)
-    assert [family_from_text(text) for text in texts] == [fam, adjusted]
+    for bound, family, text in cases:
+        assert family_from_text(text) == family
 
 
 @pytest.mark.parametrize("odd", ["300.0", "true", "null", '"300"'])

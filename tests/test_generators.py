@@ -75,11 +75,15 @@ def test_initial_segment_chain_errors():
      ["cut indices"]),
     (lambda: family_from_config(
         {"kind": "sign-matrix", "seed": 4, "ground_size": 40, "count": 30}), []),
-], ids=["initial_segment_chain", "initial-chain-config", "seeded-sign-matrix"])
+    (lambda: from_sign_matrix([F(3, 4), F(1, 2)], [[-1, 2, F(-3)], [0, F(-1, 2), -1]]),
+     ["indices", "mask", "mask"]),
+], ids=["initial_segment_chain", "initial-chain-config", "seeded-sign-matrix", "from_sign_matrix"])
 def test_initial_and_seeded_sign_families_are_checked_once(build, own_checks, monkeypatch):
     # The generator checks its cut order itself (the seeded draws are sorted)
     # and builds only masks inside the ground, so the family is built without
-    # the constructor's second order check or its mask checks.
+    # the constructor's second order check or its mask checks.  A sign family's
+    # elements are enumerated from the ground, so none is checked against it;
+    # the matrix's family is checked once, by the constructor.
     calls = []
     check_increasing = core.check_increasing
 
@@ -90,6 +94,7 @@ def test_initial_and_seeded_sign_families_are_checked_once(build, own_checks, mo
     monkeypatch.setattr(core, "check_increasing", counted)
     monkeypatch.setattr(generators, "check_increasing", counted)
     monkeypatch.setattr(GroundSet, "check_mask", lambda *args: calls.append("mask"))
+    monkeypatch.setattr(GroundSet, "check_element", lambda *args: calls.append("element"))
     fam = build()
     monkeypatch.undo()
     assert calls == own_checks

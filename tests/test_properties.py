@@ -384,9 +384,9 @@ def _outcome(read, text):
 
 @st.composite
 def run_families(draw):
-    """Sets of one to three runs of several hundred elements, some with flipped
-    elements, on a ground of at least 1024: sets the reader reads run by run."""
-    size = draw(st.integers(1024, 2048))
+    """Sets of one to three runs of up to several hundred elements, some with
+    flipped elements, on a ground of at least 129: sets the reader reads run by run."""
+    size = draw(st.integers(129, 2048))
     run = st.tuples(st.integers(0, size - 1), st.integers(200, 700))
     flip = st.integers(0, size - 1).map(lambda n: 1 << n)
 
