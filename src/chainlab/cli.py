@@ -14,6 +14,7 @@ import contextlib
 import json
 import random
 import sys
+from itertools import compress
 from typing import Sequence
 
 from . import adjust as adj
@@ -85,10 +86,10 @@ def _cmd_check(args: argparse.Namespace) -> str:
     report = core.validate_almost_chain(family, args.budget)
     names = list(map(core.format_index, family.indices))
     rows = []
-    for i, js, sizes in report.flagged_rows:  # one join per row, no string per pair
+    for i, columns, sizes in report.flagged_rows:  # one join per row, no string per pair
         head = f"({names[i]},"
         seps = {d: f")={d} {head}" for d in set(sizes)}  # closes a pair, opens the next
-        picked = map(names.__getitem__, js)
+        picked = compress(names, core._digit_flags(columns))
         if len(seps) == 1:
             rows.append(head + seps[sizes[0]].join(picked) + f")={sizes[0]}")
         else:  # each name then its size's separator, less the last one's " (x_i,"

@@ -27,7 +27,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, compress, count
 from operator import lt, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -49,6 +49,8 @@ MAX_FAMILY_BITS = 1 << 25
 # Most digits in the numerator or denominator of a parsed index or value: a
 # signed sum of three such values prints within Python's 4300-digit limit.
 MAX_INDEX_DIGITS = 1000
+# Most pairs one `validate_almost_chain` call may flag over its budget.
+MAX_OUTPUT_ITEMS = 1 << 25
 
 # A set of up to _TABLE_LINES digits with over this many elements per run edge (bit of
 # m ^ (m << 1)) is written run by run: `iter_bits` walks such edges bit by bit.
@@ -56,6 +58,7 @@ _ELEMENTS_PER_EDGE = 64
 # Most lines in the element-line table the writer copies runs from and the reader reads by.
 _TABLE_LINES = 1 << 14
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -264,16 +267,18 @@ def chain_witness(family: ChainFamily) -> ChainWitness | None:
 class DefectReport(NamedTuple):
     """The largest pairwise defect of a family and the pairs over a budget.
 
-    Over-budget pairs are kept as positions: (i, js, sizes) per flagged row i.
+    Over-budget pairs are kept as positions: (i, columns, sizes) per flagged
+    row i, where bit j of the mask `columns` is set for each flagged pair (i, j)
+    and `sizes` holds their defects in j order.
     """
 
     max_defect_size: int
-    flagged_rows: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    flagged_rows: tuple[tuple[int, int, tuple[int, ...]], ...]
 
     @property
     def flagged_pairs(self) -> tuple[tuple[int, int], ...]:
         """Position pairs (i, j) whose defect exceeds the budget, in row order."""
-        return tuple((i, j) for i, js, _ in self.flagged_rows for j in js)
+        return tuple((i, j) for i, columns, _ in self.flagged_rows for j in iter_bits(columns))
 
 
 def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
@@ -287,6 +292,8 @@ def validate_almost_chain(family: ChainFamily, budget: int) -> DefectReport:
     pairs that `_scan_rows` popcounts at most (it skips the rows that a triangle
     bound rules out, most of a near-chain's) and their k-bit columns, one per
     element that ever toggles, take at most four times the bits of the masks.
+    Either engine refuses, as it builds the rows, more than MAX_OUTPUT_ITEMS
+    flagged pairs.
     """
     if budget < 0:
         raise InputError(f"budget must be non-negative, got {budget}")
@@ -312,7 +319,7 @@ def _scan_rows(masks: tuple[int, ...], budget: int) -> tuple[int, list]:
     a scanned row's bound is its largest defect.  A row bounded within both
     the budget and the largest defect so far is skipped.
     """
-    worst = bound = after = 0
+    worst = bound = after = flagged = 0
     rows = []
     for i in reversed(range(len(masks))):
         a = masks[i]
@@ -325,9 +332,10 @@ def _scan_rows(masks: tuple[int, ...], budget: int) -> tuple[int, list]:
         bound = size - min(inside, default=size)
         worst = max(worst, bound)
         if bound > budget:
-            flags = list(map((size - budget).__gt__, inside))  # defect > budget
-            sizes = tuple(map(size.__sub__, compress(inside, flags)))
-            rows.append((i, tuple(compress(count(i + 1), flags)), sizes))
+            flags = bytes(map((size - budget).__gt__, inside))  # 1 where defect > budget
+            columns = int(flags[::-1].translate(_FLAG_DIGITS), 2) << (i + 1)
+            flagged = _tally(flagged, columns)
+            rows.append((i, columns, tuple(map(size.__sub__, compress(inside, flags)))))
     rows.reverse()
     return worst, rows
 
@@ -342,13 +350,12 @@ def _counter_rows(masks: tuple[int, ...], budget: int, changes: list[int],
     enters; no count, even midway, exceeds |A_j|, so `width` planes hold it.
     """
     everything = (1 << len(masks)) - 1
-    positions = tuple(range(len(masks)))  # one int per j, shared by every level's compress
     columns: dict[int, int] = {}
     for i, change in enumerate(changes):
         for n in iter_bits(change):
             columns[n] = columns.get(n, 0) ^ (everything >> i << i)
     planes = [0] * width
-    worst = 0
+    worst = flagged = 0
     rows = []
     for i, (prev, a, change) in enumerate(zip((0, *masks), masks, changes)):
         for n in iter_bits(change & prev):
@@ -356,22 +363,47 @@ def _counter_rows(masks: tuple[int, ...], budget: int, changes: list[int],
         for n in iter_bits(change & a):
             _ripple(planes, columns[n], 0)
         size = a.bit_count()
-        later = everything >> (i + 1) << (i + 1)
+        later = left = everything >> (i + 1) << (i + 1)
         least, group = _least_count(planes, later)
         worst = max(worst, size - least)
-        levels = []  # (js, defect size) per level over the budget; their js are disjoint
-        while later and size - least > budget:
-            levels.append((tuple(compress(positions, _digit_flags(group))), size - least))
-            later ^= group
-            least, group = _least_count(planes, later)
-        if len(levels) == 1:
-            js, d = levels[0]
-            rows.append((i, js, (d,) * len(js)))
-        elif levels:  # (i, js, sizes) in j order: sort the ints j, look their sizes up
-            size_of = dict(chain.from_iterable(zip(js, repeat(d)) for js, d in levels))
-            js = sorted(size_of)
-            rows.append((i, tuple(js), tuple(map(size_of.__getitem__, js))))
+        levels = []  # (mask, defect size) per level over the budget; the masks are disjoint
+        while left and size - least > budget:
+            levels.append((group, size - least))
+            left ^= group
+            least, group = _least_count(planes, left)
+        if levels:  # the flagged columns are the later ones no longer left
+            hit = later ^ left
+            flagged = _tally(flagged, hit)
+            if levels[1:]:
+                rows.append((i, hit, _level_sizes(levels, hit.bit_length())))
+            else:
+                rows.append((i, hit, (levels[0][1],) * hit.bit_count()))
     return worst, rows
+
+
+def _level_sizes(levels: list[tuple[int, object]], length: int) -> tuple:
+    """The sizes, in column order, of disjoint levels (columns, size) within `length` bits.
+
+    One byte per column, lowest first, names its level 1, 2, ...; a column in
+    no level is a zero byte and is dropped.  Past 255 levels, each run of 255
+    is named as one level whose sizes, an iterator, come from its own names.
+    """
+    nested = len(levels) > 255
+    if nested:
+        levels = [(reduce(or_, (g for g, _ in run)), iter(_level_sizes(run, length)))
+                  for run in (levels[r:r + 255] for r in range(0, len(levels), 255))]
+    named = sum(n * int.from_bytes(_digit_flags(g), "little") for n, (g, _) in enumerate(levels, 1))
+    table = (None, *(d for _, d in levels))
+    picked = map(table.__getitem__, named.to_bytes(length, "little").translate(None, b"\0"))
+    return tuple(map(next, picked) if nested else picked)
+
+
+def _tally(flagged: int, columns: int) -> int:
+    """The count of flagged pairs so far with a new row's columns, refused past the cap."""
+    flagged += columns.bit_count()
+    if flagged > MAX_OUTPUT_ITEMS:
+        raise InputError(f"pairs over the budget exceed the output cap {MAX_OUTPUT_ITEMS}")
+    return flagged
 
 
 def _ripple(planes: list[int], column: int, flip: int) -> None:
