@@ -263,8 +263,10 @@ def brute_over_budget_line(family: ChainFamily, budget: int) -> str:
 
 
 def flagged_sizes(report) -> list:
-    """((i, j), size) for each over-budget pair of a DefectReport, in its row order."""
-    return [((i, j), d) for i, js, ds in report.flagged_rows for j, d in zip(js, ds)]
+    """((i, j), size) for each over-budget pair of a DefectReport, in its row order:
+    row i's columns mask read bit by bit, j ascending, against its sizes one for one."""
+    return [((i, j), d) for i, columns, ds in report.flagged_rows
+            for j, d in zip(sorted(elements_of(columns)), ds, strict=True)]
 
 
 def counter_inputs(masks) -> tuple[list[int], int]:

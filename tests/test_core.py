@@ -390,7 +390,7 @@ def test_counter_engine_memory_does_not_grow_with_the_ground():
     (worst, rows), peak = _peak_bytes(lambda: core._counter_rows(masks, 0, *inputs))
     # Only element 2 ever leaves: each set holding it misses it in every later set without it.
     assert worst == 1
-    assert rows == [(i, (1020, 1021, 1022, 1023), (1, 1, 1, 1)) for i in range(1000, 1020)]
+    assert rows == [(i, 0b1111 << 1020, (1, 1, 1, 1)) for i in range(1000, 1020)]
     assert peak < 1 << 20
 
 

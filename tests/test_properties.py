@@ -649,7 +649,7 @@ def test_pruned_scan_matches_brute_force(budget_of, fam):
     report = core.DefectReport(*core._scan_rows(fam.masks, budget))
     assert report.max_defect_size == worst
     assert flagged_sizes(report) == list(over.items())
-    assert all(js for _, js, _ in report.flagged_rows)
+    assert all(columns for _, columns, _ in report.flagged_rows)
 
 
 class _SlicedRows(tuple):
@@ -669,7 +669,7 @@ def _scanned_rows(masks, budget):
 
 def test_pruned_scan_examples():
     # Row 0 holds flagged pairs though its bound is under the largest defect.
-    assert core._scan_rows(_UNDER_WORST.masks, 1) == (3, [(0, (1, 2), (2, 2)), (1, (2,), (3,))])
+    assert core._scan_rows(_UNDER_WORST.masks, 1) == (3, [(0, 0b110, (2, 2)), (1, 0b100, (3,))])
     assert _scanned_rows(_UNDER_WORST.masks, 1)[1] == [1, 0]
     # A skipped row keeps its bound for the rows before it.
     assert _scanned_rows(_CARRIED.masks, 8) == ((4, []), [2, 0])
@@ -710,11 +710,11 @@ _STAGED = [0b111111, 0b111110, 0b111100, 0b111000] + [0b111101] * 36
 
 @pytest.mark.parametrize("fam, budget, engine, shape", [
     (_family(2, [0b11, 0b10] + [0b11] * 38), 0, "_counter_rows",
-     lambda rows: [len(js) for _, js, _ in rows] == [1]),
+     lambda rows: [columns.bit_count() for _, columns, _ in rows] == [1]),
     (_family(6, _STAGED), 0, "_counter_rows",
      lambda rows: len(set(rows[0][2])) == 3 and len(set(rows[1][2])) == 2),
     (_family(4, [0b1011, 0b0110, 0b1101, 0b0001, 0b1111]), 1, "_scan_rows",
-     lambda rows: [len(js) for _, js, _ in rows] == [2, 1, 1]),
+     lambda rows: [columns.bit_count() for _, columns, _ in rows] == [2, 1, 1]),
     (_family(3, [0b001] * 20 + [0b011] * 20), 0, "_counter_rows", lambda rows: not rows),
     (_family(3, [0b011, 0b101, 0b110]), 3, "_scan_rows", lambda rows: not rows),
 ], ids=["one-pair-row", "three-sizes", "scan-engine", "none-counters", "none-scan"])
