@@ -347,21 +347,21 @@ def _counter_rows(masks: tuple[int, ...], budget: int, changes: list[int],
     Bit j of planes[b] is bit b of |A_i & A_j|.  Row i comes from row i-1 by
     subtracting the column (bit j set when n is in A_j) of each n in
     changes[i] = A_i ^ A_(i-1) that leaves and adding that of each n that
-    enters; no count, even midway, exceeds |A_j|, so `width` planes hold it.
+    enters, in element order.  A count midway is that of a set within A_j, so
+    none exceeds |A_j| and `width` planes hold it.
     """
     everything = (1 << len(masks)) - 1
     columns: dict[int, int] = {}
-    for i, change in enumerate(changes):
-        for n in iter_bits(change):
+    toggles = list(map(list, map(iter_bits, changes)))
+    for i, ns in enumerate(toggles):
+        for n in ns:
             columns[n] = columns.get(n, 0) ^ (everything >> i << i)
     planes = [0] * width
     worst = flagged = 0
     rows = []
-    for i, (prev, a, change) in enumerate(zip((0, *masks), masks, changes)):
-        for n in iter_bits(change & prev):
-            _ripple(planes, columns[n], everything)
-        for n in iter_bits(change & a):
-            _ripple(planes, columns[n], 0)
+    for i, (a, ns) in enumerate(zip(masks, toggles)):
+        for n in ns:  # bit i of n's column: is n in A_i, so entering?
+            _ripple(planes, columns[n], 0 if columns[n] >> i & 1 else everything)
         size = a.bit_count()
         later = left = everything >> (i + 1) << (i + 1)
         least, group = _least_count(planes, later)
