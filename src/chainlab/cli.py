@@ -92,9 +92,11 @@ def _cmd_check(args: argparse.Namespace) -> str:
         picked = compress(names, core._digit_flags(columns))
         if len(seps) == 1:
             rows.append(head + seps[sizes[0]].join(picked) + f")={sizes[0]}")
-        else:  # each name then its size's separator, less the last one's " (x_i,"
-            pieces = map(str.__add__, picked, map(seps.__getitem__, sizes))
-            rows.append(head + "".join(pieces)[:-len(head) - 1])
+        else:  # the names interleaved with the separators of all sizes but the last
+            pieces = [head] * (2 * len(sizes))
+            pieces[1::2] = picked
+            pieces[2::2] = map(seps.__getitem__, sizes[:-1])
+            rows.append("".join(pieces) + f")={sizes[-1]}")
     lines = [
         f"chain: {_verdict(core.chain_witness(family))}",
         f"barely_alternating: {_verdict(core.alternation_witness(family))}",
