@@ -729,6 +729,108 @@ def test_check_over_budget_line_examples(monkeypatch, fam, budget, engine, shape
     assert _over_budget_line(fam, budget) == brute_over_budget_line(fam, budget)
 
 
+def _forced(engine):
+    """The engine `validate_almost_chain` must not run, and a stand-in that runs `engine`."""
+    if engine == "_scan_rows":
+        return "_counter_rows", lambda masks, budget, *_: core._scan_rows(masks, budget)
+    return "_scan_rows", lambda masks, budget: core._counter_rows(
+        masks, budget, *counter_inputs(masks))
+
+
+@st.composite
+def multi_size_families(draw):
+    """A drawn family with a set of at least two elements spliced in, followed by
+    copies of it less one and less two of them: that set's row flags defects 1 and 2."""
+    fam = draw(st.one_of(families(), near_chains(max_ground=12, max_indices=24)))
+    masks = list(fam.masks)
+    size = max(fam.ground.size, 2)
+    held = draw(st.integers(0, (1 << size) - 1).filter(lambda m: m.bit_count() >= 2))
+    low = held & -held
+    second = held & ~low
+    second &= -second
+    at = draw(st.integers(0, len(masks)))
+    later = sorted(draw(st.lists(st.integers(at, len(masks)), min_size=2, max_size=2)))
+    masks[later[1]:later[1]] = [held & ~low & ~second]
+    masks[later[0]:later[0]] = [held & ~low]
+    masks[at:at] = [held]
+    return _family(size, masks)
+
+
+@pytest.mark.parametrize("engine", ["_scan_rows", "_counter_rows"])
+@CHECK
+@example(_family(6, _STAGED))
+@given(multi_size_families())
+def test_forced_engine_rows_are_column_masks(engine, fam):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, *_forced(engine))
+        report = validate_almost_chain(fam, 0)
+        line = _over_budget_line(fam, 0)
+    assert any(len(set(sizes)) > 1 for _, _, sizes in report.flagged_rows)
+    for i, columns, sizes in report.flagged_rows:
+        assert columns and columns >> (i + 1) << (i + 1) == columns
+        assert len(sizes) == columns.bit_count()
+    worst, over = brute_defect_report(fam, 0)
+    assert report.max_defect_size == worst
+    assert flagged_sizes(report) == list(over.items())
+    assert line == brute_over_budget_line(fam, 0)
+
+
+def test_rows_of_over_255_defect_sizes():
+    # Each set drops one more element: row i meets 519 - i sizes, so the counter
+    # engine names the levels of the first rows in runs of 255.
+    fam = _family(530, [(1 << 530) - (1 << j) for j in range(520)])
+    worst, over = brute_defect_report(fam, 0)
+    for engine in ("_scan_rows", "_counter_rows"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, *_forced(engine))
+            report = validate_almost_chain(fam, 0)
+        assert (report.max_defect_size, flagged_sizes(report)) == (worst, list(over.items()))
+        assert len(set(report.flagged_rows[0][2])) == 519
+
+
+@pytest.mark.parametrize("engine", ["_scan_rows", "_counter_rows"])
+@CHECK
+@_with_edges
+@given(st.one_of(families(), near_chains()))
+def test_check_at_the_output_cap_is_unchanged(engine, fam):
+    # Budget 0 flags the most pairs; the cap is their number.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, *_forced(engine))
+        patch.setattr(core, "MAX_OUTPUT_ITEMS", len(brute_defect_report(fam, 0)[1]))
+        assert _over_budget_line(fam, 0) == brute_over_budget_line(fam, 0)
+
+
+@pytest.mark.parametrize("engine", ["_scan_rows", "_counter_rows"])
+def test_check_past_the_output_cap_is_one_input_error_line(monkeypatch, tmp_path, capsys,
+                                                          engine):
+    fam = _family(6, _STAGED)
+    over = brute_defect_report(fam, 0)[1]
+    pairs, rows = len(over), len({i for i, _ in over})
+    path = tmp_path / "family.json"
+    path.write_text(family_to_text(fam))
+    tallied = []
+
+    def tally(flagged, columns, real=core._tally):
+        tallied.append(columns)
+        return real(flagged, columns)
+
+    monkeypatch.setattr(core, *_forced(engine))
+    monkeypatch.setattr(core, "_tally", tally)
+    monkeypatch.setattr(core, "MAX_OUTPUT_ITEMS", pairs - 1)
+    monkeypatch.setattr(core, "format_index", None)  # formatting a name would raise TypeError
+    assert main(["check", "--input", str(path), "--budget", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input-error: pairs over the budget exceed the output cap {pairs - 1}\n"
+    # Every flagged row is built, the last one refused.  At cap 0 the first is.
+    assert rows > 1 and len(tallied) == rows
+    monkeypatch.setattr(core, "MAX_OUTPUT_ITEMS", 0)
+    tallied.clear()
+    with pytest.raises(InputError, match="output cap 0"):
+        validate_almost_chain(fam, 0)
+    assert len(tallied) == 1
+
+
 def _bin_bits(mask):
     """Set bits read off the binary digits."""
     return [n for n, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
