@@ -372,29 +372,28 @@ def _counter_rows(masks: tuple[int, ...], budget: int, changes: list[int],
             left ^= group
             least, group = _least_count(planes, left)
         if levels:  # the flagged columns are the later ones no longer left
-            hit = later ^ left
-            flagged = _tally(flagged, hit)
-            if levels[1:]:
-                rows.append((i, hit, _level_sizes(levels, hit.bit_length())))
-            else:
-                rows.append((i, hit, (levels[0][1],) * hit.bit_count()))
+            flagged = _tally(flagged, later ^ left)
+            rows.append((i, later ^ left, _level_sizes(levels, later ^ left)))
     return worst, rows
 
 
-def _level_sizes(levels: list[tuple[int, object]], length: int) -> tuple:
-    """The sizes, in column order, of disjoint levels (columns, size) within `length` bits.
+def _level_sizes(levels: list[tuple[int, object]], columns: int) -> tuple:
+    """The sizes, in column order, of disjoint levels (mask, size) within the mask `columns`.
 
     One byte per column, lowest first, names its level 1, 2, ...; a column in
     no level is a zero byte and is dropped.  Past 255 levels, each run of 255
     is named as one level whose sizes, an iterator, come from its own names.
     """
+    if len(levels) == 1:
+        return (levels[0][1],) * levels[0][0].bit_count()
     nested = len(levels) > 255
     if nested:
-        levels = [(reduce(or_, (g for g, _ in run)), iter(_level_sizes(run, length)))
+        levels = [(reduce(or_, (g for g, _ in run)), iter(_level_sizes(run, columns)))
                   for run in (levels[r:r + 255] for r in range(0, len(levels), 255))]
     named = sum(n * int.from_bytes(_digit_flags(g), "little") for n, (g, _) in enumerate(levels, 1))
     table = (None, *(d for _, d in levels))
-    picked = map(table.__getitem__, named.to_bytes(length, "little").translate(None, b"\0"))
+    picked = map(table.__getitem__,
+                 named.to_bytes(columns.bit_length(), "little").translate(None, b"\0"))
     return tuple(map(next, picked) if nested else picked)
 
 
