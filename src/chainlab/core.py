@@ -377,24 +377,21 @@ def _counter_rows(masks: tuple[int, ...], budget: int, changes: list[int],
     return worst, rows
 
 
-def _level_sizes(levels: list[tuple[int, object]], columns: int) -> tuple:
+def _level_sizes(levels: list[tuple[int, int]], columns: int) -> tuple[int, ...]:
     """The sizes, in column order, of disjoint levels (mask, size) within the mask `columns`.
 
     One byte per column, lowest first, names its level 1, 2, ...; a column in
-    no level is a zero byte and is dropped.  Past 255 levels, each run of 255
-    is named as one level whose sizes, an iterator, come from its own names.
+    no level is a zero byte and is dropped.
     """
     if len(levels) == 1:
         return (levels[0][1],) * levels[0][0].bit_count()
-    nested = len(levels) > 255
-    if nested:
-        levels = [(reduce(or_, (g for g, _ in run)), iter(_level_sizes(run, columns)))
-                  for run in (levels[r:r + 255] for r in range(0, len(levels), 255))]
+    if len(levels) > 255:  # too many to name in a byte: look each column's size up
+        size_of = {j: d for g, d in levels for j in iter_bits(g)}
+        return tuple(map(size_of.__getitem__, sorted(size_of)))
     named = sum(n * int.from_bytes(_digit_flags(g), "little") for n, (g, _) in enumerate(levels, 1))
     table = (None, *(d for _, d in levels))
-    picked = map(table.__getitem__,
-                 named.to_bytes(columns.bit_length(), "little").translate(None, b"\0"))
-    return tuple(map(next, picked) if nested else picked)
+    return tuple(map(table.__getitem__,
+                     named.to_bytes(columns.bit_length(), "little").translate(None, b"\0")))
 
 
 def _tally(flagged: int, columns: int) -> int:

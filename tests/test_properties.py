@@ -777,7 +777,8 @@ def test_forced_engine_rows_are_column_masks(engine, fam):
 
 def test_rows_of_over_255_defect_sizes():
     # Each set drops one more element: row i meets 519 - i sizes, so the counter
-    # engine names the levels of the first rows in runs of 255.
+    # engine looks the sizes of rows 0-263 up by column and names those of row
+    # 264 on, 255 levels and fewer, one byte per column.
     fam = _family(530, [(1 << 530) - (1 << j) for j in range(520)])
     worst, over = brute_defect_report(fam, 0)
     for engine in ("_scan_rows", "_counter_rows"):
