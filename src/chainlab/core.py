@@ -205,44 +205,34 @@ class ChainWitness(NamedTuple):
     y: IndexValue
 
 
-def membership_steps(family: ChainFamily) -> list[tuple[int, int, int, int]]:
-    """Per sorted index, the (entry, exit, re-entry, second exit) masks.
+def _flipped(masks: Sequence[int], flips: int) -> int:
+    """Mask of the elements whose membership trace, from a leading 0, flips `flips` times.
 
-    Mask e at index i holds the elements whose e-th event happens there: the
-    events are the leftmost 1, 0, 1, 0 of an element's membership trace, each
-    after the previous one, so a second exit is a 1,0,1,0 pattern.  The
-    seen_* masks hold the elements whose event has already happened.
+    seen[e] holds the elements that have flipped e times so far: odd flips
+    are entries, even ones exits.  Updating e from high to low counts at most
+    one flip per element and index.
     """
-    seen_in = seen_out = seen_back = seen_gone = 0
-    steps = []
-    for m in family.masks:
-        entry = m & ~seen_in
-        exit_ = seen_in & ~m & ~seen_out
-        reentry = seen_out & m & ~seen_back
-        second_exit = seen_back & ~m & ~seen_gone
-        seen_in |= entry
-        seen_out |= exit_
-        seen_back |= reentry
-        seen_gone |= second_exit
-        steps.append((entry, exit_, reentry, second_exit))
-    return steps
+    seen = [-1] + [0] * flips
+    for m in masks:
+        for e in range(flips, 0, -1):
+            seen[e] |= seen[e - 1] & (m if e & 1 else ~m)
+    return seen[flips]
 
 
 def _least_witness(family: ChainFamily, witness: type) -> tuple | None:
-    """Least `witness` (j indices): the least element with j events, at their indices."""
-    events = len(witness._fields) - 1
-    steps = membership_steps(family)
-    hits = reduce(or_, (step[events - 1] for step in steps), 0)
+    """Least `witness` (F indices): the least element that flips F times, at its first F flips."""
+    flips = len(witness._fields) - 1
+    hits = _flipped(family.masks, flips)
     if hits == 0:
         return None
-    n = (hits & -hits).bit_length() - 1
+    bit = hits & -hits
     xs = []
-    i = 0
-    for event in range(events):
-        while not steps[i][event] >> n & 1:
-            i += 1
-        xs.append(family.indices[i])
-    return witness(n, *xs)
+    for x, m in zip(family.indices, family.masks):
+        if bool(m & bit) != len(xs) & 1:  # in after an even number of flips, out after odd
+            xs.append(x)
+            if len(xs) == flips:
+                break
+    return witness(bit.bit_length() - 1, *xs)
 
 
 def alternation_witness(family: ChainFamily) -> AlternationWitness | None:
@@ -256,7 +246,7 @@ def alternation_witness(family: ChainFamily) -> AlternationWitness | None:
 
 
 def is_barely_alternating(family: ChainFamily) -> bool:
-    return not any(second_exit for *_, second_exit in membership_steps(family))
+    return not _flipped(family.masks, 4)
 
 
 def chain_witness(family: ChainFamily) -> ChainWitness | None:
@@ -428,9 +418,9 @@ def chain_defect_set(family: ChainFamily) -> int:
 
     Equals the union of A_x \\ A_y over all index pairs x < y; an element
     belongs to D exactly when its trace ever goes from 1 to 0, that is, when
-    it has a first exit.
+    flips twice, in and then out.
     """
-    return reduce(or_, (exit_ for _, exit_, _, _ in membership_steps(family)), 0)
+    return _flipped(family.masks, 2)
 
 
 # --- textual family format ---------------------------------------------------

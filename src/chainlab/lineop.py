@@ -28,7 +28,6 @@ from .core import (
     check_increasing,
     format_index,
     iter_bits,
-    membership_steps,
     parse_index,
     parse_index_list,
     parse_json,
@@ -127,20 +126,24 @@ def compute_triples(family: ChainFamily, model: LineModel) -> TripleTable:
     """
     if family.indices != model.dense_points:
         raise InputError("family indices differ from the model's dense points")
-    steps = membership_steps(family)
-    if any(second_exit for *_, second_exit in steps):
-        raise InputError(
-            f"family is not barely alternating: witness {alternation_witness(family)}"
-        )
-    # Each element's entry, exit and re-entry positions, from the steps that
-    # hold it; position k stands for max(K), the last carrier rank.
+    # Each element's entry, exit and re-entry positions, read off the toggles
+    # from each set to the next; position k stands for max(K), the last carrier rank.
     k = len(family)
     size = family.ground.size
     first_in, first_out, back_in = [k] * size, [k] * size, [k] * size
-    for i, step in enumerate(steps):
-        for new, where in zip(step, (first_in, first_out, back_in)):
-            for n in iter_bits(new) if new else ():  # an adjusted chain has no exits
-                where[n] = i
+    before = 0
+    for i, m in enumerate(family.masks):
+        toggles = before ^ m
+        entries, before = toggles & m, m
+        exits = toggles ^ entries
+        for n in iter_bits(entries) if entries else ():  # a second entry is the re-entry
+            (back_in if first_in[n] < k else first_in)[n] = i
+        for n in iter_bits(exits) if exits else ():  # an adjusted chain has no exits
+            if back_in[n] < k:  # a fourth flip
+                raise InputError(
+                    f"family is not barely alternating: witness {alternation_witness(family)}"
+                )
+            first_out[n] = i
     at = (model.dense_ranks + (len(model.carrier) - 1,)).__getitem__
     ranks = zip(map(at, first_in), map(at, first_out), map(at, back_in))
     # Positions only grow from entry to exit to re-entry, and so do the dense ranks.
