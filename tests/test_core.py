@@ -60,7 +60,7 @@ def test_trace_of_empty_sets_is_all_zero():
     fam = ChainFamily.from_pairs(g, [(F(i + 1, 4), 0) for i in range(3)])
     for n in range(4):
         assert membership_trace(fam, n) == "000"
-    assert core.membership_steps(fam) == [(0, 0, 0, 0)] * 3
+    assert [core._flipped(fam.masks, flips) for flips in range(1, 5)] == [0] * 4
 
 
 def test_trace_direct_read_off():

@@ -39,7 +39,6 @@ from chainlab.core import (
     format_index,
     is_barely_alternating,
     iter_bits,
-    membership_steps,
     validate_almost_chain,
 )
 from chainlab.generators import (
@@ -560,23 +559,14 @@ def test_barely_alternating_matches_brute_force(fam):
 @CHECK
 @_with_edges
 @given(families())
-def test_membership_steps_hold_the_leftmost_1010_positions(fam):
-    steps = membership_steps(fam)
-    assert len(steps) == len(fam)
-    for n in range(fam.ground.size):
-        trace = membership_trace(fam, n)
-        expected = []
-        start = 0
-        for wanted in "1010":
-            p = trace.find(wanted, start)
-            if p < 0:
-                break
-            expected.append(p)
-            start = p + 1
-        # each event happens at exactly one step, and only once it is due
-        for event in range(4):
-            at = [i for i, step in enumerate(steps) if step[event] >> n & 1]
-            assert at == expected[event:event + 1]
+def test_flip_counter_holds_the_elements_with_enough_flips(fam):
+    # A trace flips at each adjacent change, counted from a leading 0: n flips
+    # once on entering the first set that holds it.
+    traces = ["0" + membership_trace(fam, n) for n in fam.ground.elements()]
+    flips = [sum(a != b for a, b in zip(t, t[1:])) for t in traces]
+    for least in range(1, 6):
+        expected = sum(1 << n for n, f in enumerate(flips) if f >= least)
+        assert core._flipped(fam.masks, least) == expected
 
 
 @st.composite
