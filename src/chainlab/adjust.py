@@ -36,6 +36,7 @@ from .core import (
     GroundSet,
     IndexValue,
     InputError,
+    _tally,
     alternation_witness,
     format_index,
     iter_bits,
@@ -44,6 +45,8 @@ from .core import (
 # The sunflower search tests at most this many candidate sets, over its
 # greedy and its backtracking pass together; past it the verdict is undecided.
 _SEARCH_NODE_LIMIT = 5_000_000
+# What `adjust_family` counts against the output cap.
+_HELD = "elements of the adjusted sets"
 
 
 class SunflowerNotFoundError(LookupError):
@@ -130,6 +133,8 @@ def adjust_family(
     family that is already a chain is returned unchanged at zero cost,
     whatever the order.  In the sorted order every insertion lands at the
     right end, so B_i = A_i ∪ B_(i-1), one running union, with no insertion.
+    In any order, more than MAX_OUTPUT_ITEMS elements in the sets built so
+    far are refused before the next set is built.
     """
     indices, masks = family.indices, family.masks
     ranks = sorted_ranks = list(range(len(indices)))
@@ -138,8 +143,12 @@ def adjust_family(
         ranks = [position.get(x, -1) for x in order]
         if len(ranks) != len(indices) or -1 in ranks or len(set(ranks)) != len(ranks):
             raise InputError("order is not a permutation of the family's indices")
+    held = 0  # elements of the sets built so far
     if ranks == sorted_ranks:
-        adjusted = tuple(accumulate(masks, or_))
+        adjusted = []
+        for union in accumulate(masks, or_):
+            held = _tally(held, union, _HELD)
+            adjusted.append(union)
         receipts = list(map(InsertionReceipt, indices, adjusted, (None, *indices),
                             repeat(None), map(xor, adjusted, masks)))
     else:
@@ -149,11 +158,12 @@ def adjust_family(
         receipts = []
         for r in ranks:
             cond, (_, produced, below, above, delta) = insert_point(cond, r, masks[r])
+            held = _tally(held, produced, _HELD)
             receipts.append(InsertionReceipt(name(r), produced, name(below), name(above), delta))
         adjusted = cond.masks
     costs = [r.cost for r in receipts]
     report = AdjustmentReport(tuple(receipts), sum(costs), max(costs, default=0))
-    return ChainFamily._trusted(family.ground, indices, adjusted), report
+    return ChainFamily._trusted(family.ground, indices, tuple(adjusted)), report
 
 
 def merge_conditions(c1: ChainFamily, c2: ChainFamily) -> ChainFamily:

@@ -49,7 +49,8 @@ MAX_FAMILY_BITS = 1 << 25
 # Most digits in the numerator or denominator of a parsed index or value: a
 # signed sum of three such values prints within Python's 4300-digit limit.
 MAX_INDEX_DIGITS = 1000
-# Most pairs one `validate_almost_chain` call may flag over its budget.
+# Most pairs one `validate_almost_chain` call may flag over its budget, and most
+# elements the sets of one `adjust_family` result may hold.
 MAX_OUTPUT_ITEMS = 1 << 25
 
 # A set of up to _TABLE_LINES digits with over this many elements per run edge (bit of
@@ -384,12 +385,12 @@ def _level_sizes(levels: list[tuple[int, int]], columns: int) -> tuple[int, ...]
                      named.to_bytes(columns.bit_length(), "little").translate(None, b"\0")))
 
 
-def _tally(flagged: int, columns: int) -> int:
-    """The count of flagged pairs so far with a new row's columns, refused past the cap."""
-    flagged += columns.bit_count()
-    if flagged > MAX_OUTPUT_ITEMS:
-        raise InputError(f"pairs over the budget exceed the output cap {MAX_OUTPUT_ITEMS}")
-    return flagged
+def _tally(listed: int, mask: int, what: str = "pairs over the budget") -> int:
+    """The count of items listed so far with those of `mask`, refused past the output cap."""
+    listed += mask.bit_count()
+    if listed > MAX_OUTPUT_ITEMS:
+        raise InputError(f"{what} exceed the output cap {MAX_OUTPUT_ITEMS}")
+    return listed
 
 
 def _ripple(planes: list[int], column: int, flip: int) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainlab import adjust as adj
 from chainlab import core
 from chainlab.adjust import (
     SunflowerNotFoundError,
@@ -507,6 +509,58 @@ def test_adjust_family_is_iterated_insert_point(fam_and_order):
         receipts.append(receipt)
     assert adjusted == cond
     assert report.receipts == tuple(receipts)
+
+
+@CHECK
+@given(families().flatmap(lambda fam: st.tuples(st.just(fam), st.one_of(
+    st.none(), st.permutations(fam.indices)))))
+def test_adjust_at_the_output_cap_is_unchanged(fam_and_order):
+    # The cap is the number of elements the adjusted sets hold; one less is refused.
+    fam, order = fam_and_order
+    cond = ChainFamily(fam.ground, (), ())
+    for x in fam.indices if order is None else order:
+        cond = insert_point(cond, x, fam.masks[fam.indices.index(x)])[0]
+    held = sum(map(int.bit_count, cond.masks))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "MAX_OUTPUT_ITEMS", held)
+        assert adjust_family(fam, order)[0] == cond
+        if held:
+            patch.setattr(core, "MAX_OUTPUT_ITEMS", held - 1)
+            with pytest.raises(InputError, match=f"adjusted sets exceed the output cap {held - 1}"):
+                adjust_family(fam, order)
+
+
+@pytest.mark.parametrize("order", ["sorted", "random"])
+def test_adjust_past_the_output_cap_is_one_input_error_line(monkeypatch, tmp_path, capsys,
+                                                           order):
+    # One-element sets {i}: sorted adjust holds 1 + 2 + ... + k elements.
+    k = 12
+    fam = _family(k, [1 << i for i in range(k)])
+    path, out_path = tmp_path / "family.json", tmp_path / "adjusted.json"
+    path.write_text(family_to_text(fam))
+    argv = ["adjust", "--input", str(path), "--order", order, "--output", str(out_path)]
+    shuffled = list(fam.indices)
+    random.Random(0).shuffle(shuffled)  # adjust's default --seed
+    adjusted = adjust_family(fam, None if order == "sorted" else shuffled)[0]
+    held = sum(map(int.bit_count, adjusted.masks))
+    assert order == "random" or held == k * (k + 1) // 2
+    sets = []
+
+    def tally(listed, mask, what="pairs over the budget", real=core._tally):
+        sets.append(mask)
+        return real(listed, mask, what)
+
+    monkeypatch.setattr(adj, "_tally", tally)
+    monkeypatch.setattr(core, "MAX_OUTPUT_ITEMS", held - 1)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not out_path.exists()
+    assert err == f"input-error: elements of the adjusted sets exceed the output cap {held - 1}\n"
+    assert len(sets) == k  # the last set built is the one refused
+    monkeypatch.setattr(core, "MAX_OUTPUT_ITEMS", 0)
+    sets.clear()
+    assert main(argv) == 1 and len(sets) == 1
+    capsys.readouterr()
 
 
 @st.composite
