@@ -532,7 +532,8 @@ def _canonical_document(text: str) -> dict | None:
 
     Each entry is read by `_run_pair` if it can be, else decoded alone from
     its `{` with the `_entry_pair` hook, which raises on text that is not
-    JSON.  Any other departure from the layout gives None.
+    JSON.  Any other departure from the layout gives None.  The walk stops
+    at the entry past MAX_FAMILY_SIZE, which `_walk_family` refuses.
     """
     head = _HEAD_RE.match(text)
     if head is None:
@@ -543,8 +544,9 @@ def _canonical_document(text: str) -> dict | None:
     while text.startswith(_ENTRY_HEAD, i):
         entry, i = _run_pair(text, i, limit) or decode(text, i + _ENTRY_HEAD.index("{"))
         entries.append(entry)
-        if i == len(text) - len(_DOC_CLOSE) and text.endswith(_DOC_CLOSE):
-            return {"ground_size": int(head[1]), "entries": entries}
+        if len(entries) > MAX_FAMILY_SIZE or (
+                i == len(text) - len(_DOC_CLOSE) and text.endswith(_DOC_CLOSE)):
+            return {"ground_size": int(head[1]), "entries": entries}  # one past the cap is refused
         if not text.startswith(",", i):
             return None
         i += 1
@@ -639,12 +641,13 @@ def _entry_pair(obj: dict) -> object:
 
 
 def _walk_family(doc: object) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
-    """Read a decoded document entry by entry; errors come in order: shape errors
-    entry by entry (set, then index), the ground size, the first element
-    outside [0, size) in file order, a repeated index.  An entry is a dict,
-    or an `_entry_pair` whose mask, built under the cap, must fit the ground.
-    No set buffer is made for a ground size over the cap.  Increasing
-    indices build the family with no second check, others via `from_pairs`.
+    """Read a decoded document entry by entry; errors come in order: more than
+    MAX_FAMILY_SIZE entries, shape errors entry by entry (set, then index),
+    the ground size, the first element outside [0, size) in file order, a
+    repeated index.  An entry is a dict, or an `_entry_pair` whose mask,
+    built under the cap, must fit the ground.  No set buffer is made for a
+    ground size over the cap.  Increasing indices build the family with no
+    second check, others via `from_pairs`.
     """
     if not isinstance(doc, dict) or set(doc) != {"ground_size", "entries"}:
         raise InputError("family document must have exactly ground_size and entries")
@@ -653,6 +656,8 @@ def _walk_family(doc: object) -> tuple[ChainFamily, tuple[IndexValue, ...]]:
         raise InputError(f"bad ground_size {size!r}")
     if not isinstance(doc["entries"], list):
         raise InputError("entries must be a list")
+    if len(doc["entries"]) > MAX_FAMILY_SIZE:
+        raise InputError(f"entries exceed the cap {MAX_FAMILY_SIZE}")
     limit = size if type(size) is int and size <= MAX_GROUND_SIZE else 0
     indices: list[IndexValue] = []
     masks: list[int] = []

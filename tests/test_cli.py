@@ -529,6 +529,35 @@ def test_count_out_of_range_is_one_input_error_line(capsys, argv):
     assert err.count("\n") == 1
 
 
+# A family document of more than core.MAX_FAMILY_SIZE entries is refused, in
+# either spelling; the canonical walk stops at the entry past the cap.
+@pytest.mark.parametrize("spelling", ["canonical", "compact"])
+def test_family_document_over_the_entry_cap_is_one_input_error_line(
+        tmp_path, capsys, monkeypatch, spelling):
+    from chainlab import core
+
+    walked = []
+    real = core._canonical_document
+    monkeypatch.setattr(core, "_canonical_document",
+                        lambda text: walked.append(doc := real(text)) or doc)
+    monkeypatch.setattr(core, "MAX_FAMILY_SIZE", 3)
+    for entries in (3, 10):
+        doc = {"ground_size": 2,
+               "entries": [{"index": f"{i + 1}/16", "set": [i % 2]} for i in range(entries)]}
+        path = tmp_path / f"{spelling}-{entries}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n" if spelling == "canonical"
+                        else json.dumps(doc, separators=(",", ":")))
+        walked.clear()
+        code, out, err = run_cli(capsys, "check", "--input", str(path))
+        if entries == 3:
+            assert code == 0 and out.startswith("chain: witness n=0 x=1/16 y=1/8\n")
+        else:
+            assert (code, out, err) == (1, "", "input-error: entries exceed the cap 3\n")
+            if spelling == "canonical":
+                assert len(walked[0]["entries"]) == 4
+        assert (walked[0] is None) == (spelling == "compact")
+
+
 # Each case asks for a family over core.MAX_FAMILY_BITS (2^25) bits, its
 # count times its ground size, and must be refused before any set is built.
 _WORDS_20 = [format(2 * i + 1, "028b") for i in range(33)]
