@@ -31,6 +31,7 @@ from chainlab.adjust import (
 from chainlab.cli import main
 from chainlab.core import (
     MAX_GROUND_SIZE,
+    AlternationWitness,
     ChainFamily,
     GroundSet,
     InputError,
@@ -962,6 +963,25 @@ def test_compute_triples_never_shows_a_fourth_flip(data, fam):
     model = _model(data.draw, fam.indices, min_extra=1)
     assert len(model.carrier) > len(fam.indices)
     assert brute_fourth_flip_witness(fam, compute_triples(fam, model)) is None
+
+
+@CHECK
+@_with_edges
+# Element 1 flips a fourth time at index 3, before element 0 does at index 4.
+@example(_family(2, [3, 0, 2, 1, 0]))
+@given(families())
+def test_compute_triples_refuses_exactly_the_alternating_families(fam):
+    # The loop stops at the first fourth flip in index order; the message still
+    # names the least 1,0,1,0 witness.
+    witness = brute_alternation_witness(fam)
+    model = LineModel(fam.indices + (F(10),), fam.indices)
+    if witness is None:
+        compute_triples(fam, model)
+        return
+    with pytest.raises(InputError) as refused:
+        compute_triples(fam, model)
+    assert str(refused.value) == (
+        f"family is not barely alternating: witness {AlternationWitness(*witness)}")
 
 
 @st.composite
