@@ -210,8 +210,8 @@ def _flipped(masks: Sequence[int], flips: int) -> int:
     """Mask of the elements whose membership trace, from a leading 0, flips `flips` times.
 
     seen[e] holds the elements that have flipped e times so far: odd flips
-    are entries, even ones exits.  Updating e from high to low counts at most
-    one flip per element and index.
+    are entries, even ones exits.  So an element gains at most one flip per
+    index, as each level wants the opposite membership to the one below it.
     """
     seen = [-1] + [0] * flips
     for m in masks:
