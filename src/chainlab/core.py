@@ -207,7 +207,7 @@ class ChainWitness(NamedTuple):
 
 
 def _flipped(masks: Sequence[int], flips: int) -> int:
-    """Mask of the elements whose membership trace, from a leading 0, flips `flips` times.
+    """Mask of the elements whose trace, from a leading 0, flips at least `flips` times.
 
     seen[e] holds the elements that have flipped e times so far: odd flips
     are entries, even ones exits.  So an element gains at most one flip per
@@ -419,7 +419,7 @@ def chain_defect_set(family: ChainFamily) -> int:
 
     Equals the union of A_x \\ A_y over all index pairs x < y; an element
     belongs to D exactly when its trace ever goes from 1 to 0, that is, when
-    flips twice, in and then out.
+    it flips twice, in and then out.
     """
     return _flipped(family.masks, 2)
 
