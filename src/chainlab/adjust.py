@@ -9,12 +9,8 @@ iterating it over any insertion order turns an arbitrary family into a barely
 alternating one while recording the cost of every change.
 
 The module also carries the tools used when comparing conditions: pairwise
-compatibility (merge and re-check), the interpolant that threads one set
-between an ascending and a descending tower, and sunflower extraction: one
-exact search, greedy then backtracking, for exactly target_count equal-size
-sets with disjoint petals around a root, trying roots most frequent first,
-then by size, then by elements, and skipping roots whose candidates have
-too few points for disjoint petals.  Reaching its work cap raises InputError.
+compatibility (merge and re-check) and the interpolant that threads one set
+between an ascending and a descending tower.
 
 Sets are int masks over the condition's `GroundSet` throughout: the
 candidate of `insert_point`, the produced set and delta of its receipt,
@@ -24,9 +20,8 @@ and the towers, interpolant and bounds of the gap construction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from functools import reduce
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, repeat
 from operator import and_, or_, xor
 from typing import NamedTuple
 
@@ -42,15 +37,8 @@ from .core import (
     iter_bits,
 )
 
-# The sunflower search tests at most this many candidate sets, over its
-# greedy and its backtracking pass together; past it the verdict is undecided.
-_SEARCH_NODE_LIMIT = 5_000_000
 # What `adjust_family` counts against the output cap.
 _HELD = "elements of the adjusted sets"
-
-
-class SunflowerNotFoundError(LookupError):
-    """No sunflower of the requested size exists among the inputs."""
 
 
 class InsertionReceipt(NamedTuple):
@@ -71,14 +59,6 @@ class AdjustmentReport(NamedTuple):
     receipts: tuple[InsertionReceipt, ...]
     total_cost: int
     max_cost: int
-
-
-class SunflowerDecomposition(NamedTuple):
-    """Selected input sets written as a common root plus pairwise disjoint petals."""
-
-    root: tuple[IndexValue, ...]
-    petals: tuple[tuple[IndexValue, ...], ...]
-    members: tuple[int, ...]
 
 
 def insert_point(
@@ -180,78 +160,6 @@ def merge_conditions(c1: ChainFamily, c2: ChainFamily) -> ChainFamily:
 def compatibility_witness(c1: ChainFamily, c2: ChainFamily) -> AlternationWitness | None:
     """Witness that the merged condition alternates too much, else None."""
     return alternation_witness(merge_conditions(c1, c2))
-
-
-def _pack(petals: list[int], count: int, backtrack: bool, budget: int) -> tuple[list[int], int]:
-    """Positions of `count` pairwise disjoint petals (fewer if none), and the budget left.
-
-    Each petal tested costs a unit of budget and is taken if it misses those taken.
-    With `backtrack`, a short run drops its last petal and goes on after it.
-    """
-    chosen: list[int] = []
-    used = i = 0
-    while True:
-        while len(chosen) < count <= len(petals) - i + len(chosen):
-            budget -= 1
-            if not petals[i] & used:
-                chosen.append(i)
-                used |= petals[i]
-            i += 1
-        if len(chosen) == count or budget < 0 or not (backtrack and chosen):
-            return chosen, budget
-        used ^= petals[chosen[-1]]
-        i = chosen.pop() + 1
-
-
-def delta_system_extract(index_sets, target_count: int) -> SunflowerDecomposition:
-    """Find exactly target_count equal-size input sets whose pairwise intersections coincide.
-
-    Candidate roots are the pairwise intersections within each size group
-    (smallest sets first): most frequent first, then by size, then by elements.
-    A root's candidates are the sets containing it, in input order, and
-    `_pack` picks target_count of them with pairwise disjoint petals, over
-    every root greedily and then with backtracking.  A root is skipped, at no
-    cost in tests, when its candidates' petals cover fewer than target_count
-    times the petal size points; the backtracking pass visits only the roots
-    the greedy pass kept.  So SunflowerNotFoundError is exact; a
-    search past `_SEARCH_NODE_LIMIT` tests raises InputError.
-    """
-    if type(target_count) is not int or target_count < 2:
-        raise InputError(f"target_count must be an integer of at least 2, got {target_count!r}")
-    sets = [frozenset(s) for s in index_sets]
-    points = sorted(frozenset().union(*sets))
-    bit = {p: 1 << r for r, p in enumerate(points)}
-    masks = [sum(map(bit.__getitem__, s)) for s in sets]  # ranks keep the points' order
-    size_of = list(map(len, sets)).__getitem__
-    roots: list[tuple[int, list[int]]] = []  # (root, its size group's positions)
-    for _, group_of in groupby(sorted(range(len(sets)), key=size_of), size_of):
-        positions = list(group_of)
-        group = [masks[p] for p in positions] if len(positions) >= target_count else []
-        counts: Counter[int] = Counter()
-        for j, a in enumerate(group, 1):
-            counts.update(map(a.__and__, group[j:]))
-        order = sorted(counts, key=lambda r: (-counts[r], r.bit_count(), tuple(iter_bits(r))))
-        roots += ((r, positions) for r in order)
-    budget = _SEARCH_NODE_LIMIT
-    for backtrack in (False, True):
-        kept = []  # the roots that the backtracking pass visits
-        for root, positions in roots:
-            candidates = [p for p in positions if masks[p] & root == root]
-            petals = [masks[p] ^ root for p in candidates]
-            if reduce(or_, petals).bit_count() < target_count * petals[0].bit_count():
-                continue  # too few points for target_count disjoint petals
-            kept.append((root, positions))
-            chosen, budget = _pack(petals, target_count, backtrack, budget)
-            if len(chosen) == target_count:
-                return SunflowerDecomposition(
-                    tuple(map(points.__getitem__, iter_bits(root))),
-                    tuple(tuple(map(points.__getitem__, iter_bits(petals[i]))) for i in chosen),
-                    tuple(candidates[i] for i in chosen),
-                )
-            if budget < 0:
-                raise InputError(f"sunflower search undecided after {_SEARCH_NODE_LIMIT} tests")
-        roots = kept
-    raise SunflowerNotFoundError(f"no sunflower of size {target_count} among {len(sets)} sets")
 
 
 def gap_exceptions(

@@ -287,35 +287,6 @@ def removal_makes_chain(family: ChainFamily, removed: int) -> bool:
     return brute_chain_witness(stripped) is None
 
 
-def brute_sunflower(sets, target: int):
-    """First combination of `target` inputs with one common pairwise intersection."""
-    frozen = [frozenset(s) for s in sets]
-    for combo in combinations(range(len(frozen)), target):
-        if len({len(frozen[i]) for i in combo}) != 1:
-            continue
-        root = frozen[combo[0]] & frozen[combo[1]]
-        if all(frozen[i] & frozen[j] == root for i, j in combinations(combo, 2)):
-            return combo, root
-    return None
-
-
-def is_sunflower_of(sets, decomposition, target: int) -> bool:
-    """Are the members `target` distinct, equal-size inputs meeting pairwise in the root?
-
-    Each member must also be its sorted root plus its sorted petal.
-    """
-    members, petals = decomposition.members, decomposition.petals
-    chosen = [frozenset(sets[i]) for i in members]
-    root = frozenset(decomposition.root)
-    return (
-        len(set(members)) == len(members) == len(petals) == target
-        and len({len(s) for s in chosen}) == 1
-        and decomposition.root == tuple(sorted(root))
-        and all(p == tuple(sorted(s - root)) for s, p in zip(chosen, petals))
-        and all(a & b == root for a, b in combinations(chosen, 2))
-    )
-
-
 def min_chain_edit_distance(family: ChainFamily) -> int:
     """Fewest membership flips turning the family into an inclusion chain.
 

@@ -1,4 +1,4 @@
-"""Insertion formula, full adjustment, compatibility, sunflowers, interpolation."""
+"""Insertion formula, full adjustment, compatibility, interpolation."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ import pytest
 
 from chainlab import adjust
 from chainlab.adjust import (
-    SunflowerNotFoundError,
     adjust_family,
     adjustment_report_to_text,
     compatibility_witness,
-    delta_system_extract,
     insert_point,
     gap_exceptions,
     merge_conditions,
@@ -36,10 +34,8 @@ from chainlab.generators import (
 
 from oracles import (
     brute_alternation_witness,
-    brute_sunflower,
     build_family,
     count_fraction_ops,
-    is_sunflower_of,
     mixed_corpus,
 )
 
@@ -353,116 +349,6 @@ def test_split_conditions_stay_compatible():
         right = ChainFamily.from_pairs(fam.ground, pairs[split:])
         assert compatibility_witness(left, right) is None
         assert merge_conditions(left, right) == adjusted
-
-
-# --- sunflower extraction -------------------------------------------------------
-
-
-def test_sunflower_classic_example():
-    out = delta_system_extract([{F(1), F(2)}, {F(1), F(3)}, {F(1), F(4)}], 3)
-    assert out.root == (F(1),)
-    assert out.petals == ((F(2),), (F(3),), (F(4),))
-    assert out.members == (0, 1, 2)
-
-
-def test_sunflower_disjoint_sets_have_empty_root():
-    out = delta_system_extract(
-        [{F(1), F(2)}, {F(3), F(4)}, {F(5), F(6)}], 3
-    )
-    assert out.root == ()
-    assert len(out.members) == 3
-
-
-def test_sunflower_not_found_and_bad_target():
-    with pytest.raises(SunflowerNotFoundError):
-        delta_system_extract([{F(1), F(2)}, {F(2), F(3)}, {F(1), F(3)}], 3)
-    with pytest.raises(InputError):
-        delta_system_extract([{F(1)}, {F(2)}], 1)
-    for target in (2.5, 3.0, True, F(3), "3", None):
-        with pytest.raises(InputError, match="target_count must be an integer"):
-            delta_system_extract([{F(1), F(2)}, {F(1), F(3)}, {F(1), F(4)}], target)
-
-
-def _three_sets_of_eleven(seed):
-    rng = random.Random(seed)
-    return [set(map(F, rng.sample(range(11), 3))) for _ in range(38)]
-
-
-def test_sunflower_matches_brute_force_oracle():
-    rng = random.Random(2024)
-    pool = [F(k) for k in range(6)]
-    cases = [([set(rng.sample(pool, 3)) for _ in range(10)], 3) for _ in range(150)]
-    # comb(38, 5) = 501,942 candidate 5-sets: seeds 32 and 55 have a
-    # sunflower that a greedy pass misses, seed 15 has none.
-    cases += [(_three_sets_of_eleven(seed), 5) for seed in (15, 32, 55)]
-    for sets, target in cases:
-        expected = brute_sunflower(sets, target)
-        try:
-            out = delta_system_extract(sets, target)
-        except SunflowerNotFoundError:
-            assert expected is None
-            continue
-        assert expected is not None
-        assert is_sunflower_of(sets, out, target)
-
-
-def test_sunflower_found_where_greedy_packing_fails():
-    sets = _three_sets_of_eleven(24)
-    out = delta_system_extract(sets, 5)
-    assert is_sunflower_of(sets, out, 5)
-    assert out.root == (F(10),)
-    assert out.members == brute_sunflower(sets, 5)[0] == (6, 10, 11, 13, 32)
-
-
-def test_sunflower_greedy_pass_tries_every_root_before_backtracking():
-    sets = [{F(2), F(5)}, {F(1), F(5)}, {F(2), F(3)}, {F(0), F(4)}, {F(1), F(2)}]
-    # The empty root comes first, but only backtracking packs it (members
-    # 1, 2, 3); the greedy pass packs the root {2} and answers first.
-    out = delta_system_extract(sets, 3)
-    assert (out.root, out.members) == ((F(2),), (0, 2, 4))
-
-
-def test_sunflower_search_past_its_work_cap_is_undecided(monkeypatch):
-    monkeypatch.setattr(adjust, "_SEARCH_NODE_LIMIT", 50)
-    with pytest.raises(InputError, match="undecided"):
-        delta_system_extract(_three_sets_of_eleven(24), 5)
-
-
-def _k14_edges():
-    return [{F(a), F(b)} for a in range(14) for b in range(a + 1, 14)]
-
-
-def _800_six_sets_of_24():
-    rng = random.Random(0)
-    return [set(rng.sample(range(24), 6)) for _ in range(800)]
-
-
-@pytest.mark.parametrize(
-    "make, target",
-    [(_k14_edges, 14), (_800_six_sets_of_24, 30)],
-    ids=["k14-edges", "800-six-sets-of-24"],
-)
-def test_sunflower_search_skips_roots_too_small_for_disjoint_petals(make, target):
-    # No root leaves room for target disjoint petals: K_14 has 13 or 14
-    # points for petals of 1 or 2, and around a root of r < 6 of the 24
-    # points at most 19 petals of 6 - r points are disjoint.  So the verdict
-    # comes from counting, not from the work cap.
-    with pytest.raises(SunflowerNotFoundError):
-        delta_system_extract(make(), target)
-
-
-def test_sunflower_search_takes_1200_members_without_recursion():
-    sets = [{F(i)} for i in range(1500)]
-    out = delta_system_extract(sets, 1200)
-    assert out.root == ()
-    assert out.members == tuple(range(1200))
-    assert out.petals == tuple((F(i),) for i in range(1200))
-
-
-def test_sunflower_respects_size_groups():
-    sets = [{F(1)}, {F(1), F(2)}, {F(1), F(3)}, {F(1), F(4)}]
-    out = delta_system_extract(sets, 3)
-    assert 0 not in out.members
 
 
 # --- gap interpolation ----------------------------------------------------------

@@ -22,9 +22,7 @@ from hypothesis import strategies as st
 from chainlab import adjust as adj
 from chainlab import core
 from chainlab.adjust import (
-    SunflowerNotFoundError,
     adjust_family,
-    delta_system_extract,
     gap_exceptions,
     insert_point,
 )
@@ -77,12 +75,10 @@ from oracles import (
     brute_norm_witness,
     brute_over_budget_line,
     brute_perturbed_chain,
-    brute_sunflower,
     brute_triple_table_text,
     brute_triples,
     counter_inputs,
     flagged_sizes,
-    is_sunflower_of,
     membership_trace,
     point_triples,
     two_pass_family_with_file_order,
@@ -562,30 +558,6 @@ def test_adjust_past_the_output_cap_is_one_input_error_line(monkeypatch, tmp_pat
     sets.clear()
     assert main(argv) == 1 and len(sets) == 1
     capsys.readouterr()
-
-
-@st.composite
-def sunflower_instances(draw):
-    """Up to 11 sets of 2 or 3 points from a pool of at most 8, and a target of 2 to 4."""
-    pool = [F(v, 3) for v in range(draw(st.integers(3, 8)))]
-    sets = draw(st.lists(st.sets(st.sampled_from(pool), min_size=2, max_size=3), max_size=11))
-    return sets, draw(st.integers(2, 4))
-
-
-@CHECK
-# A greedy pass misses the one sunflower, {1, 3}, {2, 6}, {0, 4}, {5, 7}.
-@example(([set(map(F, s)) for s in ((1, 3), (2, 5), (2, 6), (0, 4), (5, 7))], 4))
-@given(sunflower_instances())
-def test_sunflower_verdict_matches_brute_force(instance):
-    sets, target = instance
-    expected = brute_sunflower(sets, target)
-    try:
-        out = delta_system_extract(sets, target)
-    except SunflowerNotFoundError:
-        assert expected is None
-        return
-    assert expected is not None
-    assert is_sunflower_of(sets, out, target)
 
 
 @CHECK

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import chainlab
-from chainlab.adjust import InsertionReceipt, SunflowerDecomposition, adjust_family
+from chainlab.adjust import InsertionReceipt, adjust_family
 from chainlab.core import ChainFamily, GroundSet, InputError, validate_almost_chain
 from chainlab.lineop import (
     LineModel,
@@ -52,7 +52,6 @@ def _one_of_each_value_type():
         fam,
         model,
         table,
-        SunflowerDecomposition((), ((F(1),), (F(2),)), (0, 1)),
         report.receipts[0],
         report,
         validate_almost_chain(fam, 0),
@@ -123,8 +122,6 @@ def test_value_types_construct_by_keyword():
     assert model.dense_ranks == (0,)
     table = TripleTable(points=(F(1, 2), F(1)), ranks=((0, 1, 1),))
     assert table.points == (F(1, 2), F(1)) and table.ranks == ((0, 1, 1),)
-    sunflower = SunflowerDecomposition(root=(F(1),), petals=((F(2),),), members=(0,))
-    assert sunflower.petals == ((F(2),),)
     receipt = InsertionReceipt(
         inserted_index=F(1), produced_set=0b101, predecessor=None, successor=None,
         delta_from_input=0b100,
