@@ -517,13 +517,17 @@ def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ..
     each well-formed entry becomes an (index, mask) pair (`_run_pair` or
     `_entry_pair`), and `_walk_family` reads the result.  Only if that
     raises is the text decoded again without the hook and walked, so the
-    error names every object as the document wrote it.
+    error names every object as the document wrote it.  The entry cap's
+    refusal names none, and the hook keeps the entries' count, so it is
+    raised as it stands (the canonical walk reads nothing past the cap).
     """
     try:
         doc = _canonical_document(text)
         return _walk_family(json.loads(text, object_hook=_entry_pair) if doc is None else doc)
-    except (ValueError, RecursionError):  # InputError is a ValueError
-        pass  # leaving the handler frees the hooked document before the second decode
+    except (ValueError, RecursionError) as exc:  # InputError is a ValueError
+        if exc.args == (f"entries exceed the cap {MAX_FAMILY_SIZE}",):
+            raise
+    # Leaving the handler freed the hooked document before the second decode.
     return _walk_family(parse_json(text, "family document"))
 
 

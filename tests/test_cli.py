@@ -558,6 +558,31 @@ def test_family_document_over_the_entry_cap_is_one_input_error_line(
         assert (walked[0] is None) == (spelling == "compact")
 
 
+# The hook keeps the entries' count, so the cap's refusal is raised without a
+# second, plain decode; a document under the cap is read with none either.
+@pytest.mark.parametrize("spelling", ["canonical", "compact"])
+def test_family_document_over_the_entry_cap_is_decoded_once(
+        tmp_path, capsys, monkeypatch, spelling):
+    from chainlab import core
+
+    plain = []
+    real = core.parse_json
+    monkeypatch.setattr(core, "parse_json", lambda *args: plain.append(args) or real(*args))
+    monkeypatch.setattr(core, "MAX_FAMILY_SIZE", 3)
+    for entries in (3, 4):
+        doc = {"ground_size": 2,
+               "entries": [{"index": f"{i + 1}/16", "set": [i % 2]} for i in range(entries)]}
+        path = tmp_path / f"{spelling}-{entries}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n" if spelling == "canonical"
+                        else json.dumps(doc, separators=(",", ":")))
+        code, out, err = run_cli(capsys, "check", "--input", str(path))
+        if entries == 3:
+            assert code == 0 and out.startswith("chain: witness n=0 x=1/16 y=1/8\n")
+        else:
+            assert (code, out, err) == (1, "", "input-error: entries exceed the cap 3\n")
+    assert plain == []
+
+
 # Each case asks for a family over core.MAX_FAMILY_BITS (2^25) bits, its
 # count times its ground size, and must be refused before any set is built.
 _WORDS_20 = [format(2 * i + 1, "028b") for i in range(33)]
