@@ -309,7 +309,13 @@ def function_from_text(text: str) -> dict[IndexValue, Fraction]:
     doc = parse_json(text, "function document")
     if not isinstance(doc, dict) or set(doc) != {"values"} or not isinstance(doc["values"], dict):
         raise InputError("function document must have exactly a 'values' object")
-    return {parse_index(p): parse_index(v) for p, v in doc["values"].items()}
+    f: dict[IndexValue, Fraction] = {}
+    for p, v in doc["values"].items():
+        x = parse_index(p)
+        if x in f:  # another spelling of a point already read, such as 2/4 for 1/2
+            raise InputError(f"duplicate point {x}")
+        f[x] = parse_index(v)
+    return f
 
 
 def model_from_text(text: str) -> LineModel:

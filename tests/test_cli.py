@@ -821,6 +821,16 @@ def test_function_values_over_the_digit_cap_are_refused(tmp_path, capsys):
     assert err == "input-error: index numerator or denominator exceeds 1000 digits\n"
 
 
+def test_function_naming_one_point_twice_is_one_input_error_line(tmp_path, capsys):
+    # 2/4 is 1/2 again: the later value must not silently replace the earlier one.
+    fam = tmp_path / "s.json"
+    fam.write_text(json.dumps(_family_doc(3, [0], [1], [0, 1, 2])))
+    f = tmp_path / "fn.json"
+    f.write_text(json.dumps({"values": {"1/4": "1/1", "1/2": "-1/1", "2/4": "5/1", "3/4": "1/1"}}))
+    code, out, err = run_cli(capsys, "operator", "--input", str(fam), "--function", str(f))
+    assert (code, out, err) == (1, "", "input-error: duplicate point 1/2\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize("argv", [
     ["check", "--input", "{family}"],

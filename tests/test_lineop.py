@@ -388,6 +388,8 @@ def test_text_formats_round_trip():
     assert model_from_text(json.dumps(doc)) == MODEL3
     with pytest.raises(InputError):
         function_from_text("{}")
+    with pytest.raises(InputError, match="^duplicate point 1/2$"):
+        function_from_text(json.dumps({"values": {"1/2": "-1/1", "2/4": "5/1"}}))
     with pytest.raises(InputError):
         model_from_text('{"carrier": ["1/2"]}')
 
