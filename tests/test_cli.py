@@ -530,18 +530,21 @@ def test_count_out_of_range_is_one_input_error_line(capsys, argv):
 
 
 # A family document of more than core.MAX_FAMILY_SIZE entries is refused, in
-# either spelling; the canonical walk stops at the entry past the cap.
+# either spelling; the canonical walk stops at the entry past the cap.  The
+# hook keeps the entries' count, so no document here is decoded a second,
+# plain time (`core.parse_json`).
 @pytest.mark.parametrize("spelling", ["canonical", "compact"])
 def test_family_document_over_the_entry_cap_is_one_input_error_line(
         tmp_path, capsys, monkeypatch, spelling):
     from chainlab import core
 
-    walked = []
-    real = core._canonical_document
+    walked, plain = [], []
+    real, real_parse = core._canonical_document, core.parse_json
     monkeypatch.setattr(core, "_canonical_document",
                         lambda text: walked.append(doc := real(text)) or doc)
+    monkeypatch.setattr(core, "parse_json", lambda *args: plain.append(args) or real_parse(*args))
     monkeypatch.setattr(core, "MAX_FAMILY_SIZE", 3)
-    for entries in (3, 10):
+    for entries in (3, 4, 10):
         doc = {"ground_size": 2,
                "entries": [{"index": f"{i + 1}/16", "set": [i % 2]} for i in range(entries)]}
         path = tmp_path / f"{spelling}-{entries}.json"
@@ -556,30 +559,6 @@ def test_family_document_over_the_entry_cap_is_one_input_error_line(
             if spelling == "canonical":
                 assert len(walked[0]["entries"]) == 4
         assert (walked[0] is None) == (spelling == "compact")
-
-
-# The hook keeps the entries' count, so the cap's refusal is raised without a
-# second, plain decode; a document under the cap is read with none either.
-@pytest.mark.parametrize("spelling", ["canonical", "compact"])
-def test_family_document_over_the_entry_cap_is_decoded_once(
-        tmp_path, capsys, monkeypatch, spelling):
-    from chainlab import core
-
-    plain = []
-    real = core.parse_json
-    monkeypatch.setattr(core, "parse_json", lambda *args: plain.append(args) or real(*args))
-    monkeypatch.setattr(core, "MAX_FAMILY_SIZE", 3)
-    for entries in (3, 4):
-        doc = {"ground_size": 2,
-               "entries": [{"index": f"{i + 1}/16", "set": [i % 2]} for i in range(entries)]}
-        path = tmp_path / f"{spelling}-{entries}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n" if spelling == "canonical"
-                        else json.dumps(doc, separators=(",", ":")))
-        code, out, err = run_cli(capsys, "check", "--input", str(path))
-        if entries == 3:
-            assert code == 0 and out.startswith("chain: witness n=0 x=1/16 y=1/8\n")
-        else:
-            assert (code, out, err) == (1, "", "input-error: entries exceed the cap 3\n")
     assert plain == []
 
 
