@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from chainlab import core
 from chainlab.cli import main
 
 SEEDS = ("0", "1", "7")
@@ -31,6 +32,9 @@ GENERATE_FLAGS = {
     "marciszewski": ("--depth", "5", "--count", "10"),
     "sign": ("--ground-size", "10", "--count", "6"),
 }
+# The reader reads 11 of this family's 12 sets run by run.
+WIDE_FLAGS = ("--kind", "perturbed", "--seed", "1", "--ground-size", "512", "--count", "12",
+              "--flips", "1")
 
 # name -> (argv, artifact written besides stdout).  "{in}" is the directory of
 # shared inputs, "{out}" a fresh directory per case.
@@ -88,6 +92,27 @@ CASES: dict[str, tuple[tuple[str, ...], str | None]] = {
          "--count", "9", "--reps", "2"),
         None,
     ),
+    # Families large enough for the fast paths of `chainlab.core` (FAST_PATHS below).
+    "check-counter-rows": (("check", "--input", "{in}/dense.json", "--budget", "2"), None),
+    "generate-runs": (
+        ("generate", *WIDE_FLAGS, "--output", "{out}/family.json"), "family.json"),
+    "adjust-runs-random": (
+        ("adjust", "--input", "{in}/wide.json", "--order", "random", "--seed", "5",
+         "--output", "{out}/adjusted.json"),
+        "adjusted.json",
+    ),
+    "triples-runs": (("triples", "--input", "{in}/wide-adjusted.json"), None),
+}
+
+# Case -> (the function of `chainlab.core` its fast path runs, how many of its
+# calls return a result).  `_counter_rows` is the vertical-counter defect scan,
+# `_line_table` is called by the writer once per set it copies run by run, and
+# `_run_pair` returns None for each set it hands to the JSON decoder.
+FAST_PATHS = {
+    "check-counter-rows": ("_counter_rows", 1),
+    "generate-runs": ("_line_table", 4),
+    "adjust-runs-random": ("_run_pair", 11),
+    "triples-runs": ("_run_pair", 11),
 }
 
 # name -> (exit code, stdout digest, artifact digest or None)
@@ -101,6 +126,9 @@ GOLDEN: dict[str, tuple[int, str, str | None]] = {
     "adjust-random": (
         0, "f6973f1968cc0081a165d17e1f4220550edef33877a91c0554b9388112550e55",
         "d788726be8c4f6a431928639fd184c4c81ab8790a47cb0fc85585b0dd0cb2589"),
+    "adjust-runs-random": (
+        0, "e17984452f06c777f5ee62db11d42cb5bb7870956ce407a847b5b5eff4c40fc8",
+        "99293c20c58f7ea0f0a3351aa3e4bdde308bafffce2364f4e5e9fb2509595ff9"),
     "adjust-sorted": (
         0, "4d913a26ce364d80f9299d7279e68e4fe1e57c85c49a803adf63388b414bd9da",
         "42b10c3817c747c9b32f0395b1cd5f0be074b8cdc557f26912bdff294296387f"),
@@ -109,6 +137,9 @@ GOLDEN: dict[str, tuple[int, str, str | None]] = {
         None),
     "check-chain": (
         0, "c08ec206a68c5846552ccbab0209cdf9e7051bee0c9485d8f549f85f2f95c595",
+        None),
+    "check-counter-rows": (
+        0, "154e6574371ef65c8591490a2629bb87a7d93e9802b83bb9525533d93ddaa70a",
         None),
     "check-marciszewski": (
         0, "e9f13f456678ab2f1b40449b17b32b562cf09b7ee6d1dd49da95f268937a1c20",
@@ -152,6 +183,9 @@ GOLDEN: dict[str, tuple[int, str, str | None]] = {
     "generate-perturbed-7": (
         0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "1fe926055f7c63d6af3286a36fb202d49ac33fac66832d5fed9f58aecd30036f"),
+    "generate-runs": (
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4871d43700bc318194e94a7c535ed7f1eb4b5e3008faa059700710a8373b2db5"),
     "generate-sign-0": (
         0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "32487c23986581f2811ee6e5aef67959b075ab48b88bbcb912a70525e88d9965"),
@@ -188,6 +222,9 @@ GOLDEN: dict[str, tuple[int, str, str | None]] = {
     "triples-output": (
         0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "7076649ab6dc7252662a496d93864f85043d18b984723f90f68f6926847eb91c"),
+    "triples-runs": (
+        0, "fed44279b967050e59344548de1c8b3d9bfaea7e56036f1a715b15605158b278",
+        None),
 }
 
 ERROR_CASES = {
@@ -212,9 +249,16 @@ def write_inputs(root: Path) -> None:
                       "--depth", "5", "--count", "12"),
         "chain.json": ("generate", "--kind", "chain", "--seed", "2",
                        "--ground-size", "8", "--count", "5"),
+        # At budget 2, 4,272 pairs are over the budget.
+        "dense.json": ("generate", "--kind", "perturbed", "--seed", "1",
+                       "--ground-size", "256", "--count", "300", "--flips", "2"),
+        "wide.json": ("generate", *WIDE_FLAGS),
     }.items():
         code, _, _ = run(argv + ("--output", str(root / name)))
         assert code == 0, name
+    code, _, _ = run(("adjust", "--input", str(root / "wide.json"), "--order", "random",
+                      "--seed", "5", "--output", str(root / "wide-adjusted.json")))
+    assert code == 0
     alt = [("1/4", [1]), ("1/2", [0, 2]), ("3/4", [2]), ("7/8", [1, 2])]
     files = {
         "config.json": json.dumps({"kind": "marciszewski", "depth": 5,
@@ -273,6 +317,17 @@ def test_golden_case(name, inputs, tmp_path):
     observed, err = observe(name, inputs, tmp_path)
     assert err == ""
     assert observed == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATHS))
+def test_fast_path_case_takes_its_path(name, inputs, tmp_path, monkeypatch):
+    path, results = FAST_PATHS[name]
+    returned = []
+    real = getattr(core, path)
+    monkeypatch.setattr(core, path, lambda *args: returned.append(real(*args)) or returned[-1])
+    observed, _ = observe(name, inputs, tmp_path)
+    assert observed == GOLDEN[name]
+    assert len(returned) - returned.count(None) == results
 
 
 def test_check_case_flags_pairs_over_budget(inputs):
