@@ -24,6 +24,7 @@ from chainlab.adjust import adjust_family, compatibility_witness
 from chainlab.core import (
     ChainFamily,
     GroundSet,
+    InputError,
     alternation_witness,
     chain_witness,
     is_barely_alternating,
@@ -37,7 +38,6 @@ from chainlab.generators import (
 )
 from chainlab.adjust import gap_exceptions, insert_point
 from chainlab.lineop import (
-    InconsistencyError,
     LineModel,
     apply_operator,
     coincident_schedule,
@@ -357,7 +357,7 @@ def test_c09_triple_soundness():
             f = {p: F(rng.randint(-9, 9), rng.randint(1, 9)) for p in model.carrier}
             try:
                 report = continuity_harness(fam, model, schedule, f)
-            except InconsistencyError as exc:  # pragma: no cover - must not happen
+            except InputError as exc:  # pragma: no cover - must not happen
                 raise AssertionError(f"limit table rejected a derived triple: {exc}")
             assert report.identity_holds
             x0, x1, x2 = (report.points[r] for r in report.steps[-1].ranks)

@@ -12,7 +12,6 @@ from chainlab.adjust import adjust_family
 from chainlab.core import ChainFamily, GroundSet, InputError, chain_witness
 from chainlab.generators import marciszewski_family, random_bit_indices
 from chainlab.lineop import (
-    InconsistencyError,
     LineModel,
     TripleTable,
     apply_operator,
@@ -252,7 +251,7 @@ def test_triple_pattern_names_each_coincidence(triple, expected):
 def test_limit_eval_point_errors():
     with pytest.raises(InputError):
         limit_eval_point(F(2), F(1), F(3))
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InputError, match="strict limit triple"):
         limit_eval_point(F(1), F(2), F(3))
 
 
@@ -298,7 +297,7 @@ def test_harness_rejects_non_monotone_schedules():
 def test_harness_flags_strict_final_triple():
     fam = _family3("010")  # (1/2, 3/4, 1) is strict in the extended carrier
     f = {p: p for p in MODEL3.carrier}
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InputError, match="strict limit triple"):
         continuity_harness(fam, MODEL3, [(0, 0)], f)
 
 
