@@ -32,7 +32,6 @@ from .generators import (
 )
 from .lineop import (
     HarnessReport,
-    InconsistencyError,
     LineModel,
     TripleTable,
     apply_operator,
@@ -50,7 +49,6 @@ __all__ = [
     "DefectReport",
     "GroundSet",
     "HarnessReport",
-    "InconsistencyError",
     "IndexValue",
     "InputError",
     "InsertionReceipt",

@@ -347,9 +347,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except core.InputError as exc:
         print(f"input-error: {exc}", file=sys.stderr)
         return 1
-    except lineop.InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

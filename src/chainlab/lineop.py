@@ -11,8 +11,7 @@ Because the family never alternates a fourth time, the signed sum is the
 whole story: the operator is linear, restricts to the identity on K, and its
 exact norm is 3 when some triple is strict and 1 otherwise.  Limits along
 monotone schedules of ground elements are settled by a three-way decision
-table on the final triple; a strict final triple is rejected as evidence of
-an upstream violation.
+table on the final triple; a strict final triple is refused.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ from .core import (
     parse_index_list,
     parse_json,
 )
-
-
-class InconsistencyError(RuntimeError):
-    """A strict triple reached the limit decision table."""
 
 
 class LineModel(NamedTuple("LineModel", [("carrier", tuple[IndexValue, ...]),
@@ -193,7 +188,7 @@ def limit_eval_point(x0: IndexValue, x1: IndexValue, x2: IndexValue) -> IndexVal
 
     The decision table: a collapsed triple evaluates at the common point, a
     coincidence of the last two at x0, of the first two at x2.  A strict
-    triple has no consistent evaluation point and is rejected.
+    triple has no consistent evaluation point and is refused.
     """
     if not x0 <= x1 <= x2:
         raise InputError(f"triple not ordered: {x0}, {x1}, {x2}")
@@ -201,10 +196,7 @@ def limit_eval_point(x0: IndexValue, x1: IndexValue, x2: IndexValue) -> IndexVal
         return x0
     if x0 == x1:
         return x2
-    raise InconsistencyError(
-        f"strict limit triple ({x0}, {x1}, {x2}) admits no evaluation point; "
-        "the source family alternates too much"
-    )
+    raise InputError(f"strict limit triple ({x0}, {x1}, {x2}) admits no evaluation point")
 
 
 class HarnessStep(NamedTuple):
