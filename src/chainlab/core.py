@@ -475,15 +475,28 @@ def parse_index_list(values: object) -> tuple[IndexValue, ...]:
 def parse_json(text: str, what: str) -> object:
     """The JSON value in `text`, or InputError naming the document.
 
-    Beyond syntax errors, this refuses an integer over Python's digit limit
-    for text conversion (a ValueError) and nesting past the recursion limit.
+    Beyond syntax errors, this refuses an object that repeats a key, an
+    integer over Python's digit limit for text conversion (a ValueError) and
+    nesting past the recursion limit.
     """
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=lambda pairs: _object(pairs, what))
+    except InputError:  # a repeated key
+        raise
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} is not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{what} cannot be parsed: {exc}") from exc
+
+
+def _object(pairs: list[tuple[str, object]], what: str) -> dict:
+    """`object_pairs_hook`: the object of `pairs`, refusing the first key they repeat."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise InputError(f"{what} repeats the key {key!r}")
+    return obj
 
 
 def _set_mask(elems: list, limit: int) -> int | None:
@@ -516,14 +529,14 @@ def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ..
     (`_canonical_document`); any other is decoded in one go.  Either way
     each well-formed entry becomes an (index, mask) pair (`_run_pair` or
     `_entry_pair`), and `_walk_family` reads the result.  Only if that
-    raises is the text decoded again without the hook and walked, so the
+    raises is the text decoded again by `parse_json` and walked, so the
     error names every object as the document wrote it.  The entry cap's
     refusal names none, and the hook keeps the entries' count, so it is
     raised as it stands (the canonical walk reads nothing past the cap).
     """
     try:
         doc = _canonical_document(text)
-        return _walk_family(json.loads(text, object_hook=_entry_pair) if doc is None else doc)
+        return _walk_family(json.loads(text, object_pairs_hook=_entry_pair) if doc is None else doc)
     except (ValueError, RecursionError) as exc:  # InputError is a ValueError
         if exc.args == (f"entries exceed the cap {MAX_FAMILY_SIZE}",):
             raise
@@ -543,7 +556,7 @@ def _canonical_document(text: str) -> dict | None:
     if head is None:
         return None
     limit = min(int(head[1]), _TABLE_LINES)
-    decode = json.JSONDecoder(object_hook=_entry_pair).raw_decode
+    decode = json.JSONDecoder(object_pairs_hook=_entry_pair).raw_decode
     entries, i = [], head.end()
     while text.startswith(_ENTRY_HEAD, i):
         entry, i = _run_pair(text, i, limit) or decode(text, i + _ENTRY_HEAD.index("{"))
@@ -637,8 +650,10 @@ def _line_table(n: int) -> tuple[str, tuple[int, ...]]:
     return ",".join(lines), tuple(accumulate((len(line) + 1 for line in lines), initial=0))
 
 
-def _entry_pair(obj: dict) -> object:
-    """`object_hook`: (index, mask) for an entry whose set is a mask under the cap, else obj."""
+def _entry_pair(pairs: list[tuple[str, object]]) -> object:
+    """`object_pairs_hook`: (index, mask) for an entry whose set is a mask under the cap,
+    else the object; an object that repeats a key is refused, as `parse_json` refuses it."""
+    obj = _object(pairs, "family document")
     elems = obj.get("set") if len(obj) == 2 and "index" in obj else None
     mask = (_set_mask(elems, MAX_GROUND_SIZE) if elems else 0) if type(elems) is list else None
     return obj if mask is None else (obj["index"], mask)

@@ -740,6 +740,48 @@ def test_unparsable_json_is_one_input_error_line(tmp_path, capsys, kind, payload
     assert err.count("\n") == 1
 
 
+# An object that names a key twice is refused in every document kind, not read
+# with its last value.  The canonical family is walked entry by entry, the
+# compact ones decoded in one go.
+_REPEATED_KEYS = {
+    "family": (("check", "--input", "{doc}"),
+               '{"ground_size": 2, "entries": [{"index": "1/2", "set": [0], "set": [1]}]}',
+               "family document repeats the key 'set'"),
+    "family-canonical": (
+        ("check", "--input", "{doc}"),
+        '{\n  "ground_size": 2,\n  "entries": [\n    {\n      "index": "1/2",\n'
+        '      "set": [\n        0\n      ],\n      "set": [\n        1\n      ]\n    }\n  ]\n}\n',
+        "family document repeats the key 'set'"),
+    "family-head": (("check", "--input", "{doc}"),
+                    '{"ground_size": 2, "ground_size": 3, "entries": []}',
+                    "family document repeats the key 'ground_size'"),
+    "gap": (("gap", "--input", "{doc}"),
+            '{"ground_size": 4, "ascending": [[0]], "ascending": [[1]], "descending": [[0, 1]]}',
+            "gap instance repeats the key 'ascending'"),
+    "config": (("generate", "--config", "{doc}"),
+               '{"kind": "perturbed", "seed": 1, "seed": 2, "ground_size": 8, "count": 4,'
+               ' "flips": 1}',
+               "generator config repeats the key 'seed'"),
+    "function": (("operator", "--input", "{fam}", "--function", "{doc}"),
+                 '{"values": {"1/1": "1/2", "1/1": "5/1"}}',
+                 "function document repeats the key '1/1'"),
+    "model": (("operator", "--input", "{fam}", "--model", "{doc}"),
+              '{"carrier": ["1/1"], "carrier": ["1/1", "2/1"], "dense": ["1/1"]}',
+              "model document repeats the key 'carrier'"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_REPEATED_KEYS))
+def test_a_repeated_key_is_one_input_error_line(tmp_path, capsys, kind):
+    argv, text, message = _REPEATED_KEYS[kind]
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"ground_size": 1, "entries": [{"index": "1/1", "set": [0]}]}))
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    code, out, err = run_cli(capsys, *(a.format(doc=doc, fam=fam) for a in argv))
+    assert (code, out, err) == (1, "", f"input-error: {message}\n")
+
+
 def _strict_family_and_function(tmp_path, denominators):
     """A one-element family with the strict triple (1/4, 1/2, 3/4), and f = 1/d there."""
     fam = tmp_path / "fam.json"
