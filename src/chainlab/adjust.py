@@ -132,15 +132,19 @@ def adjust_family(
         receipts = list(map(InsertionReceipt, indices, adjusted, (None, *indices),
                             repeat(None), map(xor, adjusted, masks)))
     else:
-        # The condition is indexed by ranks, so every bisect compares ints.
+        # The condition is indexed by ranks, so every bisect compares ints.  It is
+        # built once, in two lists; each insertion sees only its rank's neighbours.
         name = dict(enumerate(indices)).get  # rank -> point, None (no neighbour) -> None
-        cond = ChainFamily._trusted(family.ground, (), ())
-        receipts = []
+        ground, held_ranks, adjusted, receipts = family.ground, [], [], []
         for r in ranks:
-            cond, (_, produced, below, above, delta) = insert_point(cond, r, masks[r])
+            pos = bisect_left(held_ranks, r)
+            near = slice(max(pos - 1, 0), pos + 1)
+            _, (_, produced, below, above, delta) = insert_point(ChainFamily._trusted(
+                ground, tuple(held_ranks[near]), tuple(adjusted[near])), r, masks[r])
             held = _tally(held, produced, _HELD)
+            held_ranks.insert(pos, r)
+            adjusted.insert(pos, produced)
             receipts.append(InsertionReceipt(name(r), produced, name(below), name(above), delta))
-        adjusted = cond.masks
     costs = [r.cost for r in receipts]
     report = AdjustmentReport(tuple(receipts), sum(costs), max(costs, default=0))
     return ChainFamily._trusted(family.ground, indices, tuple(adjusted)), report
