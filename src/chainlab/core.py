@@ -530,15 +530,17 @@ def family_with_file_order(text: str) -> tuple[ChainFamily, tuple[IndexValue, ..
     each well-formed entry becomes an (index, mask) pair (`_run_pair` or
     `_entry_pair`), and `_walk_family` reads the result.  Only if that
     raises is the text decoded again by `parse_json` and walked, so the
-    error names every object as the document wrote it.  The entry cap's
-    refusal names none, and the hook keeps the entries' count, so it is
-    raised as it stands (the canonical walk reads nothing past the cap).
+    error names every object as the document wrote it.  Two refusals name
+    none and are raised as they stand: a repeated key, which the hook meets
+    where `parse_json` would and words as it does, and the entry cap, whose
+    count the hook keeps (the canonical walk reads nothing past the cap).
     """
     try:
         doc = _canonical_document(text)
         return _walk_family(json.loads(text, object_pairs_hook=_entry_pair) if doc is None else doc)
     except (ValueError, RecursionError) as exc:  # InputError is a ValueError
-        if exc.args == (f"entries exceed the cap {MAX_FAMILY_SIZE}",):
+        if exc.args == (f"entries exceed the cap {MAX_FAMILY_SIZE}",) or str(exc).startswith(
+                "family document repeats the key "):
             raise
     # Leaving the handler freed the hooked document before the second decode.
     return _walk_family(parse_json(text, "family document"))

@@ -683,6 +683,28 @@ def test_unsorted_documents_of_every_generator_read_in_one_decode(config, monkey
     assert core.family_with_file_order(json.dumps(doc)) == (fam, order)
 
 
+def _repeated_key_documents():
+    """A repeated key in the last entry of a canonical and of a compact
+    document, and in the outer object."""
+    text = family_to_text(family_from_config(_GENERATOR_CONFIGS[2]))
+    close = text.rindex("\n    }")
+    canonical = text[:close] + ',\n      "set": []' + text[close:]
+    compact = json.dumps(json.loads(text), separators=(",", ":"))
+    compact = compact[:-3] + ',"set":[]' + compact[-3:]  # before the last "}]}"
+    outer = '{"ground_size":2,"entries":[],"ground_size":3}'
+    return {"canonical": canonical, "compact": compact, "outer": outer}
+
+
+@pytest.mark.parametrize("kind", ["canonical", "compact", "outer"])
+def test_a_repeated_key_is_refused_without_a_second_decode(kind, monkeypatch):
+    # The hook meets the key where the plain decode would, and words it the same.
+    text = _repeated_key_documents()[kind]
+    message = _outcome(two_pass_family_with_file_order, text)
+    assert message.startswith("family document repeats the key ")
+    monkeypatch.setattr(core, "parse_json", _refuse_plain_decode)
+    assert _outcome(core.family_with_file_order, text) == message
+
+
 def test_an_error_document_is_not_held_twice():
     # Unsorted sets stay lists in the hooked decode, which is freed before
     # the plain decode that names the error.
