@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import random
 import sys
 from itertools import compress
@@ -339,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command in process and return its exit status; never exits."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -349,5 +351,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry: `main`, then exit without finalizing the interpreter.
+
+    Once stdout and stderr are flushed nothing is left to write, so the
+    process ends at once with `os._exit`.  If a flush fails (an OSError, or
+    the stdout that a failed write closed), it exits through `sys.exit`.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import chainlab
+from chainlab import cli
 from chainlab.cli import main
 
 from oracles import count_fraction_ops
@@ -879,3 +881,120 @@ def test_a_failed_stdout_write_is_one_input_error_line(tmp_path, argv):
                               stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == 1
     assert proc.stderr == "input-error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def _child_env() -> dict[str, str]:
+    env = dict(os.environ)
+    src = str(Path(chainlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# Per command, a run that succeeds and one that is refused with status 1.
+# `{out}` is the file each run writes, one for the child and one in process.
+_ENTRY_RUNS = {
+    "generate": (["generate", "--kind", "perturbed", "--ground-size", "64", "--count", "30"],
+                 ["generate", "--kind", "perturbed", "--ground-size", "2000000"]),
+    "check": (["check", "--input", "{family}", "--budget", "0"],
+              ["check", "--input", "{missing}"]),
+    "adjust": (["adjust", "--input", "{family}", "--order", "random", "--output", "{out}"],
+               ["adjust", "--input", "{family}", "--output", "-"]),
+    "compat": (["compat", "--input", "{family}", "--input", "{family}"],
+               ["compat", "--input", "{family}"]),
+    "gap": (["gap", "--input", "{gap}", "--budget", "1"], ["gap", "--input", "{gap}"]),
+    "triples": (["triples", "--input", "{family}"], ["triples", "--input", "{alternating}"]),
+    "operator": (["operator", "--input", "{family}"],
+                 ["operator", "--input", "{family}", "--function", "{twice}"]),
+    "sweep": (["sweep", "--reps", "1"], ["sweep", "--reps", "0"]),
+}
+# "output" adds `--output {out}`; adjust always writes its family there.
+_ENTRY_MODES = {"stdout": 0, "output": 0, "refused": 1, "usage": 2}
+
+
+def _entry_argv(command: str, mode: str) -> list[str]:
+    ok, refused = _ENTRY_RUNS[command]
+    return {"stdout": ok, "output": [*ok, "--output", "{out}"], "refused": refused,
+            "usage": [*ok, "--no-such-flag"]}[mode]
+
+
+def _entry_inputs(tmp_path: Path) -> dict[str, Path]:
+    paths = {name: tmp_path / f"{name}.json" for name in
+             ("family", "gap", "alternating", "twice", "missing")}
+    paths["family"].write_text(json.dumps(_family_doc(3, [0], [1], [0, 1, 2])))
+    paths["gap"].write_text(json.dumps({"ground_size": 4, "ascending": [[0], [0, 3]],
+                                        "descending": [[0, 1, 2], [0, 1]]}))
+    paths["alternating"].write_text(json.dumps(_family_doc(1, [0], [], [0], [])))
+    paths["twice"].write_text(json.dumps(
+        {"values": {"1/4": "1/1", "1/2": "-1/1", "2/4": "5/1", "3/4": "1/1"}}))
+    return paths
+
+
+@pytest.mark.parametrize("command, mode", [
+    (command, mode) for command in _ENTRY_RUNS for mode in _ENTRY_MODES
+    if (command, mode) != ("adjust", "output")])
+def test_the_process_entry_matches_main_in_process(tmp_path, capsys, monkeypatch, command, mode):
+    # `python -m chainlab.cli` ends through `run`: the same bytes and status as `main`.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this width
+    inputs = _entry_inputs(tmp_path)
+    argv = _entry_argv(command, mode)
+    outs = {side: tmp_path / f"{side}.out" for side in ("child", "main")}
+    child = subprocess.run(
+        [sys.executable, "-m", "chainlab.cli",
+         *(a.format(out=outs["child"], **inputs) for a in argv)],
+        stdin=subprocess.DEVNULL, capture_output=True, env=_child_env())
+    try:
+        code = main([a.format(out=outs["main"], **inputs) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == child.returncode == _ENTRY_MODES[mode]
+    assert (child.stdout, child.stderr.decode()) == (out.encode(), err)
+    written = [path.read_bytes() if path.exists() else None for path in outs.values()]
+    assert written[0] == written[1]
+    if mode == "refused":
+        assert err.startswith("input-error: ") and err.count("\n") == 1
+    elif mode == "usage":
+        assert "chainlab: error: unrecognized arguments: --no-such-flag" in err
+    else:
+        assert err == "" and (out or written[0])
+
+
+def test_a_large_stdout_arrives_whole_through_a_pipe(tmp_path, capsys):
+    family = tmp_path / "d.json"
+    assert main(["generate", "--kind", "perturbed", "--ground-size", "256", "--count", "1000",
+                 "--flips", "2", "--output", str(family)]) == 0
+    argv = ["check", "--input", str(family), "--budget", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    child = subprocess.run([sys.executable, "-m", "chainlab.cli", *argv],
+                           stdin=subprocess.DEVNULL, capture_output=True, env=_child_env())
+    assert len(out) > 1_000_000
+    assert (child.returncode, child.stdout, child.stderr) == (code, out.encode(), b"")
+
+
+def test_main_returns_its_status_and_leaves_the_interpreter_running(capsys):
+    assert main(["sweep", "--reps", "1"]) == 0
+    assert main(["sweep", "--reps", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("kind\tparam\t") and err.startswith("input-error: ")
+
+
+def test_run_flushes_then_ends_the_process_with_os_exit(monkeypatch, capsys):
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)  # returns, so `run` does
+    monkeypatch.setattr(sys, "argv", ["chainlab", "sweep", "--reps", "0"])
+    cli.run()
+    assert exits == [1]
+    assert capsys.readouterr().err.startswith("input-error: ")
+
+
+def test_run_exits_normally_when_stdout_cannot_be_flushed(monkeypatch):
+    # `_write_text` closes a stdout whose write failed; the normal exit follows.
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+    monkeypatch.setattr(sys, "argv", ["chainlab", "sweep", "--reps", "0"])
+    closed = io.TextIOWrapper(io.BytesIO())
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert (exc.value.code, exits) == (1, [])
