@@ -17,7 +17,6 @@ from .core import (
     IndexValue,
     InputError,
     alternation_witness,
-    chain_defect_set,
     chain_witness,
     family_from_text,
     family_to_text,
@@ -57,7 +56,6 @@ __all__ = [
     "adjust_family",
     "alternation_witness",
     "apply_operator",
-    "chain_defect_set",
     "chain_witness",
     "compatibility_witness",
     "compute_triples",

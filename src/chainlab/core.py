@@ -10,7 +10,7 @@ how far a family is from being a chain.
 All values are immutable after construction and all arithmetic is exact:
 indices are `fractions.Fraction`, sets are int bit masks (bit n = element n)
 everywhere, in and out of the library.  `ChainFamily(ground, indices, masks)`
-holds one mask per index, and `chain_defect_set` returns a mask.
+holds one mask per index.
 `GroundSet.check_mask` is the one check that a mask lies in the ground;
 `mask_of` and `iter_bits` convert between element lists and masks.
 `GroundSet` and `ChainFamily` are `NamedTuple` records whose `__new__` runs
@@ -412,16 +412,6 @@ def _least_count(planes: list[int], columns: int) -> tuple[int, int]:
         else:
             least |= 1 << b
     return least, columns
-
-
-def chain_defect_set(family: ChainFamily) -> int:
-    """Mask of the least set D whose removal from every member makes the family a chain.
-
-    Equals the union of A_x \\ A_y over all index pairs x < y; an element
-    belongs to D exactly when its trace ever goes from 1 to 0, that is, when
-    it flips twice, in and then out.
-    """
-    return _flipped(family.masks, 2)
 
 
 # --- textual family format ---------------------------------------------------

@@ -276,17 +276,6 @@ def counter_inputs(masks) -> tuple[list[int], int]:
     return changes, max((m.bit_count() for m in masks), default=0).bit_length()
 
 
-def removal_makes_chain(family: ChainFamily, removed: int) -> bool:
-    """Does deleting the elements of mask `removed` from every member leave a chain?"""
-    gone = elements_of(removed)
-    stripped = ChainFamily(
-        family.ground,
-        family.indices,
-        tuple(mask_from(elements_of(m) - gone) for m in family.masks),
-    )
-    return brute_chain_witness(stripped) is None
-
-
 def min_chain_edit_distance(family: ChainFamily) -> int:
     """Fewest membership flips turning the family into an inclusion chain.
 

@@ -21,7 +21,6 @@ from chainlab.core import (
     GroundSet,
     InputError,
     alternation_witness,
-    chain_defect_set,
     chain_witness,
     family_from_text,
     family_to_text,
@@ -49,7 +48,6 @@ from oracles import (
     flip_count,
     membership_trace,
     mixed_corpus,
-    removal_makes_chain,
     two_pass_family_with_file_order,
     word_value,
 )
@@ -236,45 +234,6 @@ def test_defect_scan_matches_pairwise_defects():
             assert report.flagged_pairs == tuple(p for p, _ in over)
 
 
-def test_chain_defect_set_examples():
-    chain = build_family(["0011", "0111"])
-    assert chain_defect_set(chain) == 0
-    equal = build_family(["1111", "0000"])
-    assert chain_defect_set(equal) == 0
-    g = GroundSet(2)
-    fam = ChainFamily.from_pairs(
-        g,
-        [
-            (F(1, 4), g.mask_of([0])),
-            (F(1, 2), 0),
-            (F(3, 4), g.mask_of([0, 1])),
-        ],
-    )
-    assert tuple(iter_bits(chain_defect_set(fam))) == (0,)
-
-
-def test_chain_defect_set_is_minimal():
-    rng = random.Random(7)
-    checked = 0
-    for _ in range(200):
-        width = rng.randint(2, 5)
-        traces = [
-            "".join(rng.choice("01") for _ in range(width))
-            for _ in range(rng.randint(1, 6))
-        ]
-        fam = build_family(traces)
-        d = chain_defect_set(fam)
-        assert removal_makes_chain(fam, d)
-        if 0 < d.bit_count() <= 8:
-            checked += 1
-            elems = tuple(iter_bits(d))
-            for k in range(len(elems)):
-                for sub in combinations(elems, k):
-                    proper = fam.ground.mask_of(sub)
-                    assert not removal_makes_chain(fam, proper)
-    assert checked > 20
-
-
 def test_empty_and_singleton_families_are_vacuously_fine():
     g = GroundSet(3)
     empty = ChainFamily(g, (), ())
@@ -282,7 +241,6 @@ def test_empty_and_singleton_families_are_vacuously_fine():
     for fam in (empty, single):
         assert chain_witness(fam) is None
         assert is_barely_alternating(fam)
-        assert chain_defect_set(fam) == 0
 
 
 def test_family_shape_is_validated():
