@@ -144,6 +144,9 @@ def _parse_gap_instance(text: str) -> tuple[core.GroundSet, list[int], list[int]
             "gap instance must have exactly ground_size, ascending, descending"
         )
     ground = core.GroundSet(doc["ground_size"])
+    for key in ("ascending", "descending"):  # both caps before any mask is built
+        if isinstance(doc[key], list) and len(doc[key]) > core.MAX_FAMILY_SIZE:
+            raise core.InputError(f"{key} exceeds the cap {core.MAX_FAMILY_SIZE}")
 
     def tower(key: str) -> list[int]:
         rows = doc[key]

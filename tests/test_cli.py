@@ -709,6 +709,30 @@ def test_gap_tower_rows_may_be_unsorted_but_not_out_of_range(tmp_path, capsys):
     assert (code, out, err) == (1, "", "input-error: element 9 outside ground range [0, 4)\n")
 
 
+# A gap tower of more than core.MAX_FAMILY_SIZE sets is refused, on either side,
+# before any set of either tower becomes a mask.
+@pytest.mark.parametrize("side", ["ascending", "descending"])
+def test_gap_tower_over_the_cap_is_one_input_error_line(tmp_path, capsys, monkeypatch, side):
+    from chainlab import core
+
+    masked = []
+    real = core.GroundSet.mask_of
+    monkeypatch.setattr(core.GroundSet, "mask_of", lambda *args: masked.append(args) or real(*args))
+    monkeypatch.setattr(core, "MAX_FAMILY_SIZE", 3)
+    inst = tmp_path / "gap.json"
+    for sets in (3, 4):
+        doc = {"ground_size": 2, "ascending": [[0]] * 3, "descending": [[0, 1]] * 3}
+        doc[side] = doc[side][:1] * sets
+        inst.write_text(json.dumps(doc))
+        masked.clear()
+        code, out, err = run_cli(capsys, "gap", "--input", str(inst))
+        if sets == 3:
+            assert code == 0 and json.loads(out)["interpolant"] == [0] and len(masked) == 6
+        else:
+            assert (code, out, err) == (1, "", f"input-error: {side} exceeds the cap 3\n")
+            assert masked == []
+
+
 # Every document kind goes through one JSON reader; an integer over Python's
 # 4300-digit conversion limit and nesting past the recursion limit are input
 # errors there, not tracebacks.
