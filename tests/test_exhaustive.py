@@ -65,9 +65,9 @@ def test_both_defect_engines_match_the_pair_loop_at_every_budget():
         changes, width = counter_inputs(fam.masks)
         for budget in range(fam.ground.size + 1):
             worst, over = brute_defect_report(fam, budget)
-            for engine in ("scan", "counter"):
-                found, rows = (core._scan_rows(fam.masks, budget) if engine == "scan"
-                               else core._counter_rows(fam.masks, budget, changes, width))
+            for engine, (found, rows) in (
+                    ("scan", core._scan_rows(fam.masks, budget)),
+                    ("counter", core._counter_rows(fam.masks, budget, changes, width))):
                 assert (found, flagged_sizes(DefectReport(found, tuple(rows)))) == (
                     worst, list(over.items())), (engine, budget, fam)
 
@@ -177,19 +177,21 @@ def test_long_runs_are_written_and_read_back_run_by_run(monkeypatch):
     assert by_runs == 16787
 
 
+def _outcome(gap, *args) -> object:
+    """What `gap` returns, or the message of the InputError it raises."""
+    try:
+        return gap(*args)
+    except InputError as exc:
+        return str(exc)
+
+
 def test_gap_matches_the_defect_table_on_every_pair_of_short_towers():
     for size in (1, 2):
         ground = GroundSet(size)
         towers = [list(t) for length in range(3) for t in product(range(1 << size), repeat=length)]
         for ascending, descending in product(towers, repeat=2):
             for budget in range(3):
-                outcome = []
-                for gap in (lambda: gap_exceptions(ground, ascending, descending, budget),
-                            lambda: brute_gap_exceptions(ascending, descending, budget)):
-                    try:
-                        outcome.append(gap())
-                    except InputError as exc:
-                        outcome.append(str(exc))
-                if not ascending and not descending:  # the oracle has no such refusal
-                    outcome[1] = "both towers are empty"
-                assert outcome[0] == outcome[1], (ascending, descending, budget)
+                expected = ("both towers are empty" if not ascending and not descending
+                            else _outcome(brute_gap_exceptions, ascending, descending, budget))
+                assert _outcome(gap_exceptions, ground, ascending, descending, budget) == expected, (
+                    ascending, descending, budget)

@@ -92,11 +92,11 @@ def _uncalled(sources: dict[str, str], tracer: str) -> list[str]:
     defined = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, ast.FunctionDef):
                 defined.append((f"{module}.{node.name}", node.name))
             elif isinstance(node, ast.ClassDef):
                 defined += [(f"{module}.{node.name}.{fn.name}", fn.name) for fn in node.body
-                            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                            if isinstance(fn, ast.FunctionDef)]
     return [path for path, name in defined if not name.startswith("_") and name not in named]
 
 
